@@ -10,8 +10,8 @@ from .quiver import (Quiver, QuiverClass, Forest, QuiverError, catalog, classify
                      double, find_extended_dynkin_subquiver, forest_for_white)
 from .freealg import (Bituple, CycElement, CyclicClass, Element, ModRing,
                       PathContext, QQ, ZZ, cyclic_project, free_context,
-                      multiply, parse_element, preprojective_relation,
-                      render_cyclic, render_element, rep_of, w_ab, z_ab)
+                      parse_element, preprojective_relation, render_cyclic,
+                      render_element, rep_of, w_ab, z_ab)
 from .rewrite import (ConfluenceReport, MonomialOrder, NonUnitLead, RewriteRule,
                       RewriteSystem, complete, diamond_check, render_rule)
 from .intlinalg import (LatticeSolver, SNFResult, SparseIntMatrix, TorsionSummary,
@@ -23,9 +23,9 @@ from .homology import (GradedTorsionReport, HomologyClass, LambdaComputation,
                        hp0_poisson, lambda_graded, poisson_presentation,
                        preprojective_element, preprojective_system,
                        r_power_class, r_power_cyclic)
-from .necklace import (CornerPoisson, SymplecticPairing, WedgePair, bracket,
-                       bracket_of_wedge, bv_defect, cobracket, delta_ell,
-                       delta_ell_sum, double_bracket, double_derivative,
-                       loday_bracket, omega, partial_derivative, poisson_i0)
+from .necklace import (CornerPoisson, WedgePair, bracket, bracket_of_wedge,
+                       bv_defect, cobracket, delta_ell, delta_ell_sum,
+                       double_bracket, double_derivative, loday_bracket, omega,
+                       partial_derivative)
 
 __version__ = "0.1.0"

@@ -12,10 +12,10 @@ import json
 import sys
 
 from . import acceptance
-from .freealg import (CycElement, PathContext, cyclic_project, parse_element,
-                      render_cyclic, render_element, ring_from_tag)
-from .homology import (lambda_graded, hp0_poisson, poisson_presentation,
-                       r_power_cyclic)
+from .freealg import (CycElement, PathContext, RingError, cyclic_project,
+                      parse_element, render_cyclic, render_element, ring_from_tag)
+from .homology import (_is_prime, lambda_graded, hp0_poisson,
+                       poisson_presentation, r_power_cyclic)
 from .necklace import bracket, cobracket, loday_bracket
 from .quiver import Quiver, QuiverError, catalog, classify
 from .rewrite import MonomialOrder, NonUnitLead, complete
@@ -80,17 +80,13 @@ def cmd_hh0(args):
     rep, comp = lambda_graded(q, white, D)
     generators = {}
     if args.show_generators and not white:
-        for p in (2, 3, 5):
-            for ell in (1, 2):
-                d = 2 * p ** ell
-                if d > D:
-                    continue
-                cyc = r_power_cyclic(comp.ctx, p, ell)
-                cls_ = comp.to_class(cyc, d, label=f"r^({p}^{ell})")
-                o = comp.order_of(cls_)
-                if o not in (0, 1):
-                    generators.setdefault(d, []).append(
-                        f"r^({p}^{ell}) of order {o}: {render_cyclic(cyc)}")
+        for p, ell in _prime_powers(D // 2):
+            d = 2 * p ** ell
+            cyc = r_power_cyclic(comp.ctx, p, ell)
+            o = comp.order_of(comp.to_class(cyc, d))
+            if o not in (0, 1):
+                generators.setdefault(d, []).append(
+                    f"r^({p}^{ell}) of order {o}: {render_cyclic(cyc)}")
     if args.format == "json":
         print(rep.to_json(generators=generators or None))
         return 0
@@ -103,6 +99,15 @@ def cmd_hh0(args):
         for line in generators[d]:
             print(line)
     return 0
+
+
+def _prime_powers(n):
+    """(p, l) with p prime, l >= 1 and p^l <= n."""
+    for p in filter(_is_prime, range(2, n + 1)):
+        ell = 1
+        while p ** ell <= n:
+            yield p, ell
+            ell += 1
 
 
 def cmd_groebner(args):
@@ -175,12 +180,15 @@ def cmd_necklace(args):
 
 
 def cmd_hp0(args):
-    if args.type.upper().startswith("A") and args.branch is None:
-        raise UsageError("type A needs --branch n")
     kind = args.type.upper()
-    pres = poisson_presentation(kind if kind in ("E6", "E7", "E8") else kind[0],
-                                args.branch or 0)
-    dims = hp0_poisson(pres, args.modulus, args.degree)
+    kind = kind if kind in ("E6", "E7", "E8") else kind[:1]
+    if kind in ("A", "D") and args.branch is None:
+        raise UsageError(f"type {kind} needs --branch n")
+    try:
+        pres = poisson_presentation(kind, args.branch or 0)
+        dims = hp0_poisson(pres, args.modulus, args.degree)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit([(d, dims[d]) for d in sorted(dims)], ["degree", "dim"], args)
     return 0
 
@@ -189,7 +197,7 @@ def cmd_verify(args):
     if args.jobs > 1:
         results = _run_parallel(args)
     else:
-        results = acceptance.run_suite(args.suite, args.only)
+        results = acceptance.run_suite(args.only, args.seed)
     if args.format == "json":
         print(json.dumps(results, indent=1))
     else:
@@ -203,26 +211,14 @@ def cmd_verify(args):
 
 
 def _run_parallel(args):
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    names = [name for name, _, tier in acceptance.CRITERIA
-             if (args.only is None or name == args.only)
-             and (args.only is not None
-                  or (args.suite == "deep" or tier != "deep")
-                  and (args.suite != "fast" or tier == "fast"))]
-    results = []
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        futs = {pool.submit(_run_one, n, args.seed): n for n in names}
-        for fut in futs:
-            results.extend(fut.result())
-    order = {n: i for i, n in enumerate(names)}
-    results.sort(key=lambda r: order.get(r["criterion"], 99))
-    return results
-
-
-def _run_one(name, seed):
-    acceptance.DEFAULT_SEED = seed
-    return acceptance.run_suite(only=name)
+    names = [name for name, _ in acceptance.CRITERIA if args.only in (None, name)]
+    with ProcessPoolExecutor(max_workers=args.jobs,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futs = [pool.submit(acceptance.run_suite, n, args.seed) for n in names]
+        return [r for fut in futs for r in fut.result()]
 
 
 def _add_quiver_args(p, white=True):
@@ -234,59 +230,73 @@ def _add_quiver_args(p, white=True):
                        help="white vertices (relations only at the others)")
 
 
-def _common_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree", type=int, default=12, help="degree bound D")
-    common.add_argument("--ring", default="Z", help="Z, Q, or Zmod:m")
-    common.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    return common
+def _degree(text):
+    d = int(text)
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {d}")
+    return d
+
+
+def _add_degree(p):
+    p.add_argument("--degree", type=_degree, default=12, help="degree bound D")
+
+
+def _add_format(p, choices=("text", "json", "csv")):
+    p.add_argument("--format", default="text", choices=choices)
 
 
 def build_parser():
-    common = _common_parser()
     ap = argparse.ArgumentParser(
-        prog="preproj", parents=[common],
+        prog="preproj",
         description="exact computations with preprojective algebras of quivers")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", parents=[common],
-                       help="matrix Hilbert series coefficients")
+    p = sub.add_parser("hilbert", help="matrix Hilbert series coefficients")
     _add_quiver_args(p)
+    _add_degree(p)
+    _add_format(p)
     p.add_argument("--matrix", action="store_true",
                    help="always print the full matrix, not the corner entry")
     p.set_defaults(fn=cmd_hilbert)
 
-    p = sub.add_parser("hh0", parents=[common], help="graded torsion report for Lambda")
+    p = sub.add_parser("hh0", help="graded torsion report for Lambda")
     _add_quiver_args(p)
+    _add_degree(p)
+    _add_format(p)
     p.add_argument("--show-generators", action="store_true")
     p.set_defaults(fn=cmd_hh0)
 
-    p = sub.add_parser("groebner", parents=[common], help="completed rewrite system listing")
+    p = sub.add_parser("groebner", help="completed rewrite system listing")
     _add_quiver_args(p)
+    _add_degree(p)
     p.add_argument("--star", nargs="+", type=int,
                    help="branch lengths of a star presentation")
     p.add_argument("--expect", help="file with the expected listing to diff")
     p.set_defaults(fn=cmd_groebner)
 
-    p = sub.add_parser("necklace", parents=[common], help="necklace bracket/cobracket of elements")
+    p = sub.add_parser("necklace", help="necklace bracket/cobracket of elements")
     _add_quiver_args(p, white=False)
+    p.add_argument("--ring", default="Z", help="Z, Q, or Zmod:m")
     p.add_argument("--op", choices=["bracket", "cobracket", "loday"],
                    default="bracket")
     p.add_argument("--left", required=True, help="element, e.g. '[x y]'")
     p.add_argument("--right", help="second element")
     p.set_defaults(fn=cmd_necklace)
 
-    p = sub.add_parser("hp0", parents=[common], help="zeroth Poisson homology dimensions")
+    p = sub.add_parser("hp0", help="zeroth Poisson homology dimensions")
+    _add_degree(p)
+    _add_format(p)
     p.add_argument("--type", required=True, help="A, D, E6, E7, or E8")
     p.add_argument("--branch", type=int, help="rank n for types A and D")
     p.add_argument("--modulus", type=int, default=0, help="prime p, or 0 for Q")
     p.set_defaults(fn=cmd_hp0)
 
-    p = sub.add_parser("verify", parents=[common], help="run the acceptance suite")
-    p.add_argument("--suite", choices=["fast", "full", "deep"], default="full")
+    p = sub.add_parser("verify", help="run the acceptance suite")
+    _add_format(p, choices=("text", "json"))
     p.add_argument("--only", help="single criterion name")
+    p.add_argument("--jobs", type=int, default=1, help="criteria run in parallel")
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
+                   help="seed of the randomized criteria")
     p.set_defaults(fn=cmd_verify)
     return ap
 
@@ -295,10 +305,8 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.seed != acceptance.DEFAULT_SEED:
-            acceptance.DEFAULT_SEED = args.seed
         return args.fn(args)
-    except (UsageError, QuiverError, SeriesError, FileNotFoundError) as exc:
+    except (UsageError, QuiverError, RingError, SeriesError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,14 +126,32 @@ class PathContext:
             w += self.weights[a]
         return w
 
-    def with_ring(self, ring):
-        return PathContext(self.quiver, ring, self.degree_bound, self.weights)
-
-    def with_bound(self, degree_bound):
-        return PathContext(self.quiver, self.ring, degree_bound, self.weights)
-
     def letters(self):
         return [self.arrow(a) for (a, _, _) in self.quiver.arrows]
+
+    def walks(self, d, start=None, end=None):
+        """Composable words of weight d from start to end; None is any vertex.
+
+        Depth first from one explicit stack seeded with every start vertex,
+        so callers that build rows from the walks see a fixed order.
+        """
+        q = self.quiver
+        if d == 0:
+            if start is None or end is None or start == end:
+                yield ()
+            return
+        stack = [((), v, 0) for v in (q.vertices if start is None else (start,))]
+        while stack:
+            word, cur, wt = stack.pop()
+            for a in q.out_arrows(cur):
+                nw = wt + self.weights[a]
+                if nw > d:
+                    continue
+                w2 = word + (a,)
+                if nw < d:
+                    stack.append((w2, q.dst(a), nw))
+                elif end is None or q.dst(a) == end:
+                    yield w2
 
     # -- monomial helpers ------------------------------------------------
 
@@ -163,9 +181,6 @@ class PathContext:
 
     def arrow(self, a):
         return Element(self, {(self.quiver.src(a), (a,)): self.ring.coerce(1)})
-
-    def arrow_by_name(self, name):
-        return self.arrow(self.quiver.name_to_arrow()[name])
 
     def zero(self):
         return Element(self, {})
@@ -436,10 +451,6 @@ def cyclic_project(x: Element) -> CycElement:
         else:
             out[key] = s
     return CycElement(ctx, out)
-
-
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
 
 
 # ---------------------------------------------------------------------------

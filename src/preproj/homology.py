@@ -92,9 +92,10 @@ class LambdaComputation:
             keys = sorted(found, key=lambda k: (k.word, k.vertex))
         else:
             found = {}
-            for word in _closed_words(self.ctx, d):
-                w = canonical_rotation(word)
-                found[CyclicClass(self.ctx.quiver.src(w[0]), w)] = True
+            for v in self.ctx.quiver.vertices:
+                for word in self.ctx.walks(d, v, v):
+                    w = canonical_rotation(word)
+                    found[CyclicClass(self.ctx.quiver.src(w[0]), w)] = True
             keys = sorted(found, key=lambda k: (k.word, k.vertex))
         self._keys[d] = keys
         return keys
@@ -151,7 +152,7 @@ class LambdaComputation:
                     if i == j:
                         push(cyclic_project(g))
                     continue
-                for u in _words_between(self.ctx, j, i, d - wg):
+                for u in self.ctx.walks(d - wg, j, i):
                     push(cyclic_project(g * self.ctx.path(u)))
         for cyc in self.extra_cyclic:
             part = cyc.homogeneous_part(d)
@@ -211,41 +212,6 @@ class LambdaComputation:
         if cls.degree == 0:
             return 0 if cls.coords else 1
         return self.solver(cls.degree).order_of(cls.coords)
-
-
-def _closed_words(ctx, d):
-    q = ctx.quiver
-    for v in q.vertices:
-        stack = [((), v, 0)]
-        while stack:
-            word, cur, wt = stack.pop()
-            for a in q.out_arrows(cur):
-                nw = wt + ctx.weights[a]
-                if nw > d:
-                    continue
-                w2 = word + (a,)
-                if nw == d:
-                    if q.dst(a) == v:
-                        yield w2
-                else:
-                    stack.append((w2, q.dst(a), nw))
-
-
-def _words_between(ctx, i, j, d):
-    q = ctx.quiver
-    stack = [((), i, 0)]
-    while stack:
-        word, cur, wt = stack.pop()
-        for a in q.out_arrows(cur):
-            nw = wt + ctx.weights[a]
-            if nw > d:
-                continue
-            w2 = word + (a,)
-            if nw == d:
-                if q.dst(a) == j:
-                    yield w2
-            else:
-                stack.append((w2, q.dst(a), nw))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ delta_ell in the source material carries the opposite (inconsistent) sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import (CycElement, CyclicClass, Element, PathContext,
@@ -30,20 +29,6 @@ def omega(ctx: PathContext, a: int, b: int) -> int:
     if q.star.get(a) != b:
         return 0
     return 1 if a < b else -1
-
-
-class SymplecticPairing:
-    """omega as a value object, for callers that want it reified."""
-
-    def __init__(self, ctx: PathContext):
-        self.ctx = ctx
-
-    def __call__(self, a, b):
-        return omega(self.ctx, a, b)
-
-
-def _key_word(key: CyclicClass):
-    return key.word
 
 
 def _open_word(ctx, word, i):
@@ -110,12 +95,6 @@ def bracket(u: CycElement, v: CycElement) -> CycElement:
                     else:
                         out.pop(key, None)
     return CycElement(ctx, out)
-
-
-@dataclass(frozen=True)
-class _WedgeKey:
-    first: CyclicClass
-    second: CyclicClass
 
 
 class WedgePair:
@@ -265,11 +244,6 @@ def delta_ell(p: Element):
     return out
 
 
-def _composable_word(ctx, word):
-    q = ctx.quiver
-    return all(q.dst(a) == q.src(b) for a, b in zip(word, word[1:]))
-
-
 def delta_ell_sum(p: Element) -> dict:
     """delta_ell collected as {(cyclic key, path mono): coeff}."""
     acc = {}
@@ -396,13 +370,6 @@ class CornerPoisson:
                     raise QuiverError("non-integral corner coordinates")
                 out[mono] = int(c)
         return Element(comp.ctx, out)
-
-
-def poisson_i0(comp, f: Element, g: Element, i0=None) -> Element:
-    """{f, g} on the corner algebra of an extended Dynkin quiver: the necklace
-    bracket in Lambda followed by the torsion-killing projection back to
-    corner coordinates.  comp is a LambdaComputation for the quiver."""
-    return CornerPoisson(comp, i0).poisson(f, g)
 
 
 def _undouble(qd):

@@ -78,10 +78,8 @@ class Quiver:
         self._src = {a: s for (a, s, t) in self.arrows}
         self._dst = {a: t for (a, s, t) in self.arrows}
         self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
         for (a, s, t) in self.arrows:
             self._out[s].append(a)
-            self._in[t].append(a)
         if not self._connected():
             raise QuiverError("quiver must be connected")
 
@@ -95,13 +93,6 @@ class Quiver:
 
     def out_arrows(self, v):
         return tuple(self._out[v])
-
-    def in_arrows(self, v):
-        return tuple(self._in[v])
-
-    def arrows_at(self, v):
-        """All arrows incident to v (loops listed once)."""
-        return tuple(sorted(set(self._out[v]) | set(self._in[v])))
 
     def arrow_name(self, a):
         return self.names.get(a, f"a{a}")
@@ -135,9 +126,6 @@ class Quiver:
             deg[s] += 1
             deg[t] += 1
         return deg
-
-    def undirected_edges(self):
-        return [tuple(sorted((s, t))) for (_, s, t) in self.arrows]
 
     def adjacency(self, doubled=True):
         """Adjacency matrix (list of lists) indexed by vertex order.

@@ -154,9 +154,6 @@ class RewriteSystem:
                     work.pop(key, None)
         return Element(ctx, normal)
 
-    def is_normal_word(self, word):
-        return self._find_reduction(tuple(word)) is None
-
     def _automaton(self):
         if self._aut is None:
             self._aut = _Automaton([r.lm_word for r in self.rules])
@@ -448,11 +445,11 @@ def _frame_instances(rule_elements, ctx, d):
         wr = degs[0]
         for dl in range(0, d - wr + 1):
             dr = d - wr - dl
-            for u in _paths_of_weight(ctx, dl):
+            for u in ctx.walks(dl):
                 lhs = ctx.path(u) * el if u else el
                 if lhs.is_zero():
                     continue
-                for v in _paths_of_weight(ctx, dr):
+                for v in ctx.walks(dr):
                     inst = lhs * ctx.path(v) if v else lhs
                     if inst.is_zero():
                         continue
@@ -461,25 +458,6 @@ def _frame_instances(rule_elements, ctx, d):
                         seen.add(key)
                         out.append(inst)
     return out
-
-
-def _paths_of_weight(ctx, d):
-    q = ctx.quiver
-    if d == 0:
-        yield ()
-        return
-    stack = [((), v, 0) for v in q.vertices]
-    while stack:
-        word, v, wt = stack.pop()
-        for a in q.out_arrows(v):
-            nw = wt + ctx.weights[a]
-            if nw > d:
-                continue
-            w2 = word + (a,)
-            if nw == d:
-                yield w2
-            else:
-                stack.append((w2, q.dst(a), nw))
 
 
 def _lead_kernel(coeffs):

@@ -216,12 +216,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.n}x{self.n}, D={self.D})"
 
 
-def geometric_inverse_one_minus(ts: TruncatedSeries) -> TruncatedSeries:
-    """(1 - ts)^{-1} for a series with zero constant term."""
-    one = TruncatedSeries.one(ts.D, ts.n)
-    return (one - ts).inverse()
-
-
 def cartan_t_matrix(q: Quiver, white=(), D=12) -> TruncatedSeries:
     """1 - t*C + t^2 * 1_black, C the adjacency matrix of the double."""
     C = q.adjacency(doubled=True)

@@ -1,30 +1,15 @@
 """The acceptance gate: every criterion at its stated tolerance (exact).
 
-Each criterion prints one pass/fail line; the deep tier is stretch material
-and excluded from the default run (enable with PREPROJ_DEEP=1 or -k deep).
+Each criterion prints one pass/fail line; all of them run by default.
 """
-
-import os
 
 import pytest
 
 from preproj.acceptance import CRITERIA
 
-GATING = [(name, fn) for name, fn, tier in CRITERIA if tier != "deep"]
-DEEP = [(name, fn) for name, fn, tier in CRITERIA if tier == "deep"]
 
-
-@pytest.mark.parametrize("name,fn", GATING, ids=[n for n, _ in GATING])
+@pytest.mark.parametrize("name,fn", CRITERIA, ids=[n for n, _ in CRITERIA])
 def test_acceptance(name, fn):
-    ok, details = fn()
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {details}")
-    assert ok, f"{name}: {details}"
-
-
-@pytest.mark.parametrize("name,fn", DEEP, ids=[n for n, _ in DEEP])
-def test_acceptance_deep(name, fn):
-    if not os.environ.get("PREPROJ_DEEP"):
-        pytest.skip("deep tier: set PREPROJ_DEEP=1 to run")
     ok, details = fn()
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {details}")
     assert ok, f"{name}: {details}"

@@ -156,3 +156,75 @@ def test_groebner_preprojective_listing(capsys):
                        "--degree", "6")
     assert code == 0
     assert len(out.strip().splitlines()) >= 3
+
+
+def usage_exit(capsys, *argv):
+    """Exit code and stderr of an argument list argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hp0", "--type", "D", "--degree", "8"),
+    ("hp0", "--type", "E6", "--modulus", "4", "--degree", "8"),
+    ("necklace", "--catalog", "free", "1", "--ring", "Zmod:1", "--left", "[x]",
+     "--right", "[x*]"),
+], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_negative_degree_is_a_usage_error(capsys):
+    code, err = usage_exit(capsys, "hh0", "--catalog", "free", "2", "--degree", "-1")
+    assert code == 2
+    assert "degree must be >= 0" in err
+
+
+def test_flags_before_the_subcommand_are_rejected(capsys):
+    code, _ = usage_exit(capsys, "--degree", "2", "hh0", "--catalog", "free", "2")
+    assert code == 2
+
+
+def test_flags_live_on_their_subcommands():
+    from preproj.cli import build_parser
+
+    ap = build_parser()
+    assert {s for a in ap._actions for s in a.option_strings} == {"-h", "--help"}
+    sub = next(a for a in ap._actions if a.choices)
+    where = {}
+    for name, p in sub.choices.items():
+        for a in p._actions:
+            for s in a.option_strings:
+                where.setdefault(s, set()).add(name)
+    assert where["--degree"] == {"hilbert", "hh0", "groebner", "hp0"}
+    assert where["--format"] == {"hilbert", "hh0", "hp0", "verify"}
+    assert where["--ring"] == {"necklace"}
+    assert where["--jobs"] == where["--seed"] == {"verify"}
+    assert "--suite" not in where
+
+
+def test_hh0_generators_every_prime_power(capsys):
+    code, out, _ = run(capsys, "hh0", "--catalog", "dynkin_e", "8", "--degree", "16",
+                       "--show-generators")
+    assert code == 0
+    orders = [l.split(":")[0] for l in out.splitlines() if l.startswith("r^")]
+    assert orders == ["r^(2^1) of order 2", "r^(3^1) of order 3",
+                      "r^(2^2) of order 2", "r^(5^1) of order 5",
+                      "r^(2^3) of order 2"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_seed_reaches_the_criterion(capsys, jobs):
+    from preproj import acceptance
+
+    before = acceptance.DEFAULT_SEED
+    code, out, _ = run(capsys, "verify", "--only", "hilbert_identities",
+                       "--seed", "7", "--jobs", jobs, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["criterion"] for r in doc] == ["hilbert_identities"]
+    assert doc[0]["details"].startswith("seed 7;")
+    assert acceptance.DEFAULT_SEED == before

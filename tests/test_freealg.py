@@ -226,3 +226,61 @@ def test_rational_ring():
     x = ctx.arrow(0)
     half = x.scale(Fraction(1, 2))
     assert half + half == x
+
+
+def _mat_power(m, d):
+    n = len(m)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(d):
+        out = [[sum(out[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    return out
+
+
+def _check_walks(ctx, adjacency, dmax, verts):
+    """Walk counts between the vertices in verts against the entries of the
+    adjacency powers; the walks themselves are composable and of weight d."""
+    q = ctx.quiver
+    for d in range(dmax + 1):
+        power = _mat_power(adjacency, d)
+        for i, vi in enumerate(verts):
+            for j, vj in enumerate(verts):
+                words = list(ctx.walks(d, vi, vj))
+                assert len(words) == len(set(words)) == power[i][j]
+                for w in words:
+                    assert ctx.weight(w) == d
+                    if w:
+                        assert q.src(w[0]) == vi and q.dst(w[-1]) == vj
+                        ctx.path(w)  # raises unless composable
+            assert len(list(ctx.walks(d, vi))) == sum(power[i][:len(verts)])
+            assert len(list(ctx.walks(d, end=vi))) == \
+                sum(row[i] for row in power[:len(verts)])
+        if d:  # the empty word is yielded once, not once per vertex
+            assert len(list(ctx.walks(d))) == \
+                sum(sum(row[:len(verts)]) for row in power[:len(verts)])
+
+
+def test_walks_match_adjacency_powers():
+    for q in (catalog("free", 2), catalog("affine_d", 4)):
+        ctx = PathContext(q)
+        _check_walks(ctx, ctx.quiver.adjacency(), 6, list(ctx.quiver.vertices))
+
+
+def test_walks_weighted_letters():
+    # r has weight 2: split it through an auxiliary vertex m, so the weight-d
+    # words are the length-d walks 0 -> 0 of the subdivided graph
+    ctx = free_context(["x", "y", "r"], weights=[1, 1, 2])
+    subdivided = [[2, 1],
+                  [1, 0]]
+    _check_walks(ctx, subdivided, 8, [0])
+    assert [len(list(ctx.walks(d))) for d in range(6)] == [1, 2, 5, 12, 29, 70]
+
+
+def test_walks_degree_zero():
+    ctx = PathContext(catalog("affine_a", 3))
+    assert list(ctx.walks(0, 0, 0)) == [()]
+    assert list(ctx.walks(0, 0, 1)) == []
+    assert list(ctx.walks(0)) == [()]
+    assert list(ctx.walks(0, start=1)) == [()]
+    assert list(ctx.walks(0, end=2)) == [()]
+    assert list(ctx.walks(-1)) == []
