@@ -14,8 +14,8 @@ from .freealg import (Bituple, CycElement, CyclicClass, Element, ModRing,
                       render_element, rep_of, w_ab, z_ab)
 from .rewrite import (ConfluenceReport, MonomialOrder, NonUnitLead, RewriteRule,
                       RewriteSystem, complete, diamond_check, render_rule)
-from .intlinalg import (LatticeSolver, SNFResult, SparseIntMatrix, TorsionSummary,
-                        quotient_structure, saturation_gap, smith_normal_form)
+from .intlinalg import (LatticeSolver, SNFResult, TorsionSummary, quotient_structure,
+                        smith_normal_form)
 from .series import (SeriesError, TruncatedSeries, cartan_t_matrix, egid_check,
                      hT, hT_of, hilbert_prep, ncci_check, sym_plus_series, zeta)
 from .homology import (GradedTorsionReport, HomologyClass, LambdaComputation,

@@ -474,31 +474,11 @@ def hp0_poisson(pres: PoissonPresentation, modulus: int, D: int):
                     row[idx[e]] = c
                 if row:
                     rows.append(row)
-        if modulus == 0:
-            dims[d] = quotient_structure(len(basis), rows).free_rank
-        else:
-            dims[d] = len(basis) - _rank_mod_p(rows, len(basis), modulus)
+        # tensoring with F_p is right exact: the cokernel over F_p is
+        # (Z^n / L) (x) F_p, one dimension per free rank and per factor p | f
+        t = quotient_structure(len(basis), rows)
+        dims[d] = t.free_rank + sum(1 for f in t.invariant_factors if modulus and f % modulus == 0)
     return dims
-
-
-def _rank_mod_p(rows, ncols, p):
-    reduced = {}
-    rank = 0
-    for row in rows:
-        r = {j: v % p for j, v in row.items() if v % p}
-        while r:
-            j = min(r)
-            if j in reduced:
-                lead = reduced[j]
-                factor = (r[j] * pow(lead[j], -1, p)) % p
-                r = {k: (r.get(k, 0) - factor * lead.get(k, 0)) % p
-                     for k in set(r) | set(lead)}
-                r = {k: v for k, v in r.items() if v}
-            else:
-                reduced[j] = r
-                rank += 1
-                break
-    return rank
 
 
 def _is_prime(n):

@@ -1,11 +1,13 @@
 """Exact sparse integer linear algebra: Smith normal form, torsion of graded
-quotients, saturation tests.
+quotients, lattice membership and order queries.
 
-Matrices are dicts of sparse rows.  Elimination clears unit pivots first
-(they dominate in the commutator matrices this package produces and cause no
-coefficient growth), then runs classical gcd-based reduction on the small
-residue.  Column operations can be journaled so lattice-membership questions
-(order of a class in a quotient) can be answered after the fact.
+Matrices are lists of sparse row dicts {column: value}.  Elimination clears
+unit pivots first (they dominate in the commutator matrices this package
+produces and cause no coefficient growth), then runs classical gcd-based
+reduction on the small residue.  Column operations can be journaled so
+lattice-membership questions (order of a class in a quotient) can be answered
+after the fact; smith_normal_form writes the journal and apply_col_ops is its
+only reader.
 """
 
 from __future__ import annotations
@@ -14,85 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 
-class SparseIntMatrix:
-    """rows x cols integer matrix, no stored zeros."""
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __setitem__(self, key, v):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        if v == 0:
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[i, j] = int(v)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    @staticmethod
-    def from_rows(row_list, cols=None):
-        rl = list(row_list)
-        if cols is None:
-            cols = 0
-            for r in rl:
-                if isinstance(r, dict):
-                    cols = max(cols, max(r, default=-1) + 1)
-                else:
-                    cols = max(cols, len(r))
-        m = SparseIntMatrix(len(rl), cols)
-        for i, r in enumerate(rl):
-            if isinstance(r, dict):
-                for j, v in r.items():
-                    m[i, j] = v
-            else:
-                for j, v in enumerate(r):
-                    m[i, j] = v
-        return m
-
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-
 @dataclass
 class TorsionSummary:
     """Free rank plus invariant factors (> 1, each dividing the next)."""
 
     free_rank: int
     invariant_factors: tuple = ()
-
-    def prime_power_decomposition(self):
-        out = []
-        for d in self.invariant_factors:
-            n = d
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    out.append(p ** e)
-                p += 1
-            if n > 1:
-                out.append(n)
-        return sorted(out)
 
     def is_free(self):
         return not self.invariant_factors
@@ -111,20 +40,19 @@ class SNFResult:
     invariant_factors: tuple          # nonzero diagonal in a divisibility chain
     rank: int
     diag_by_col: dict                 # pivot column -> diagonal value (final coords)
-    col_ops: list = field(default_factory=list)
-    U: list | None = None             # optional dense transforms, U @ M @ V = D
-    V: list | None = None
+    col_ops: list = field(default_factory=list)  # journal, see apply_col_ops
 
 
 def apply_col_ops(vec: dict, ops):
-    """Apply a journal of column operations to a sparse row vector."""
+    """Apply a journal of column operations to a sparse row vector: v <- v V.
+
+    ("addmul", dst, src, c) adds c times column src to column dst;
+    ("pairop", j1, j2, x, y, a, b) replaces (c1, c2) by
+    (x c1 + y c2, -b c1 + a c2), unimodular since x a + y b = 1.
+    """
     v = dict(vec)
     for op in ops:
-        if op[0] == "neg":
-            _, j = op
-            if j in v:
-                v[j] = -v[j]
-        elif op[0] == "addmul":
+        if op[0] == "addmul":
             _, dst, src, c = op
             if src in v:
                 s = v.get(dst, 0) + c * v[src]
@@ -132,7 +60,7 @@ def apply_col_ops(vec: dict, ops):
                     v[dst] = s
                 else:
                     v.pop(dst, None)
-        else:  # ("pairop", j1, j2, x, y, a, b): (c1, c2) <- (x c1 + y c2, -b c1 + a c2)
+        else:
             _, j1, j2, x, y, a, b = op
             v1, v2 = v.get(j1, 0), v.get(j2, 0)
             n1 = x * v1 + y * v2
@@ -145,19 +73,20 @@ def apply_col_ops(vec: dict, ops):
     return v
 
 
-def smith_normal_form(m: SparseIntMatrix, want_transforms=False, want_col_ops=False):
-    """Invariant factors of m with optional transforms.
+def smith_normal_form(rows, ncols, want_col_ops=False):
+    """Smith normal form of the matrix with the given sparse rows and ncols columns.
 
-    With want_transforms, dense unimodular U, V with U @ m @ V diagonal are
-    returned; with want_col_ops only the column-operation journal is kept,
-    which is enough to answer membership and order questions against the row
-    lattice (see LatticeSolver).
+    rows is a list of dicts {column: value} with 0 <= column < ncols; they are
+    copied (zero entries dropped), never modified.  With want_col_ops the
+    column operations are journaled in res.col_ops.  They make a unimodular V
+    such that every row of M V lies in the span of the d_j e_j, where
+    d_j = res.diag_by_col[j] over the pivot columns j; apply_col_ops reads V
+    one row vector at a time.  That is enough to answer membership and order
+    questions against the row lattice (see LatticeSolver).
     """
-    rows = m.row_dicts()
-    nrows, ncols = m.rows, m.cols
-    track_cols = want_transforms or want_col_ops
-    journal = [] if track_cols else None
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if want_transforms else None
+    rows = _copy_rows(rows, ncols)
+    nrows = len(rows)
+    journal = [] if want_col_ops else None
 
     by_col = {}
     for i, r in enumerate(rows):
@@ -166,8 +95,6 @@ def smith_normal_form(m: SparseIntMatrix, want_transforms=False, want_col_ops=Fa
 
     def row_negate(i):
         rows[i] = {j: -v for j, v in rows[i].items()}
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     def row_addmul(dst, src, c):
         rd, rs = rows[dst], rows[src]
@@ -180,9 +107,6 @@ def smith_normal_form(m: SparseIntMatrix, want_transforms=False, want_col_ops=Fa
             else:
                 rd.pop(j, None)
                 by_col.get(j, set()).discard(dst)
-        if U is not None:
-            for k in range(nrows):
-                U[dst][k] += c * U[src][k]
 
     def col_addmul(dst, src, c):
         for i in list(by_col.get(src, ())):
@@ -211,10 +135,6 @@ def smith_normal_form(m: SparseIntMatrix, want_transforms=False, want_col_ops=Fa
             by_col.setdefault(j, set()).add(i1)
         for j in new2:
             by_col.setdefault(j, set()).add(i2)
-        if U is not None:
-            u1 = [x * p + y * q for p, q in zip(U[i1], U[i2])]
-            u2 = [-b * p + a * q for p, q in zip(U[i1], U[i2])]
-            U[i1], U[i2] = u1, u2
 
     active_rows = set(range(nrows))
     done_cols = set()
@@ -318,13 +238,18 @@ def smith_normal_form(m: SparseIntMatrix, want_transforms=False, want_col_ops=Fa
             assert rows[i1].get(c2, 0) == 0
 
     diag = sorted(abs(rows[i][j]) for (i, j) in pivots)
-    res = SNFResult(invariant_factors=tuple(diag), rank=len(diag),
-                    diag_by_col={j: abs(rows[i][j]) for (i, j) in pivots},
-                    col_ops=journal if journal is not None else [])
-    if want_transforms:
-        res.U = U
-        res.V = _materialize_col_ops(journal, ncols)
-    return res
+    return SNFResult(invariant_factors=tuple(diag), rank=len(diag),
+                     diag_by_col={j: abs(rows[i][j]) for (i, j) in pivots},
+                     col_ops=journal or [])
+
+
+def _copy_rows(rows, ncols):
+    out = []
+    for r in rows:
+        if r and (min(r) < 0 or max(r) >= ncols):
+            raise ValueError(f"column index outside 0..{ncols - 1} in relation row")
+        out.append({j: v for j, v in r.items() if v})
+    return out
 
 
 def _col_pair_journal(rows, by_col, journal, j1, j2, x, y, a, b):
@@ -356,26 +281,6 @@ def _lin(r1, r2, c1, c2):
     return out
 
 
-def _materialize_col_ops(journal, ncols):
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    for op in journal or ():
-        if op[0] == "neg":
-            _, j = op
-            for row in V:
-                row[j] = -row[j]
-        elif op[0] == "addmul":
-            _, dst, src, c = op
-            for row in V:
-                row[dst] += c * row[src]
-        else:
-            _, j1, j2, x, y, a, b = op
-            for row in V:
-                v1, v2 = row[j1], row[j2]
-                row[j1] = x * v1 + y * v2
-                row[j2] = -b * v1 + a * v2
-    return V
-
-
 def _xgcd(a, b):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -392,22 +297,9 @@ def _xgcd(a, b):
 
 def quotient_structure(ambient_rank: int, relation_rows) -> TorsionSummary:
     """Structure of Z^ambient_rank / (row lattice)."""
-    rows = list(relation_rows)
-    for r in rows:
-        if isinstance(r, dict):
-            if any(j >= ambient_rank or j < 0 for j in r):
-                raise ValueError("relation vector longer than ambient rank")
-        elif len(r) != ambient_rank:
-            raise ValueError("relation vector has wrong length")
-    m = SparseIntMatrix.from_rows(rows, ambient_rank)
-    res = smith_normal_form(m)
+    res = smith_normal_form(relation_rows, ambient_rank)
     factors = tuple(d for d in res.invariant_factors if d > 1)
     return TorsionSummary(free_rank=ambient_rank - res.rank, invariant_factors=factors)
-
-
-def saturation_gap(ambient_rank: int, relation_rows):
-    """Invariant factors > 1 of the span; empty iff the span is saturated."""
-    return list(quotient_structure(ambient_rank, relation_rows).invariant_factors)
 
 
 class LatticeSolver:
@@ -419,8 +311,7 @@ class LatticeSolver:
 
     def __init__(self, ambient_rank, relation_rows):
         self.n = ambient_rank
-        m = SparseIntMatrix.from_rows(list(relation_rows), ambient_rank)
-        self.res = smith_normal_form(m, want_col_ops=True)
+        self.res = smith_normal_form(relation_rows, ambient_rank, want_col_ops=True)
         self._diag = self.res.diag_by_col
 
     def order_of(self, vec: dict):

@@ -15,6 +15,7 @@ from collections import deque
 from fractions import Fraction
 
 from .freealg import Element, PathContext, _render_terms
+from .intlinalg import _xgcd, apply_col_ops, smith_normal_form
 from .quiver import QuiverError
 
 
@@ -373,18 +374,29 @@ def _contains(big, small):
 # Diamond Lemma confluence check for arbitrary DCC orders
 
 
+# reduction steps one combination may take in diamond_check before the check
+# gives up on it and reports "inconclusive" rather than a verdict
+REDUCTION_BUDGET = 20000
+
+
 class ConfluenceReport:
+    """confluent is True, False (with a witness that does not reduce to zero)
+    or None: inconclusive, a reduction ran out of REDUCTION_BUDGET steps."""
+
     def __init__(self, confluent, witness=None, degree=None):
         self.confluent = confluent
         self.witness = witness
         self.degree = degree
 
     def __bool__(self):
-        return self.confluent
+        return self.confluent is True
 
     def __repr__(self):
         if self.confluent:
             return "ConfluenceReport(confluent)"
+        if self.confluent is None:
+            return (f"ConfluenceReport(inconclusive at degree {self.degree}: "
+                    f"reduction budget of {REDUCTION_BUDGET} steps exhausted)")
         return f"ConfluenceReport(failed at degree {self.degree}: {self.witness!r})"
 
 
@@ -395,7 +407,9 @@ def diamond_check(rule_elements, degree_bound, ctx=None, order_key=None) -> Conf
     as order_key=(maximal_picker, strictly_less); frame instances must then
     each have a unique maximal monomial.  Checks, degree by degree, that any
     integer combination of same-lead instances falling below the lead reduces
-    to zero through instances with strictly smaller leads.
+    to zero through instances with strictly smaller leads.  A combination
+    that needs more than REDUCTION_BUDGET steps makes the report inconclusive
+    unless another one fails outright.
     """
     if not rule_elements:
         return ConfluenceReport(True)
@@ -410,6 +424,7 @@ def diamond_check(rule_elements, degree_bound, ctx=None, order_key=None) -> Conf
         maximal = lambda monos: max(monos, key=order_key)
         less = lambda a, b: order_key(a) < order_key(b)
 
+    inconclusive_at = None
     for d in range(1, degree_bound + 1):
         insts = _frame_instances(rule_elements, ctx, d)
         groups = {}
@@ -430,8 +445,13 @@ def diamond_check(rule_elements, degree_bound, ctx=None, order_key=None) -> Conf
                 for c, g in zip(combo, group):
                     if c:
                         e = e + g.scale(c)
-                if not _reduces_to_zero(e, entries, maximal):
+                reduced = _reduces_to_zero(e, entries, maximal)
+                if reduced is None:
+                    inconclusive_at = inconclusive_at or d
+                elif not reduced:
                     return ConfluenceReport(False, witness=e, degree=d)
+    if inconclusive_at:
+        return ConfluenceReport(None, degree=inconclusive_at)
     return ConfluenceReport(True)
 
 
@@ -461,21 +481,16 @@ def _frame_instances(rule_elements, ctx, d):
 
 
 def _lead_kernel(coeffs):
-    """Basis of the integer kernel of the 1 x n row (c_1 ... c_n)."""
-    from .intlinalg import SparseIntMatrix, smith_normal_form
-
+    """Basis of the integer kernel of the 1 x n row (c_1 ... c_n): the
+    non-pivot columns of the unimodular V with (c) V in Smith form."""
     n = len(coeffs)
-    m = SparseIntMatrix.from_rows([{j: c for j, c in enumerate(coeffs) if c}], n)
-    res = smith_normal_form(m, want_transforms=True)
-    V = res.V
-    pivot_cols = set(res.diag_by_col)
-    return [[V[i][j] for i in range(n)] for j in range(n) if j not in pivot_cols]
+    res = smith_normal_form([dict(enumerate(coeffs))], n, want_col_ops=True)
+    V = [apply_col_ops({i: 1}, res.col_ops) for i in range(n)]
+    return [[V[i].get(j, 0) for i in range(n)] for j in range(n) if j not in res.diag_by_col]
 
 
 def _solve_combo(coeffs, target):
     """Integers k_i with sum k_i c_i = target; requires gcd | target."""
-    from .intlinalg import _xgcd
-
     combo = [0] * len(coeffs)
     g = 0
     for i, c in enumerate(coeffs):
@@ -492,11 +507,12 @@ def _solve_combo(coeffs, target):
 
 
 def _reduces_to_zero(e, entries, maximal):
-    guard = 0
+    """True or False, or None when REDUCTION_BUDGET steps did not settle it."""
+    steps = 0
     while not e.is_zero():
-        guard += 1
-        if guard > 20000:
-            return False
+        steps += 1
+        if steps > REDUCTION_BUDGET:
+            return None
         m = maximal(list(e.terms))
         c = e.terms[m]
         cands = [el for (lm, el) in entries if lm == m]

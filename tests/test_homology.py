@@ -5,7 +5,8 @@ import pytest
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
                              render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
-                              PoissonPresentation, frobenius_cyc, ghost,
+                              PoissonPresentation, _bracket_gen_mono,
+                              _monomials_of_degree, frobenius_cyc, ghost,
                               hp0_poisson, lambda_graded, poisson_presentation,
                               preprojective_element, r_power_class,
                               r_power_cyclic)
@@ -247,6 +248,24 @@ def test_hp0_e8_bad_primes_smoke():
         dimsp = hp0_poisson(pres, p, 30)
         for d in range(31):
             assert dimsp.get(d, 0) >= dims0.get(d, 0), (p, d)
+
+
+@pytest.mark.parametrize("kind,n", [("E6", 0), ("E7", 0), ("E8", 0), ("A", 3), ("D", 4)])
+def test_hp0_mod_p_against_elimination(kind, n):
+    """hp0 over F_p, read off the integer Smith form, against an independent
+    mod-p elimination of the same bracket rows."""
+    pres = poisson_presentation(kind, n)
+    D = 30
+    dims = {p: hp0_poisson(pres, p, D) for p in (2, 3, 5)}
+    for d in range(D + 1):
+        basis = _monomials_of_degree(pres, d)
+        idx = {e: k for k, e in enumerate(basis)}
+        rows = []
+        for gi, dg in enumerate(pres.degrees):
+            for mono in _monomials_of_degree(pres, d + 2 - dg):
+                rows.append({idx[e]: c for e, c in _bracket_gen_mono(pres, gi, mono).items()})
+        for p in (2, 3, 5):
+            assert dims[p][d] == len(basis) - _rank_mod_p(rows, p), (p, d)
 
 
 def test_engines_agree_affine_d4():

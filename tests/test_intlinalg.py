@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from preproj.intlinalg import (LatticeSolver, SparseIntMatrix, TorsionSummary,
-                               quotient_structure, saturation_gap,
-                               smith_normal_form)
+from preproj.intlinalg import (LatticeSolver, TorsionSummary, apply_col_ops,
+                               quotient_structure, smith_normal_form)
 
 
 def snf_factors(rows):
-    m = SparseIntMatrix.from_rows(rows)
-    return smith_normal_form(m).invariant_factors
+    """Invariant factors of a dense rectangular matrix given as lists."""
+    ncols = len(rows[0]) if rows else 0
+    return smith_normal_form([dict(enumerate(r)) for r in rows], ncols).invariant_factors
 
 
 def test_snf_examples():
@@ -31,8 +31,26 @@ def test_quotient_structure_examples():
 
 
 def test_saturation_examples():
-    assert saturation_gap(2, [{0: 2}]) == [2]
-    assert saturation_gap(2, [{0: 1, 1: 1}]) == []
+    assert quotient_structure(2, [{0: 2}]).invariant_factors == (2,)
+    assert quotient_structure(2, [{0: 1, 1: 1}]).invariant_factors == ()
+
+
+def test_explicit_zeros_are_ignored():
+    rows = [{0: 0, 1: 2}, {2: 0}]
+    t = quotient_structure(3, rows)
+    assert (t.free_rank, t.invariant_factors) == (2, (2,))
+    assert t == quotient_structure(3, [{1: 2}])
+    assert rows == [{0: 0, 1: 2}, {2: 0}]  # the input rows are left as given
+    solver = LatticeSolver(3, rows)
+    assert solver.order_of({1: 1}) == 2 and solver.order_of({0: 1}) == 0
+
+
+@pytest.mark.parametrize("bad", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])
+def test_column_out_of_range_is_rejected(bad):
+    with pytest.raises(ValueError):
+        quotient_structure(2, [{0: 1}, bad])
+    with pytest.raises(ValueError):
+        LatticeSolver(2, [bad])
 
 
 def _det(mat):
@@ -115,30 +133,24 @@ def test_quotient_invariance_under_row_ops():
             (other.free_rank, other.invariant_factors)
 
 
-def test_transforms_diagonalize():
+def test_col_journal_diagonalizes():
+    """V read off the column journal is unimodular, and every row of M V lies
+    in the span of d_j e_j over the pivot columns j."""
     rng = random.Random(31)
     for _ in range(25):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
         rows = [[rng.randint(-7, 7) for _ in range(nc)] for _ in range(nr)]
-        m = SparseIntMatrix.from_rows(rows, nc)
-        res = smith_normal_form(m, want_transforms=True)
-        U, V = res.U, res.V
-        prod = [[sum(U[i][k] * rows[k][j] for k in range(nr)) for j in range(nc)]
-                for i in range(nr)]
-        prod = [[sum(prod[i][k] * V[k][j] for k in range(nc)) for j in range(nc)]
-                for i in range(nr)]
-        nonzero = {}
-        for i in range(nr):
-            for j in range(nc):
-                if prod[i][j]:
-                    nonzero[j] = abs(prod[i][j])
-                    # off-diagonal-in-the-pivot-sense entries must pair i with
-                    # exactly one column
-        assert sorted(nonzero.values()) == sorted(res.invariant_factors)
-        # unimodularity
-        assert abs(_det(U)) == 1
+        res = smith_normal_form([dict(enumerate(r)) for r in rows], nc, want_col_ops=True)
+        V = [[apply_col_ops({i: 1}, res.col_ops).get(j, 0) for j in range(nc)]
+             for i in range(nc)]
         assert abs(_det(V)) == 1
+        assert sorted(res.diag_by_col.values()) == list(res.invariant_factors)
+        for r in rows:
+            mv = [sum(r[k] * V[k][j] for k in range(nc)) for j in range(nc)]
+            for j, x in enumerate(mv):
+                d = res.diag_by_col.get(j)
+                assert (x == 0) if d is None else (x % d == 0), (rows, res)
 
 
 def _hnf_rows(rows, n):
@@ -230,8 +242,8 @@ def test_lattice_solver_order_against_oracle():
 
 
 def test_prime_power_decomposition():
+    """Torsion prints as its invariant factors, not as prime powers."""
     t = TorsionSummary(0, (2, 12))
-    assert t.prime_power_decomposition() == [2, 3, 4]
     assert str(t) == "Z/2 + Z/12"
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from preproj import rewrite
 from preproj.freealg import PathContext, free_context, preprojective_relation
 from preproj.quiver import catalog, double
 from preproj.rewrite import (MonomialOrder, NonUnitLead, RewriteRule,
@@ -254,6 +255,18 @@ def test_diamond_check_completed_system():
     sys_ = complete([x ** 3, y ** 3, z ** 3, x + y + z], MonomialOrder(ctx), 6)
     rep = diamond_check([r.element for r in sys_.rules], 6, ctx=ctx)
     assert rep.confluent
+
+
+def test_diamond_check_budget_is_inconclusive(monkeypatch):
+    """A reduction that runs out of steps is no verdict on confluence."""
+    monkeypatch.setattr(rewrite, "REDUCTION_BUDGET", 1)
+    ctx = free_context(["x", "y", "z"])
+    x, y, z = ctx.letters()
+    sys_ = complete([x ** 3, y ** 3, z ** 3, x + y + z], MonomialOrder(ctx), 6)
+    rep = diamond_check([r.element for r in sys_.rules], 6, ctx=ctx)
+    assert rep.confluent is None and not rep
+    assert rep.witness is None
+    assert "inconclusive" in repr(rep) and "failed" not in repr(rep)
 
 
 def test_graded_dims_match_series_on_catalog():
