@@ -24,8 +24,8 @@ from .necklace import (CornerPoisson, bracket, bracket_of_wedge, bv_defect,
                        cobracket, loday_bracket)
 from .quiver import Quiver, catalog, classify, double, forest_for_white
 from .rewrite import MonomialOrder, complete
-from .series import (TruncatedSeries, _one_minus_tm_pow, cartan_t_matrix,
-                     egid_check, hT_of, hilbert_prep)
+from .series import (TruncatedSeries, _one_minus_tm_pow, egid_check, hT_of,
+                     hilbert_prep, o_series_char_zero, sym_plus_series)
 
 DEFAULT_SEED = 20240801
 
@@ -108,10 +108,12 @@ _STARS = {"e6": ((3, 3, 3), 12), "e7": ((4, 4, 2), 12), "e8": ((6, 3, 2), 14)}
 
 
 def star_ideal_system(exponents, bound):
-    """Completion of ((x^d1, y^d2, z^d3, x+y+z)) in Z<x,y,z>, grlex x<y<z."""
-    ctx = free_context(["x", "y", "z"])
-    x, y, z = ctx.letters()
-    gens = [x ** exponents[0], y ** exponents[1], z ** exponents[2], x + y + z]
+    """Completion of ((x^d1, y^d2, z^d3, x4^d4, ..., x+y+z+x4+...)) in the free
+    algebra on one letter per exponent, grlex x<y<z<x4<..."""
+    ctx = free_context(["xyz"[i] if i < 3 else f"x{i + 1}" for i in range(len(exponents))])
+    letters = ctx.letters()
+    gens = [el ** e for el, e in zip(letters, exponents)]
+    gens.append(sum(letters[1:], letters[0]))
     return complete(gens, MonomialOrder(ctx), bound)
 
 
@@ -268,15 +270,8 @@ def crit_partial_preprojective(seed=DEFAULT_SEED):
                       _cyclically_normal_count(comp.ctx, forbidden, d)
                       for d in range(1, D + 1))
         counts = [len(q.vertices)] + [rep.summaries[d].free_rank for d in range(1, D + 1)]
-        lhs = TruncatedSeries.one(D)
-        for m in range(1, D + 1):
-            if counts[m]:
-                lhs = lhs * _one_minus_tm_pow(m, -counts[m], D)
-        cart = cartan_t_matrix(q, white, D)
-        rhs = TruncatedSeries.one(D)
-        for m in range(1, D + 1):
-            rhs = rhs * cart.substitute_power(m).determinant().inverse()
-        ser_ok = lhs == rhs
+        ser_ok = sym_plus_series(TruncatedSeries.scalar(counts, D)) == \
+            o_series_char_zero(q, white, D)
         this = lm_ok and tor_ok and rank_ok and ser_ok
         ok &= this
         details.append(f"sample{k}({len(q.vertices)}v,|J|={len(white)}): "

@@ -13,7 +13,8 @@ import sys
 
 from . import acceptance
 from .freealg import (CycElement, PathContext, RingError, cyclic_project,
-                      parse_element, render_cyclic, render_element, ring_from_tag)
+                      parse_element, preprojective_relation, render_cyclic,
+                      render_element, ring_from_tag)
 from .homology import (_is_prime, lambda_graded, hp0_poisson,
                        poisson_presentation, r_power_cyclic)
 from .necklace import bracket, cobracket, loday_bracket
@@ -111,36 +112,18 @@ def _prime_powers(n):
 
 
 def cmd_groebner(args):
-    if args.star:
-        exps = [d + 1 for d in args.star]
-        from .freealg import free_context
-
-        names = [chr(ord("x") + i) if i < 3 else f"x{i + 1}" for i in range(len(exps))]
-        ctx = free_context(names)
-        letters = ctx.letters()
-        gens = [el ** e for el, e in zip(letters, exps)]
-        total = letters[0]
-        for el in letters[1:]:
-            total = total + el
-        gens.append(total)
-        try:
-            sys_ = complete(gens, MonomialOrder(ctx), args.degree)
-        except NonUnitLead as e:
-            print(f"non-unit leading coefficient; fall back to degreewise "
-                  f"linear algebra ({render_element(e.element)})", file=sys.stderr)
-            return 1
-    else:
-        q, white = _load_quiver(args)
-        ctx = PathContext(q)
-        from .freealg import preprojective_relation
-
-        try:
+    try:
+        if args.star:
+            sys_ = acceptance.star_ideal_system([d + 1 for d in args.star], args.degree)
+        else:
+            q, white = _load_quiver(args)
+            ctx = PathContext(q)
             sys_ = complete(preprojective_relation(ctx, white),
                             MonomialOrder(ctx), args.degree)
-        except NonUnitLead as e:
-            print(f"non-unit leading coefficient; fall back to degreewise "
-                  f"linear algebra ({render_element(e.element)})", file=sys.stderr)
-            return 1
+    except NonUnitLead as e:
+        print(f"non-unit leading coefficient; fall back to degreewise "
+              f"linear algebra ({render_element(e.element)})", file=sys.stderr)
+        return 1
     text = sys_.export_text()
     print(text)
     if args.expect:

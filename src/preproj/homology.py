@@ -18,6 +18,7 @@ Two interchangeable engines compute the graded pieces:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -61,54 +62,70 @@ class GradedTorsionReport:
         return json.dumps(rows, indent=1)
 
 
+@dataclass
+class _Degree:
+    """What LambdaComputation knows about one degree; each part built once."""
+
+    keys: list                           # ambient classes, in coordinate order
+    index: dict                          # ambient class -> coordinate
+    rows: list | None = None             # relation rows, sparse {coordinate: value}
+    solver: LatticeSolver | None = None
+
+
 class LambdaComputation:
-    """Graded pieces of A/[A,A] for A = path algebra modulo an ideal."""
+    """Graded pieces of A/[A,A] for A = path algebra modulo an ideal.
+
+    Each degree is eliminated once: its LatticeSolver gives both the torsion
+    summary and the order of any class.
+    """
 
     def __init__(self, ctx: PathContext, system: RewriteSystem | None,
-                 ideal_gens=(), extra_cyclic=(), engine="normal"):
+                 ideal_gens=(), engine="normal"):
         self.ctx = ctx
         self.system = system
         self.ideal_gens = list(ideal_gens)
-        self.extra_cyclic = list(extra_cyclic)  # CycElements to kill (graded)
         self.engine = engine
-        self._keys = {}
-        self._rows = {}
-        self._summaries = {}
-        self._solvers = {}
+        self._degrees = {}
 
     # -- ambient --------------------------------------------------------
 
-    def ambient_keys(self, d):
-        if d in self._keys:
-            return self._keys[d]
+    def _degree(self, d) -> _Degree:
+        st = self._degrees.get(d)
+        if st is None:
+            keys = self._enumerate_keys(d)
+            st = self._degrees[d] = _Degree(keys, {k: i for i, k in enumerate(keys)})
+        return st
+
+    def _enumerate_keys(self, d):
         if d == 0:
-            keys = [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
-        elif self.engine == "normal":
-            found = {}
+            return [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
+        found = {}
+        if self.engine == "normal":
             for i in self.ctx.quiver.vertices:
                 for mono in self.system.normal_monomials(i, i, d):
-                    key = CyclicClass.of(self.ctx, mono)
-                    found[key] = True
-            keys = sorted(found, key=lambda k: (k.word, k.vertex))
+                    found[CyclicClass.of(self.ctx, mono)] = True
         else:
-            found = {}
             for v in self.ctx.quiver.vertices:
                 for word in self.ctx.walks(d, v, v):
                     w = canonical_rotation(word)
                     found[CyclicClass(self.ctx.quiver.src(w[0]), w)] = True
-            keys = sorted(found, key=lambda k: (k.word, k.vertex))
-        self._keys[d] = keys
-        return keys
+        return sorted(found, key=lambda k: (k.word, k.vertex))
+
+    def ambient_keys(self, d):
+        return self._degree(d).keys
 
     def key_index(self, d):
-        return {k: i for i, k in enumerate(self.ambient_keys(d))}
+        return self._degree(d).index
 
     # -- relations --------------------------------------------------------
 
     def relation_rows(self, d):
-        if d in self._rows:
-            return self._rows[d]
-        idx = self.key_index(d)
+        st = self._degree(d)
+        if st.rows is None:
+            st.rows = self._build_rows(d, st.index)
+        return st.rows
+
+    def _build_rows(self, d, idx):
         rows = {}
 
         def push(cyc: CycElement):
@@ -135,7 +152,6 @@ class LambdaComputation:
                     rel = sys_.reduce(m * ae) - sys_.reduce(ae * m)
                     push(cyclic_project(rel))
         else:
-            q = self.ctx.quiver
             for g in self.ideal_gens:
                 degs = g.degrees()
                 if len(degs) != 1:
@@ -154,29 +170,18 @@ class LambdaComputation:
                     continue
                 for u in self.ctx.walks(d - wg, j, i):
                     push(cyclic_project(g * self.ctx.path(u)))
-        for cyc in self.extra_cyclic:
-            part = cyc.homogeneous_part(d)
-            if not part.is_zero():
-                push(part)
-        out = list(rows.values())
-        self._rows[d] = out
-        return out
+        return list(rows.values())
 
     # -- quotient structure ------------------------------------------------
 
-    def summary(self, d) -> TorsionSummary:
-        if d not in self._summaries:
-            if d == 0:
-                self._summaries[d] = TorsionSummary(free_rank=len(self.ambient_keys(0)))
-            else:
-                self._summaries[d] = quotient_structure(
-                    len(self.ambient_keys(d)), self.relation_rows(d))
-        return self._summaries[d]
-
     def solver(self, d) -> LatticeSolver:
-        if d not in self._solvers:
-            self._solvers[d] = LatticeSolver(len(self.ambient_keys(d)), self.relation_rows(d))
-        return self._solvers[d]
+        st = self._degree(d)
+        if st.solver is None:
+            st.solver = LatticeSolver(len(st.keys), self.relation_rows(d))
+        return st.solver
+
+    def summary(self, d) -> TorsionSummary:
+        return self.solver(d).summary
 
     # -- classes ----------------------------------------------------------
 
@@ -207,10 +212,6 @@ class LambdaComputation:
 
     def order_of(self, cls: HomologyClass) -> int:
         """Least k >= 1 with k*cls zero in Lambda, or 0 for infinite order."""
-        if not cls.coords:
-            return 1
-        if cls.degree == 0:
-            return 0 if cls.coords else 1
         return self.solver(cls.degree).order_of(cls.coords)
 
 
@@ -455,9 +456,10 @@ def hp0_poisson(pres: PoissonPresentation, modulus: int, D: int):
     """Per-degree dimensions of A/{A, A} over F_p (modulus p) or Q (modulus 0)."""
     if modulus != 0 and not _is_prime(modulus):
         raise ValueError("modulus must be prime or 0")
+    monomials = functools.cache(functools.partial(_monomials_of_degree, pres))
     dims = {}
     for d in range(D + 1):
-        basis = _monomials_of_degree(pres, d)
+        basis = monomials(d)
         if not basis:
             dims[d] = 0
             continue
@@ -465,7 +467,7 @@ def hp0_poisson(pres: PoissonPresentation, modulus: int, D: int):
         rows = []
         for gi in range(len(pres.gens)):
             dg = pres.degrees[gi]
-            for mono in _monomials_of_degree(pres, d + 2 - dg):
+            for mono in monomials(d + 2 - dg):
                 br = _bracket_gen_mono(pres, gi, mono)
                 row = {}
                 for e, c in br.items():

@@ -4,16 +4,17 @@ quotients, lattice membership and order queries.
 Matrices are lists of sparse row dicts {column: value}.  Elimination clears
 unit pivots first (they dominate in the commutator matrices this package
 produces and cause no coefficient growth), then runs classical gcd-based
-reduction on the small residue.  Column operations can be journaled so
+reduction on the small residue.  Column operations are always journaled, so
 lattice-membership questions (order of a class in a quotient) can be answered
 after the fact; smith_normal_form writes the journal and apply_col_ops is its
-only reader.
+only reader.  LatticeSolver holds one elimination and reads both the torsion
+summary and the order queries off it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,9 +39,8 @@ class TorsionSummary:
 @dataclass
 class SNFResult:
     invariant_factors: tuple          # nonzero diagonal in a divisibility chain
-    rank: int
     diag_by_col: dict                 # pivot column -> diagonal value (final coords)
-    col_ops: list = field(default_factory=list)  # journal, see apply_col_ops
+    col_ops: list                     # journal, see apply_col_ops
 
 
 def apply_col_ops(vec: dict, ops):
@@ -73,20 +73,20 @@ def apply_col_ops(vec: dict, ops):
     return v
 
 
-def smith_normal_form(rows, ncols, want_col_ops=False):
+def smith_normal_form(rows, ncols):
     """Smith normal form of the matrix with the given sparse rows and ncols columns.
 
     rows is a list of dicts {column: value} with 0 <= column < ncols; they are
-    copied (zero entries dropped), never modified.  With want_col_ops the
-    column operations are journaled in res.col_ops.  They make a unimodular V
-    such that every row of M V lies in the span of the d_j e_j, where
-    d_j = res.diag_by_col[j] over the pivot columns j; apply_col_ops reads V
-    one row vector at a time.  That is enough to answer membership and order
-    questions against the row lattice (see LatticeSolver).
+    copied (zero entries dropped), never modified.  The column operations are
+    journaled in res.col_ops.  They make a unimodular V such that every row
+    of M V lies in the span of the d_j e_j, where d_j = res.diag_by_col[j]
+    over the pivot columns j; apply_col_ops reads V one row vector at a time.
+    That is enough to answer membership and order questions against the row
+    lattice (see LatticeSolver).
     """
     rows = _copy_rows(rows, ncols)
     nrows = len(rows)
-    journal = [] if want_col_ops else None
+    journal = []
 
     by_col = {}
     for i, r in enumerate(rows):
@@ -119,8 +119,7 @@ def smith_normal_form(rows, ncols, want_col_ops=False):
             else:
                 r.pop(dst, None)
                 by_col.get(dst, set()).discard(i)
-        if journal is not None:
-            journal.append(("addmul", dst, src, c))
+        journal.append(("addmul", dst, src, c))
 
     def row_pair_op(i1, i2, x, y, a, b):
         # (r1, r2) <- (x r1 + y r2, -b r1 + a r2), unimodular since x a + y b = 1
@@ -238,9 +237,9 @@ def smith_normal_form(rows, ncols, want_col_ops=False):
             assert rows[i1].get(c2, 0) == 0
 
     diag = sorted(abs(rows[i][j]) for (i, j) in pivots)
-    return SNFResult(invariant_factors=tuple(diag), rank=len(diag),
+    return SNFResult(invariant_factors=tuple(diag),
                      diag_by_col={j: abs(rows[i][j]) for (i, j) in pivots},
-                     col_ops=journal or [])
+                     col_ops=journal)
 
 
 def _copy_rows(rows, ncols):
@@ -268,8 +267,7 @@ def _col_pair_journal(rows, by_col, journal, j1, j2, x, y, a, b):
             else:
                 r.pop(j, None)
                 by_col.get(j, set()).discard(i)
-    if journal is not None:
-        journal.append(("pairop", j1, j2, x, y, a, b))
+    journal.append(("pairop", j1, j2, x, y, a, b))
 
 
 def _lin(r1, r2, c1, c2):
@@ -297,21 +295,22 @@ def _xgcd(a, b):
 
 def quotient_structure(ambient_rank: int, relation_rows) -> TorsionSummary:
     """Structure of Z^ambient_rank / (row lattice)."""
-    res = smith_normal_form(relation_rows, ambient_rank)
-    factors = tuple(d for d in res.invariant_factors if d > 1)
-    return TorsionSummary(free_rank=ambient_rank - res.rank, invariant_factors=factors)
+    return LatticeSolver(ambient_rank, relation_rows).summary
 
 
 class LatticeSolver:
-    """Membership and order queries against a fixed row lattice in Z^n.
+    """One elimination of a fixed row lattice L in Z^n, and what it answers.
 
-    order_of(v) is the least k >= 1 with k*v in the lattice, or 0 when v has
-    a component outside the lattice's rational span.
+    summary is the structure of Z^n / L.  order_of(v) is the least k >= 1 with
+    k*v in the lattice, or 0 when v has a component outside the lattice's
+    rational span.
     """
 
     def __init__(self, ambient_rank, relation_rows):
-        self.n = ambient_rank
-        self.res = smith_normal_form(relation_rows, ambient_rank, want_col_ops=True)
+        self.res = smith_normal_form(relation_rows, ambient_rank)
+        factors = self.res.invariant_factors
+        self.summary = TorsionSummary(free_rank=ambient_rank - len(factors),
+                                      invariant_factors=tuple(d for d in factors if d > 1))
         self._diag = self.res.diag_by_col
 
     def order_of(self, vec: dict):

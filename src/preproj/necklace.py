@@ -354,7 +354,6 @@ class CornerPoisson:
             return comp.ctx.idempotent(self.i0).scale(c)
         target = comp.coords(cyc, d)
         basis = self.corner_basis(d)
-        idx = comp.key_index(d)
         n = len(comp.ambient_keys(d))
         cols = []
         for mono in basis:

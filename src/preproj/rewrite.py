@@ -484,7 +484,7 @@ def _lead_kernel(coeffs):
     """Basis of the integer kernel of the 1 x n row (c_1 ... c_n): the
     non-pivot columns of the unimodular V with (c) V in Smith form."""
     n = len(coeffs)
-    res = smith_normal_form([dict(enumerate(coeffs))], n, want_col_ops=True)
+    res = smith_normal_form([dict(enumerate(coeffs))], n)
     V = [apply_col_ops({i: 1}, res.col_ops) for i in range(n)]
     return [[V[i].get(j, 0) for i in range(n)] for j in range(n) if j not in res.diag_by_col]
 

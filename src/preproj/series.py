@@ -327,11 +327,15 @@ def ncci_check(hV: TruncatedSeries, hL: TruncatedSeries, hA: TruncatedSeries, D=
 def zeta(hV: TruncatedSeries, hL: TruncatedSeries, D=None) -> TruncatedSeries:
     """prod_{m>=1} det(1 - h(V;t^m) + h(L;t^m))^{-1}."""
     D = min(hV.D, hL.D) if D is None else D
-    out = TruncatedSeries.one(D)
     one = TruncatedSeries.one(D, hV.n)
-    base = one - hV.truncate(D) + hL.truncate(D)
+    return _euler_product(one - hV.truncate(D) + hL.truncate(D), D)
+
+
+def _euler_product(B: TruncatedSeries, D) -> TruncatedSeries:
+    """prod_{m=1..D} det(B(t^m))^{-1} for a square matrix series B."""
+    out = TruncatedSeries.one(D)
     for m in range(1, D + 1):
-        out = out * base.substitute_power(m).determinant().inverse()
+        out = out * B.substitute_power(m).determinant().inverse()
     return out
 
 
@@ -357,20 +361,13 @@ def egid_check(q: Quiver, D=12, i0=None) -> bool:
         e_m = a[m] - (a[m - 2] if m >= 2 else 0)
         if e_m:
             lhs = lhs * _one_minus_tm_pow(m, -e_m, D)
-    cart = cartan_t_matrix(q, (), D)
-    rhs = _one_minus_tm_pow(2, -1, D)
-    for m in range(1, D + 1):
-        rhs = rhs * cart.substitute_power(m).determinant().inverse()
-    return lhs == rhs
+    return lhs == o_series_char_zero(q, (), D)
 
 
 def o_series_char_p(q: Quiver, white, p: int, D: int) -> TruncatedSeries:
     """h(O(Pi_{Q,J})) over a field of characteristic p, per the zeta form:
     an extra factor prod_l (1 - t^(2 p^l))^{-1} appears only when J is empty."""
-    cart = cartan_t_matrix(q, white, D)
-    out = TruncatedSeries.one(D)
-    for m in range(1, D + 1):
-        out = out * cart.substitute_power(m).determinant().inverse()
+    out = _euler_product(cartan_t_matrix(q, white, D), D)
     if not set(white):
         e = 2
         while e <= D:
@@ -380,10 +377,7 @@ def o_series_char_p(q: Quiver, white, p: int, D: int) -> TruncatedSeries:
 
 
 def o_series_char_zero(q: Quiver, white, D: int) -> TruncatedSeries:
-    cart = cartan_t_matrix(q, white, D)
-    out = TruncatedSeries.one(D)
-    for m in range(1, D + 1):
-        out = out * cart.substitute_power(m).determinant().inverse()
+    out = _euler_product(cartan_t_matrix(q, white, D), D)
     if not set(white):
         out = out * _one_minus_tm_pow(2, -1, D)
     return out

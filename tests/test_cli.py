@@ -79,6 +79,18 @@ def test_groebner_expect_mismatch(tmp_path, capsys):
     assert "MISMATCH" in err
 
 
+def test_groebner_four_branch_star(capsys):
+    code, out, _ = run(capsys, "groebner", "--star", "1", "1", "1", "1",
+                       "--degree", "6")
+    assert code == 0
+    assert out == ("z x y - y z x - y x z - x z x - x y z - x y x\n"
+                   "z^2\n"
+                   "z y + z x + y z + y x + x z + x y\n"
+                   "y^2\n"
+                   "x^2\n"
+                   "x4 + z + y + x\n")
+
+
 def test_necklace_bracket(capsys):
     code, out, _ = run(capsys, "necklace", "--catalog", "free", "1",
                        "--op", "bracket", "--left", "[x]", "--right", "[x*]")

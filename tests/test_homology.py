@@ -76,6 +76,26 @@ def test_order_of_basics():
     assert comp.order_of(e_cls) == 0  # degree-0 classes are free
 
 
+@pytest.mark.parametrize("engine", ["normal", "span"])
+def test_one_elimination_per_degree(monkeypatch, engine):
+    """summary(d) and order_of at degree d share one Smith normal form."""
+    import preproj.intlinalg as intlinalg
+
+    eliminated = []
+    snf = intlinalg.smith_normal_form
+
+    def counting_snf(rows, ncols, *args, **kwargs):
+        eliminated.append(ncols)
+        return snf(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting_snf)
+    rep, comp = lambda_graded(catalog("free", 2), (), 8, engine=engine)
+    assert rep.engine == engine
+    orders = [comp.order_of(r_power_class(comp, p, ell)) for p, ell in ((2, 1), (3, 1), (2, 2))]
+    assert orders == [2, 3, 2]
+    assert eliminated == [len(comp.ambient_keys(d)) for d in range(9)]
+
+
 def test_free_rank_matches_corner_series():
     for nm, args, D in [("affine_a", (3,), 10), ("affine_d", (4,), 8),
                         ("affine_e", (6,), 10)]:

@@ -141,7 +141,7 @@ def test_col_journal_diagonalizes():
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
         rows = [[rng.randint(-7, 7) for _ in range(nc)] for _ in range(nr)]
-        res = smith_normal_form([dict(enumerate(r)) for r in rows], nc, want_col_ops=True)
+        res = smith_normal_form([dict(enumerate(r)) for r in rows], nc)
         V = [[apply_col_ops({i: 1}, res.col_ops).get(j, 0) for j in range(nc)]
              for i in range(nc)]
         assert abs(_det(V)) == 1
