@@ -13,13 +13,12 @@ import sys
 
 from . import acceptance
 from .freealg import (CycElement, PathContext, RingError, cyclic_project,
-                      parse_element, preprojective_relation, render_cyclic,
-                      render_element, ring_from_tag)
-from .homology import (_is_prime, lambda_graded, hp0_poisson,
-                       poisson_presentation, r_power_cyclic)
+                      parse_element, render_cyclic, render_element, ring_from_tag)
+from .homology import (_is_prime, lambda_graded, hp0_poisson, poisson_presentation,
+                       preprojective_system, r_power_cyclic)
 from .necklace import bracket, cobracket, loday_bracket
 from .quiver import Quiver, QuiverError, catalog, classify
-from .rewrite import MonomialOrder, NonUnitLead, complete
+from .rewrite import NonUnitLead
 from .series import SeriesError, hilbert_prep
 
 
@@ -29,8 +28,11 @@ class UsageError(Exception):
 
 def _load_quiver(args):
     if getattr(args, "catalog", None):
-        name = args.catalog[0]
-        params = tuple(int(x) for x in args.catalog[1:])
+        name, *params = args.catalog
+        try:
+            params = [int(x) for x in params]
+        except ValueError:
+            raise UsageError(f"catalog parameters must be integers, got {params}") from None
         return catalog(name, *params), set(getattr(args, "white", None) or ())
     if getattr(args, "file", None):
         with open(args.file) as fh:
@@ -117,9 +119,7 @@ def cmd_groebner(args):
             sys_ = acceptance.star_ideal_system([d + 1 for d in args.star], args.degree)
         else:
             q, white = _load_quiver(args)
-            ctx = PathContext(q)
-            sys_ = complete(preprojective_relation(ctx, white),
-                            MonomialOrder(ctx), args.degree)
+            sys_ = preprojective_system(q, white, args.degree)
     except NonUnitLead as e:
         print(f"non-unit leading coefficient; fall back to degreewise "
               f"linear algebra ({render_element(e.element)})", file=sys.stderr)
@@ -146,6 +146,8 @@ def cmd_necklace(args):
             left = cyclic_project(left)
         print(cobracket(left))
         return 0
+    if args.right is None:
+        raise UsageError(f"--op {args.op} needs --right")
     right = parse_element(ctx, args.right)
     if args.op == "bracket":
         if not isinstance(left, CycElement):

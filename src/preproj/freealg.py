@@ -466,7 +466,7 @@ def preprojective_relation(ctx: PathContext, white=()):
     q = ctx.quiver
     if not q.starred:
         raise QuiverError("preprojective relations need a doubled quiver")
-    white = set(white)
+    white = q.white_set(white)
     original = [a for (a, _, _) in q.arrows if a < q.star[a]]
     rels = []
     for i in q.vertices:
@@ -657,7 +657,17 @@ def _parse_word(ctx, text):
         if nm not in byname:
             raise QuiverError(f"unknown arrow name {nm!r}")
         word += [byname[nm]] * k
+    if not word:
+        raise QuiverError("empty path; write e_i for the idempotent at vertex i")
     return tuple(word)
+
+
+def _idempotent_vertex(ctx, text):
+    """i for the idempotent written e_i."""
+    v = text[2:]
+    if not v.isdigit() or int(v) not in ctx.quiver.vertices:
+        raise QuiverError(f"{text!r} is not the idempotent of a vertex")
+    return int(v)
 
 
 def parse_element(ctx: PathContext, text: str):
@@ -680,16 +690,18 @@ def parse_element(ctx: PathContext, text: str):
         coeff = sign * (int(m.group(2)) if m.group(2) else 1)
         body = m.group(3).strip()
         pos = m.end()
+        if body.startswith("[") != body.endswith("]"):
+            raise QuiverError(f"unbalanced brackets in {body!r}")
         if body.startswith("["):
             inner = body[1:-1].strip()
             if inner.startswith("e_"):
-                key = CyclicClass(int(inner[2:]), ())
+                key = CyclicClass(_idempotent_vertex(ctx, inner), ())
             else:
                 word = _parse_word(ctx, inner)
                 key = CyclicClass(ctx.quiver.src(word[0]), canonical_rotation(word))
             acc_cy[key] = acc_cy.get(key, 0) + coeff
         elif body.startswith("e_"):
-            v = int(body[2:])
+            v = _idempotent_vertex(ctx, body)
             acc_el[(v, ())] = acc_el.get((v, ()), 0) + coeff
         else:
             word = _parse_word(ctx, body)

@@ -179,7 +179,11 @@ def smith_normal_form(rows, ncols):
                     if v in (1, -1) and j not in done_cols:
                         unit_queue.append((i, j))
 
-    # phase 2: classical gcd reduction on the residue
+    # phase 2: classical gcd reduction on the residue.  The search takes the
+    # first entry no larger than the previous pivot instead of rescanning for
+    # the minimum: any nonzero pivot is correct, since the gcd repairs below
+    # and phase 3 handle the entries it does not divide.
+    bound = 1
     while True:
         best = None
         for i in active_rows:
@@ -189,13 +193,13 @@ def smith_normal_form(rows, ncols):
                 a = abs(v)
                 if best is None or a < best[0]:
                     best = (a, i, j)
-                    if a == 1:
+                    if a <= bound:
                         break
-            if best and best[0] == 1:
+            if best and best[0] <= bound:
                 break
         if best is None:
             break
-        _, pi, pj = best
+        bound, pi, pj = best
         while not eliminate_with(pi, pj):
             pv = rows[pi][pj]
             bad_row = next((i for i in by_col.get(pj, ()) if i != pi and i in active_rows

@@ -100,6 +100,14 @@ class Quiver:
     def name_to_arrow(self):
         return {self.arrow_name(a): a for (a, _, _) in self.arrows}
 
+    def white_set(self, white):
+        """white as a set; QuiverError unless every member is a vertex."""
+        white = set(white)
+        for v in white:
+            if v not in self._out:
+                raise QuiverError(f"white vertex {v!r} is not a vertex of the quiver")
+        return white
+
     def _connected(self):
         if not self.vertices:
             return False
@@ -161,9 +169,14 @@ class Quiver:
 
     @staticmethod
     def from_json(text):
-        doc = json.loads(text)
-        q = Quiver(doc["vertices"], [(a["id"], a["src"], a["dst"]) for a in doc["arrows"]])
-        white = set(doc.get("white", []))
+        try:
+            doc = json.loads(text)
+            q = Quiver(doc["vertices"], [(a["id"], a["src"], a["dst"]) for a in doc["arrows"]])
+            white = set(doc.get("white", []))
+        except QuiverError:
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise QuiverError(f"malformed quiver JSON ({type(exc).__name__}: {exc})") from exc
         return q, white
 
 
@@ -306,6 +319,10 @@ def _extending_vertex(q: Quiver, family, rank):
 # catalog
 
 
+_ONE_PARAMETER = ("free", "affine_a", "affine_d", "affine_e", "dynkin_a", "dynkin_d",
+                  "dynkin_e")
+
+
 def catalog(name, *params) -> Quiver:
     """Named quivers in the orientations used throughout the package.
 
@@ -314,6 +331,8 @@ def catalog(name, *params) -> Quiver:
     affine_e(6|7|8) and star(d1..dm): arrows toward the special vertex.
     free(g): one vertex with g loops.  dynkin_a/d/e(n).
     """
+    if name in _ONE_PARAMETER and len(params) != 1:
+        raise QuiverError(f"catalog {name!r} takes one parameter, got {len(params)}")
     if name == "free":
         (g,) = params
         if g < 1:

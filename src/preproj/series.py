@@ -1,14 +1,12 @@
-"""Truncated power series with exact integer (or rational) matrix coefficients,
-and the Hilbert-series identities for (partial) preprojective algebras.
+"""Truncated power series with exact integer matrix coefficients, and the
+Hilbert-series identities for (partial) preprojective algebras.
 
-A TruncatedSeries holds coefficients 0..D; scalars are 1x1 matrices.  All
-arithmetic is exact; inversion requires the constant term to be the identity
-up to sign.
+A TruncatedSeries holds coefficients 0..D; scalars are 1x1 matrices.  It is
+the module's only series arithmetic.  All arithmetic is exact over Z;
+inversion requires the constant term to be the identity up to sign.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .quiver import Quiver, QuiverError, classify
 
@@ -32,8 +30,8 @@ def _mat_mul(A, B):
                     row[j] += a * Bt[j]
     return out
 
-def _mat_add(A, B, sign=1):
-    return [[a + sign * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def _mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 def _mat_scale(A, c):
     return [[c * a for a in row] for row in A]
@@ -61,7 +59,7 @@ class TruncatedSeries:
 
     @staticmethod
     def _as_matrix(c):
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, int):
             return [[c]]
         return [list(row) for row in c]
 
@@ -96,9 +94,7 @@ class TruncatedSeries:
         return TruncatedSeries([_mat_add(self.coeffs[d], other.coeffs[d]) for d in range(D + 1)], D)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        D = min(self.D, other.D)
-        return TruncatedSeries([_mat_add(self.coeffs[d], other.coeffs[d], -1) for d in range(D + 1)], D)
+        return self + -self._coerce(other)
 
     def __neg__(self):
         return TruncatedSeries([_mat_scale(c, -1) for c in self.coeffs], self.D)
@@ -128,14 +124,10 @@ class TruncatedSeries:
     def inverse(self):
         """Series inverse; constant term must be +-identity."""
         c0 = self.coeffs[0]
-        if c0 == _eye(self.n):
-            sign = 1
-        elif c0 == _mat_scale(_eye(self.n), -1):
-            sign = -1
-        else:
+        sign = c0[0][0]
+        if sign not in (1, -1) or c0 != _mat_scale(_eye(self.n), sign):
             raise SeriesError("constant term must be the identity up to sign")
-        inv = [None] * (self.D + 1)
-        inv[0] = _mat_scale(_eye(self.n), sign)
+        inv = [c0] + [None] * self.D
         for d in range(1, self.D + 1):
             acc = _zero(self.n)
             for k in range(1, d + 1):
@@ -146,63 +138,27 @@ class TruncatedSeries:
     def substitute_power(self, m):
         """t -> t^m."""
         out = [_zero(self.n) for _ in range(self.D + 1)]
-        for d in range(self.D + 1):
-            if d * m <= self.D:
-                out[d * m] = self.coeffs[d]
-            else:
-                break
+        out[::m] = self.coeffs[: self.D // m + 1]
         return TruncatedSeries(out, self.D)
 
     def determinant(self):
-        """det as a scalar series, by fraction-free elimination over Q[[t]]/t^(D+1).
+        """det as a scalar series, by elimination over Z[[t]]/t^(D+1).
 
-        Pivots must be units (nonzero constant term); true for the Cartan-type
-        matrices used here, whose constant term is the identity.
+        Every pivot must have constant term +-1, so that its inverse is
+        integral; that holds whenever the constant term of the matrix is the
+        identity (the t-Cartan matrices, 1 - h(V) + h(L) with V and L in
+        positive degree).  Any other pivot raises SeriesError.
         """
-        n = self.n
-        D = self.D
-        # work with per-entry coefficient vectors over Fraction
-        A = [[[Fraction(self.coeffs[d][i][j]) for d in range(D + 1)] for j in range(n)]
-             for i in range(n)]
-
-        def smul(u, v):
-            out = [Fraction(0)] * (D + 1)
-            for a, ua in enumerate(u):
-                if ua:
-                    for b in range(0, D + 1 - a):
-                        if v[b]:
-                            out[a + b] += ua * v[b]
-            return out
-
-        def sinv(u):
-            if u[0] == 0:
-                raise SeriesError("non-unit pivot in determinant")
-            inv = [Fraction(0)] * (D + 1)
-            inv[0] = 1 / u[0]
-            for d in range(1, D + 1):
-                s = Fraction(0)
-                for k in range(1, d + 1):
-                    s += u[k] * inv[d - k]
-                inv[d] = -inv[0] * s
-            return inv
-
-        det = [Fraction(0)] * (D + 1)
-        det[0] = Fraction(1)
-        for k in range(n):
-            piv = A[k][k]
-            det = smul(det, piv)
-            pinv = sinv(piv)
-            for i in range(k + 1, n):
-                f = smul(A[i][k], pinv)
-                for j in range(k, n):
-                    prod = smul(f, A[k][j])
-                    A[i][j] = [a - b for a, b in zip(A[i][j], prod)]
-        out = []
-        for v in det:
-            if v.denominator != 1:
-                raise SeriesError("non-integral determinant of an integral series")
-            out.append(int(v))
-        return TruncatedSeries.scalar(out, D)
+        A = [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        det = TruncatedSeries.one(self.D)
+        for k, row in enumerate(A):
+            pinv = row[k].inverse()
+            det = det * row[k]
+            for below in A[k + 1:]:
+                f = below[k] * pinv
+                for j in range(k + 1, self.n):
+                    below[j] = below[j] - f * row[j]
+        return det
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -220,7 +176,7 @@ def cartan_t_matrix(q: Quiver, white=(), D=12) -> TruncatedSeries:
     """1 - t*C + t^2 * 1_black, C the adjacency matrix of the double."""
     C = q.adjacency(doubled=True)
     n = len(C)
-    white = set(white)
+    white = q.white_set(white)
     idx = {v: k for k, v in enumerate(q.vertices)}
     black_diag = _zero(n)
     for v in q.vertices:
@@ -247,33 +203,33 @@ def sym_plus_series(hh0: TruncatedSeries, D=None) -> TruncatedSeries:
     """prod_m (1 - t^m)^{-a_m} for a scalar series with a_m >= 0, m >= 1."""
     a = hh0.scalar_coeffs()
     D = hh0.D if D is None else D
-    out = TruncatedSeries.one(D)
-    for m in range(1, D + 1):
-        am = a[m] if m < len(a) else 0
+    for m, am in enumerate(a[1:D + 1], 1):
         if am < 0:
             raise SeriesError(f"negative coefficient a_{m} = {am}")
-        if am:
-            out = out * _one_minus_tm_pow(m, -am, D)
+    return _power_product(a, D)
+
+
+def _power_product(e, D):
+    """prod_{m=1..D} (1 - t^m)^{-e[m]} for signed integer exponents e[m]."""
+    out = TruncatedSeries.one(D)
+    for m, em in enumerate(e[1:D + 1], 1):
+        if em:
+            out = out * _one_minus_tm_pow(m, -em, D)
     return out
 
 
 def _one_minus_tm_pow(m, e, D):
-    """(1 - t^m)^e as a truncated scalar series, any integer e."""
-    base = [0] * (D + 1)
-    base[0] = 1
-    if m <= D:
-        base[m] = -1
-    s = TruncatedSeries.scalar(base, D)
-    if e >= 0:
-        out = TruncatedSeries.one(D)
-        for _ in range(e):
-            out = out * s
-        return out
-    inv = s.inverse()
-    out = TruncatedSeries.one(D)
-    for _ in range(-e):
-        out = out * inv
-    return out
+    """(1 - t^m)^e as a truncated scalar series, any integer e.
+
+    The coefficient of t^(mk) is c_k = (-1)^k C(e, k), and
+    c_{k+1} = c_k (k - e) / (k + 1), a division that is always exact.
+    """
+    coeffs = [0] * (D + 1)
+    c = 1
+    for k in range(D // m + 1):
+        coeffs[m * k] = c
+        c = c * (k - e) // (k + 1)
+    return TruncatedSeries.scalar(coeffs, D)
 
 
 def hT(family: str, rank: int, p: int, D=32) -> TruncatedSeries:
@@ -332,10 +288,15 @@ def zeta(hV: TruncatedSeries, hL: TruncatedSeries, D=None) -> TruncatedSeries:
 
 
 def _euler_product(B: TruncatedSeries, D) -> TruncatedSeries:
-    """prod_{m=1..D} det(B(t^m))^{-1} for a square matrix series B."""
+    """prod_{m=1..D} det(B(t^m))^{-1} for a square matrix series B.
+
+    t -> t^m is a ring endomorphism of Z[[t]]/t^(D+1), so det(B(t^m)) is
+    det(B)(t^m) and one determinant serves every factor.
+    """
+    inv = B.determinant().inverse()
     out = TruncatedSeries.one(D)
     for m in range(1, D + 1):
-        out = out * B.substitute_power(m).determinant().inverse()
+        out = out * inv.substitute_power(m)
     return out
 
 
@@ -356,12 +317,8 @@ def egid_check(q: Quiver, D=12, i0=None) -> bool:
         i0 = cls.extending_vertex
     a = chebyshev_like_coeffs(q, i0, D)
     a[0] = 0  # exponents follow the positively-graded part: a_0 = a_{-1} = 0
-    lhs = TruncatedSeries.one(D)
-    for m in range(1, D + 1):
-        e_m = a[m] - (a[m - 2] if m >= 2 else 0)
-        if e_m:
-            lhs = lhs * _one_minus_tm_pow(m, -e_m, D)
-    return lhs == o_series_char_zero(q, (), D)
+    e = [0] + [a[m] - (a[m - 2] if m >= 2 else 0) for m in range(1, D + 1)]
+    return _power_product(e, D) == o_series_char_zero(q, (), D)
 
 
 def o_series_char_p(q: Quiver, white, p: int, D: int) -> TruncatedSeries:

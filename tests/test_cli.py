@@ -182,9 +182,24 @@ def usage_exit(capsys, *argv):
     ("hp0", "--type", "E6", "--modulus", "4", "--degree", "8"),
     ("necklace", "--catalog", "free", "1", "--ring", "Zmod:1", "--left", "[x]",
      "--right", "[x*]"),
-], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1"])
-def test_bad_input_is_a_usage_error(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    ("hilbert", "--catalog", "dynkin_a", "2", "--white", "99", "--degree", "4"),
+    ("hh0", "--catalog", "affine_a", "3", "--white", "7", "--degree", "4"),
+    ("hilbert", "--catalog", "free", "--degree", "4"),
+    ("hilbert", "--catalog", "free", "x", "--degree", "4"),
+    ("hilbert", "--file", "{tmp}/malformed.json", "--degree", "4"),
+    ("hilbert", "--file", "{tmp}/no_arrows.json", "--degree", "4"),
+    ("necklace", "--catalog", "free", "1", "--op", "bracket", "--left", "[x]"),
+    ("necklace", "--catalog", "free", "1", "--op", "loday", "--left", "[x]"),
+    ("necklace", "--catalog", "free", "1", "--op", "cobracket", "--left", "[x"),
+], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
+        "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
+        "catalog_missing_parameter", "catalog_non_integer_parameter",
+        "file_malformed_json", "file_without_arrows", "bracket_without_right",
+        "loday_without_right", "unclosed_bracket"])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "malformed.json").write_text('{"vertices": [0')
+    (tmp_path / "no_arrows.json").write_text('{"vertices": [0, 1]}')
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")
 

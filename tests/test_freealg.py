@@ -6,7 +6,7 @@ from preproj.freealg import (Bituple, CycElement, CyclicClass, ModRing, PathCont
                              QQ, canonical_rotation, cyclic_project, free_context,
                              parse_element, preprojective_relation, render_cyclic,
                              render_element, rep_of, w_ab, z_ab)
-from preproj.quiver import Quiver, catalog, double
+from preproj.quiver import Quiver, QuiverError, catalog, double
 
 
 @pytest.fixture
@@ -91,6 +91,14 @@ def test_preprojective_relation_a2():
     astar = ctx.arrow(ctx.quiver.star[0])
     assert rels == [a * astar, (astar * a).scale(-1)]
     assert preprojective_relation(ctx, white=[0, 1]) == []
+    with pytest.raises(QuiverError):
+        preprojective_relation(ctx, white=[0, 2])
+
+
+@pytest.mark.parametrize("text", ["[x", "x]", "[]", "e_x", "e_3"])
+def test_parse_element_rejects_malformed_text(loop_pair, text):
+    with pytest.raises(QuiverError):
+        parse_element(loop_pair, text)
 
 
 def test_z_ab(loop_pair):

@@ -1,10 +1,14 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from preproj.freealg import PathContext, preprojective_relation
-from preproj.quiver import Quiver, catalog, classify
+from preproj.quiver import Quiver, QuiverError, catalog, classify
 from preproj.rewrite import MonomialOrder, complete
-from preproj.series import (SeriesError, TruncatedSeries, _one_minus_tm_pow,
-                            cartan_t_matrix, chebyshev_like_coeffs, egid_check,
+from preproj.series import (SeriesError, TruncatedSeries, _euler_product,
+                            _one_minus_tm_pow, cartan_t_matrix, chebyshev_like_coeffs, egid_check,
                             hT, hT_of, hilbert_prep, ncci_check,
                             o_series_char_p, o_series_char_zero,
                             sym_plus_series, zeta)
@@ -18,6 +22,79 @@ def test_free2_series():
 def test_affine_a_determinant():
     det = cartan_t_matrix(catalog("affine_a", 3), (), 9).determinant()
     assert det.scalar_coeffs() == [1, 0, 0, -2, 0, 0, 1, 0, 0, 0]
+
+
+def _leibniz(M):
+    """det M by the permutation expansion."""
+    det = TruncatedSeries.scalar([0] * (M.D + 1), M.D)
+    for perm in itertools.permutations(range(M.n)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(M.n), 2))
+        term = TruncatedSeries.one(M.D)
+        for i, j in enumerate(perm):
+            term = term * M.entry(i, j)
+        det = det + (-1) ** inversions * term
+    return det
+
+
+def test_determinant_against_permutation_expansion():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            D = rng.randrange(0, 7)
+            # constant term upper unitriangular up to the signs of its diagonal
+            c0 = [[rng.choice((1, -1)) if i == j else rng.randrange(-3, 4) * (i < j)
+                   for j in range(n)] for i in range(n)]
+            rest = [[[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+                    for _ in range(D)]
+            M = TruncatedSeries([c0] + rest, D)
+            assert M.determinant() == _leibniz(M)
+
+
+@pytest.mark.parametrize("c0", [[[2, 0], [0, 1]], [[0, 1], [1, 0]]],
+                         ids=["constant_term_2", "constant_term_0"])
+def test_determinant_needs_unit_pivots(c0):
+    M = TruncatedSeries([c0, [[1, 1], [1, 1]]], 3)
+    with pytest.raises(SeriesError):
+        M.determinant()
+
+
+def test_one_minus_tm_pow_against_products():
+    D = 13
+    for m in range(1, 5):
+        base = TruncatedSeries.scalar([1] + [-(d == m) for d in range(1, D + 1)], D)
+        for e in range(-6, 7):
+            factor = base if e >= 0 else base.inverse()
+            want = TruncatedSeries.one(D)
+            for _ in range(abs(e)):
+                want = want * factor
+            assert _one_minus_tm_pow(m, e, D) == want, (m, e)
+    # (1 - t^2)^(-1270): the coefficient of t^(2k) is C(1269 + k, k)
+    assert _one_minus_tm_pow(2, -1270, 8)[8] == math.comb(1273, 4)
+
+
+_WILD4 = Quiver([0, 1, 2, 3], [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0), (4, 0, 2)])
+
+
+@pytest.mark.parametrize("q", [catalog("free", 2), catalog("affine_a", 3),
+                               catalog("affine_d", 5), catalog("affine_e", 6),
+                               catalog("star", 2, 2, 3), _WILD4],
+                         ids=["free2", "affine_a3", "affine_d5", "affine_e6", "star223",
+                              "wild4"])
+def test_euler_product_against_per_factor_determinants(q):
+    D = 10
+    for white in ((), (q.vertices[0],)):
+        B = cartan_t_matrix(q, white, D)
+        want = TruncatedSeries.one(D)
+        for m in range(1, D + 1):
+            want = want * B.substitute_power(m).determinant().inverse()
+        assert _euler_product(B, D) == want
+
+
+def test_white_vertex_must_exist():
+    with pytest.raises(QuiverError):
+        cartan_t_matrix(catalog("dynkin_a", 2), (99,), 4)
+    with pytest.raises(QuiverError):
+        hilbert_prep(catalog("dynkin_a", 2), (99,), 4)
 
 
 def test_two_vertex_partial_inverse():
