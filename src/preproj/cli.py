@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import acceptance
-from .freealg import (CycElement, PathContext, RingError, cyclic_project,
-                      parse_element, render_cyclic, render_element, ring_from_tag)
+from .freealg import (CycElement, PathContext, cyclic_project,
+                      parse_element, render_cyclic, render_element)
 from .homology import (_is_prime, lambda_graded, hp0_poisson, poisson_presentation,
                        preprojective_system, r_power_cyclic)
 from .necklace import bracket, cobracket, loday_bracket
@@ -137,14 +138,28 @@ def cmd_groebner(args):
     return 0
 
 
+def _ring_modulus(tag):
+    """m for Zmod:m; 0 for Z and for Q, which read the integer answer as is
+    (inputs have integer coefficients and Z -> Q is flat)."""
+    if tag in ("Z", "Q"):
+        return 0
+    m = re.fullmatch(r"Zmod:(\d+)", tag)
+    if not m:
+        raise UsageError(f"unknown ring tag {tag!r}")
+    if int(m.group(1)) < 2:
+        raise UsageError("modulus must be >= 2")
+    return int(m.group(1))
+
+
 def cmd_necklace(args):
     q, _ = _load_quiver(args)
-    ctx = PathContext(q, ring=ring_from_tag(args.ring))
+    m = _ring_modulus(args.ring)
+    ctx = PathContext(q)
     left = parse_element(ctx, args.left)
     if args.op == "cobracket":
         if not isinstance(left, CycElement):
             left = cyclic_project(left)
-        print(cobracket(left))
+        print(_mod(cobracket(left), m))
         return 0
     if args.right is None:
         raise UsageError(f"--op {args.op} needs --right")
@@ -154,14 +169,22 @@ def cmd_necklace(args):
             left = cyclic_project(left)
         if not isinstance(right, CycElement):
             right = cyclic_project(right)
-        print(render_cyclic(bracket(left, right)))
+        print(render_cyclic(_mod(bracket(left, right), m)))
     else:  # loday
         if not isinstance(left, CycElement):
             left = cyclic_project(left)
         if isinstance(right, CycElement):
             raise UsageError("loday bracket needs a path element on the right")
-        print(render_element(loday_bracket(left, right)))
+        print(render_element(_mod(loday_bracket(left, right), m)))
     return 0
+
+
+def _mod(x, m):
+    """The integer answer x over Z/m: coefficients reduced into [0, m), zeros
+    dropped.  m = 0 leaves x as it is."""
+    if not m:
+        return x
+    return type(x)(x.ctx, {k: c % m for k, c in x.terms.items() if c % m})
 
 
 def cmd_hp0(args):
@@ -263,7 +286,8 @@ def build_parser():
 
     p = sub.add_parser("necklace", help="necklace bracket/cobracket of elements")
     _add_quiver_args(p, white=False)
-    p.add_argument("--ring", default="Z", help="Z, Q, or Zmod:m")
+    p.add_argument("--ring", default="Z",
+                   help="Z, Q, or Zmod:m; Q and Zmod:m are read off the integer answer")
     p.add_argument("--op", choices=["bracket", "cobracket", "loday"],
                    default="bracket")
     p.add_argument("--left", required=True, help="element, e.g. '[x y]'")
@@ -293,7 +317,7 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except (UsageError, QuiverError, RingError, SeriesError, FileNotFoundError) as exc:
+    except (UsageError, QuiverError, SeriesError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,12 @@
-"""Exact arithmetic in path algebras of doubled quivers over Z, Q, or Z/m.
+"""Exact arithmetic in path algebras of doubled quivers over Z.
 
-A PathContext fixes the ambient doubled quiver, the coefficient ring, the
-per-arrow weights used for grading, and an optional truncation degree.
-Elements are sparse maps monomial -> coefficient; cyclic elements are sparse
-maps necklace -> coefficient.  Monomials are (source_vertex, arrows_tuple);
-an empty tuple is the idempotent at its vertex.  Necklaces are keyed by the
-lexicographically minimal rotation of the arrow tuple (degree zero necklaces
-by their vertex).
+A PathContext fixes the ambient doubled quiver and the per-arrow weights used
+for grading.  Elements are sparse maps monomial -> integer coefficient;
+cyclic elements are sparse maps necklace -> integer coefficient.  Monomials
+are (source_vertex, arrows_tuple); an empty tuple is the idempotent at its
+vertex.  Necklaces are keyed by the lexicographically minimal rotation of the
+arrow tuple (degree zero necklaces by their vertex).  Answers over Q or Z/m
+are read off the integer ones.
 
 Everything is immutable in spirit: operations return fresh objects and never
 mutate their inputs.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quiver import Quiver, QuiverError, double
 
@@ -26,95 +25,19 @@ class RingError(ValueError):
     pass
 
 
-class IntegerRing:
-    name = "Z"
-
-    def coerce(self, c):
-        if isinstance(c, int):
-            return c
-        if isinstance(c, Fraction) and c.denominator == 1:
-            return int(c)
+def _integer(c):
+    if not isinstance(c, int):
         raise RingError(f"{c!r} is not an integer")
-
-    def is_unit(self, c):
-        return c in (1, -1)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class RationalRing:
-    name = "Q"
-
-    def coerce(self, c):
-        if isinstance(c, (int, Fraction)):
-            return Fraction(c)
-        raise RingError(f"{c!r} is not rational")
-
-    def is_unit(self, c):
-        return c != 0
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class ModRing:
-    def __init__(self, m):
-        if m < 2:
-            raise RingError("modulus must be >= 2")
-        self.m = m
-        self.name = f"Z/{m}"
-
-    def coerce(self, c):
-        if isinstance(c, int):
-            return c % self.m
-        raise RingError(f"{c!r} is not an integer")
-
-    def is_unit(self, c):
-        return math.gcd(c % self.m, self.m) == 1
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-ZZ = IntegerRing()
-QQ = RationalRing()
-
-
-def ring_from_tag(tag):
-    if tag == "Z":
-        return ZZ
-    if tag == "Q":
-        return QQ
-    m = re.fullmatch(r"Zmod:(\d+)", tag)
-    if m:
-        return ModRing(int(m.group(1)))
-    raise RingError(f"unknown ring tag {tag!r}")
+    return c
 
 
 class PathContext:
-    """Ambient doubled quiver + coefficient ring + grading weights.
+    """Ambient doubled quiver + grading weights."""
 
-    degree_bound, when set, truncates every product: monomials heavier than
-    the bound are silently dropped.
-    """
-
-    def __init__(self, quiver: Quiver, ring=ZZ, degree_bound=None, weights=None,
-                 auto_double=True):
+    def __init__(self, quiver: Quiver, weights=None, auto_double=True):
         if auto_double and not quiver.starred:
             quiver = double(quiver)
         self.quiver = quiver
-        self.ring = ring
-        self.degree_bound = degree_bound
         self.weights = dict(weights) if weights else {a: 1 for (a, _, _) in quiver.arrows}
         for (a, _, _) in quiver.arrows:
             if self.weights.get(a, 0) < 1:
@@ -165,22 +88,16 @@ class PathContext:
     def mono_degree(self, mono):
         return self.weight(mono[1])
 
-    def composable(self, m1, m2):
-        return self.mono_target(m1) == self.mono_source(m2)
-
     def idempotent(self, v):
         if v not in set(self.quiver.vertices):
             raise QuiverError(f"{v} is not a vertex")
-        return Element(self, {(v, ()): self.ring.coerce(1)})
+        return Element(self, {(v, ()): 1})
 
     def identity(self):
-        e = {}
-        for v in self.quiver.vertices:
-            e[(v, ())] = self.ring.coerce(1)
-        return Element(self, e)
+        return Element(self, {(v, ()): 1 for v in self.quiver.vertices})
 
     def arrow(self, a):
-        return Element(self, {(self.quiver.src(a), (a,)): self.ring.coerce(1)})
+        return Element(self, {(self.quiver.src(a), (a,)): 1})
 
     def zero(self):
         return Element(self, {})
@@ -193,34 +110,23 @@ class PathContext:
             for a, b in zip(word, word[1:]):
                 if self.quiver.dst(a) != self.quiver.src(b):
                     raise QuiverError("word is not a composable path")
-        return Element(self, {(self.quiver.src(word[0]), word): self.ring.coerce(1)})
+        return Element(self, {(self.quiver.src(word[0]), word): 1})
 
     def element(self, terms):
-        out = {}
-        for mono, c in terms.items():
-            c = self.ring.coerce(c)
-            if c != 0:
-                out[mono] = c
-        return Element(self, out)
+        return Element(self, {m: c for m, c in terms.items() if _integer(c)})
 
     def cyclic(self, terms):
-        out = {}
-        for key, c in terms.items():
-            c = self.ring.coerce(c)
-            if c != 0:
-                out[key] = c
-        return CycElement(self, out)
+        return CycElement(self, {k: c for k, c in terms.items() if _integer(c)})
 
 
-def free_context(names, ring=ZZ, degree_bound=None, weights=None) -> PathContext:
+def free_context(names, weights=None) -> PathContext:
     """Free algebra on the named letters: one vertex, loops, no doubling."""
     q = Quiver([0], [(i, 0, 0) for i in range(len(names))],
                names={i: nm for i, nm in enumerate(names)})
     w = None
     if weights is not None:
         w = {i: weights[i] for i in range(len(names))}
-    return PathContext(q, ring=ring, degree_bound=degree_bound, weights=w,
-                       auto_double=False)
+    return PathContext(q, weights=w, auto_double=False)
 
 
 def canonical_rotation(word):
@@ -259,114 +165,10 @@ class CyclicClass:
         return ctx.weight(self.word)
 
 
-class Element:
-    """Sparse linear combination of path monomials in one context."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def degrees(self):
-        return sorted({self.ctx.mono_degree(m) for m in self.terms})
-
-    def homogeneous_part(self, d):
-        return Element(self.ctx, {m: c for m, c in self.terms.items()
-                                  if self.ctx.mono_degree(m) == d})
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, 0)
-
-    def _check_mate(self, other):
-        if self.ctx.quiver is not other.ctx.quiver or self.ctx.ring != other.ctx.ring:
-            raise QuiverError("elements live in different contexts")
-
-    def __add__(self, other):
-        self._check_mate(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            s = self.ctx.ring.coerce(s)
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Element(self.ctx, out)
-
-    def __neg__(self):
-        return Element(self.ctx, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        k = self.ctx.ring.coerce(k)
-        if k == 0:
-            return Element(self.ctx, {})
-        out = {}
-        for m, c in self.terms.items():
-            v = self.ctx.ring.coerce(c * k)
-            if v != 0:
-                out[m] = v
-        return Element(self.ctx, out)
-
-    def __rmul__(self, k):
-        if isinstance(k, (int, Fraction)):
-            return self.scale(k)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_mate(other)
-        ctx = self.ctx
-        bound = ctx.degree_bound
-        out = {}
-        for (v1, w1), c1 in self.terms.items():
-            t1 = ctx.quiver.dst(w1[-1]) if w1 else v1
-            d1 = ctx.weight(w1)
-            for (v2, w2), c2 in other.terms.items():
-                if t1 != v2:
-                    continue
-                if bound is not None and d1 + ctx.weight(w2) > bound:
-                    continue
-                key = (v1, w1 + w2)
-                s = ctx.ring.coerce(out.get(key, 0) + c1 * c2)
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Element(ctx, out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ctx.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms \
-            and self.ctx.quiver is other.ctx.quiver
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return render_element(self)
-
-
-class CycElement:
-    """Sparse combination of cyclic classes (necklaces)."""
+class _Combination:
+    """Sparse integer combination of keys in one context: terms maps each key
+    to its nonzero coefficient.  Subclasses fix the key type and define
+    _degree(key)."""
 
     __slots__ = ("ctx", "terms")
 
@@ -381,40 +183,101 @@ class CycElement:
         return self.terms.get(key, 0)
 
     def degrees(self):
-        return sorted({k.degree(self.ctx) for k in self.terms})
+        return sorted({self._degree(k) for k in self.terms})
 
     def homogeneous_part(self, d):
-        return CycElement(self.ctx, {k: c for k, c in self.terms.items()
-                                     if k.degree(self.ctx) == d})
+        return type(self)(self.ctx, {k: c for k, c in self.terms.items()
+                                     if self._degree(k) == d})
+
+    def _check_mate(self, other):
+        if type(other) is not type(self) or self.ctx.quiver is not other.ctx.quiver:
+            raise QuiverError("elements live in different contexts")
 
     def __add__(self, other):
+        self._check_mate(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = self.ctx.ring.coerce(out.get(k, 0) + c)
-            if s == 0:
-                out.pop(k, None)
-            else:
+            s = out.get(k, 0) + c
+            if s:
                 out[k] = s
-        return CycElement(self.ctx, out)
+            else:
+                out.pop(k, None)
+        return type(self)(self.ctx, out)
 
     def __neg__(self):
-        return CycElement(self.ctx, {k: -c for k, c in self.terms.items()})
+        return type(self)(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, k):
-        k = self.ctx.ring.coerce(k)
-        out = {}
-        if k != 0:
-            for m, c in self.terms.items():
-                v = self.ctx.ring.coerce(c * k)
-                if v != 0:
-                    out[m] = v
-        return CycElement(self.ctx, out)
+        if not _integer(k):
+            return type(self)(self.ctx, {})
+        return type(self)(self.ctx, {m: c * k for m, c in self.terms.items()})
 
     def __rmul__(self, k):
-        return self.scale(k)
+        if isinstance(k, int):
+            return self.scale(k)
+        return NotImplemented
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms \
+            and self.ctx.quiver is other.ctx.quiver
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Element(_Combination):
+    """Sparse linear combination of path monomials in one context."""
+
+    __slots__ = ()
+
+    def _degree(self, mono):
+        return self.ctx.weight(mono[1])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check_mate(other)
+        ctx = self.ctx
+        out = {}
+        for (v1, w1), c1 in self.terms.items():
+            t1 = ctx.quiver.dst(w1[-1]) if w1 else v1
+            for (v2, w2), c2 in other.terms.items():
+                if t1 != v2:
+                    continue
+                key = (v1, w1 + w2)
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Element(ctx, out)
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        result = self.ctx.identity()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __repr__(self):
+        return render_element(self)
+
+
+class CycElement(_Combination):
+    """Sparse combination of cyclic classes (necklaces)."""
+
+    __slots__ = ()
+
+    def _degree(self, key):
+        return key.degree(self.ctx)
 
     def divide_exact(self, k):
         """Divide every coefficient by k; raises unless exactly divisible."""
@@ -425,12 +288,6 @@ class CycElement:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
             out[m] = q
         return CycElement(self.ctx, out)
-
-    def __eq__(self, other):
-        return isinstance(other, CycElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return render_cyclic(self)
@@ -445,7 +302,7 @@ def cyclic_project(x: Element) -> CycElement:
         if word and ctx.mono_target(mono) != v:
             continue
         key = CyclicClass.of(ctx, mono)
-        s = ctx.ring.coerce(out.get(key, 0) + c)
+        s = out.get(key, 0) + c
         if s == 0:
             out.pop(key, None)
         else:

@@ -264,8 +264,7 @@ def classify(q: Quiver) -> QuiverClass:
             # two trivalent vertices -> candidate extended D_n, n >= 5
             hubs = [v for v in q.vertices if deg[v] == 3]
             if len(hubs) == 2 and max(deg.values()) == 3:
-                others = [v for v in q.vertices if deg[v] <= 2]
-                ends = [v for v in others if deg[v] == 1]
+                ends = [v for v in q.vertices if deg[v] == 1]
                 if len(ends) == 4 and _is_extended_d_shape(q, hubs):
                     return QuiverClass("extended", "D", nv - 1, _extending_vertex(q, "D", nv - 1))
         return QuiverClass("other")
@@ -482,7 +481,6 @@ def _find_cycle(q: Quiver):
         adj[v].sort(key=lambda p: p[1])
     start = q.vertices[0]
     parent = {start: (None, None)}
-    order = [start]
     todo = deque([start])
     while todo:
         v = todo.popleft()
@@ -511,7 +509,6 @@ def _find_cycle(q: Quiver):
                 verts.add(meet)
                 return verts, arrows
             parent[w] = (v, a)
-            order.append(w)
             todo.append(w)
     return None
 

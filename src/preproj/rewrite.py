@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from fractions import Fraction
 
 from .freealg import Element, PathContext, _render_terms
 from .intlinalg import _xgcd, apply_col_ops, smith_normal_form
@@ -60,12 +59,14 @@ class MonomialOrder:
 
 
 class RewriteRule:
-    """element = lc * LM + tail, every tail monomial strictly smaller."""
+    """element = lc * LM + tail, lc = +-1, every tail monomial strictly smaller."""
 
     __slots__ = ("element", "lm", "lc")
 
     def __init__(self, element: Element, order: MonomialOrder):
         lm, lc = order.leading(element)
+        if lc not in (1, -1):
+            raise NonUnitLead(element)
         kl = order.key(lm)
         for m in element.terms:
             if m != lm and order.key(m) >= kl:
@@ -122,7 +123,6 @@ class RewriteSystem:
     def reduce(self, x: Element) -> Element:
         """Iterated reduction until no monomial contains a leading word."""
         ctx = self.ctx
-        ring = ctx.ring
         work = dict(x.terms)
         normal = {}
         while work:
@@ -130,7 +130,7 @@ class RewriteSystem:
             v, word = mono
             hit = self._find_reduction(word)
             if hit is None:
-                s = ring.coerce(normal.get(mono, 0) + coeff)
+                s = normal.get(mono, 0) + coeff
                 if s:
                     normal[mono] = s
                 else:
@@ -138,17 +138,14 @@ class RewriteSystem:
                 continue
             k, rule = hit
             w = rule.lm_word
-            factor = coeff * rule.lc if rule.lc in (1, -1) else _unit_div(ring, coeff, rule.lc)
+            factor = coeff * rule.lc  # lc = +-1, so this is coeff / lc
             prefix = word[:k]
             suffix = word[k + len(w):]
             for (rv, rw), rc in rule.element.terms.items():
                 if (rv, rw) == rule.lm:
                     continue
-                nw = prefix + rw + suffix
-                if ctx.degree_bound is not None and ctx.weight(nw) > ctx.degree_bound:
-                    continue
-                key = (v, nw)
-                s = ring.coerce(work.get(key, 0) - factor * rc)
+                key = (v, prefix + rw + suffix)
+                s = work.get(key, 0) - factor * rc
                 if s:
                     work[key] = s
                 else:
@@ -230,23 +227,12 @@ class RewriteSystem:
         return "\n".join(render_rule(r.element, self.order) for r in rs)
 
 
-def _unit_div(ring, c, lc):
-    if hasattr(ring, "m"):
-        return c * pow(lc, -1, ring.m)
-    return Fraction(c) / Fraction(lc)
-
-
 def _normalize_lead(el: Element, order: MonomialOrder) -> Element:
     _, lc = order.leading(el)
-    ring = el.ctx.ring
     if lc == 1:
         return el
     if lc == -1:
-        return el.scale(-1)
-    if ring.is_unit(lc):
-        if hasattr(ring, "m"):
-            return el.scale(pow(lc, -1, ring.m))
-        return el.scale(Fraction(1) / Fraction(lc))
+        return -el
     raise NonUnitLead(el)
 
 
@@ -294,19 +280,19 @@ class _Automaton:
         return None if self.dead[nxt] else nxt
 
 
-def complete(gens, order: MonomialOrder, degree_bound: int) -> RewriteSystem:
-    """Buchberger-style completion of a two-sided ideal up to degree_bound.
+def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
+    """Buchberger-style completion of a two-sided ideal up to max_degree.
 
     Every leading coefficient met along the way must be a unit, else
-    NonUnitLead.  The result certifies normal forms through degree_bound:
-    all overlap words of weight <= degree_bound reduce to zero.
+    NonUnitLead.  The result certifies normal forms through max_degree:
+    all overlap words of weight <= max_degree reduce to zero.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         # the zero ideal: every word is already normal
-        return RewriteSystem(order.ctx, [], order, complete_to_degree=degree_bound)
+        return RewriteSystem(order.ctx, [], order, complete_to_degree=max_degree)
     ctx = gens[0].ctx
-    sys_ = RewriteSystem(ctx, [], order, complete_to_degree=degree_bound)
+    sys_ = RewriteSystem(ctx, [], order, complete_to_degree=max_degree)
     pending = deque(sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
     pairs = []  # heap of (weight, counter, rule_i, rule_j, split)
     counter = 0
@@ -316,13 +302,13 @@ def complete(gens, order: MonomialOrder, degree_bound: int) -> RewriteSystem:
         for other in list(sys_.rules):
             for s, w in _overlaps(rule.lm_word, other.lm_word):
                 wt = ctx.weight(w)
-                if wt <= degree_bound:
+                if wt <= max_degree:
                     heapq.heappush(pairs, (wt, counter, rule, other, s))
                     counter += 1
             if other is not rule:
                 for s, w in _overlaps(other.lm_word, rule.lm_word):
                     wt = ctx.weight(w)
-                    if wt <= degree_bound:
+                    if wt <= max_degree:
                         heapq.heappush(pairs, (wt, counter, other, rule, s))
                         counter += 1
 
@@ -400,7 +386,7 @@ class ConfluenceReport:
         return f"ConfluenceReport(failed at degree {self.degree}: {self.witness!r})"
 
 
-def diamond_check(rule_elements, degree_bound, ctx=None, order_key=None) -> ConfluenceReport:
+def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> ConfluenceReport:
     """Degreewise confluence of the reductions defined by rule_elements.
 
     The default order is weighted graded lex.  A partial order may be passed
@@ -425,7 +411,7 @@ def diamond_check(rule_elements, degree_bound, ctx=None, order_key=None) -> Conf
         less = lambda a, b: order_key(a) < order_key(b)
 
     inconclusive_at = None
-    for d in range(1, degree_bound + 1):
+    for d in range(1, max_degree + 1):
         insts = _frame_instances(rule_elements, ctx, d)
         groups = {}
         entries = []

@@ -155,6 +155,37 @@ def test_necklace_cobracket_and_loday(capsys):
     assert out.strip() == "2*x*"
 
 
+NECKLACE_CASES = [
+    (("--catalog", "free", "1", "--left", "-[x x]", "--right", "[x* x*]"),
+     {"Z": "-4*[x x*]", "Zmod:5": "[x x*]", "Zmod:2": "0"}),
+    (("--catalog", "free", "1", "--left", "[x x x*]", "--right", "[x* x* x]"),
+     {"Z": "[x^2 x*^2] + 2*[x x* x x*]", "Zmod:5": "[x^2 x*^2] + 2*[x x* x x*]",
+      "Zmod:2": "[x^2 x*^2]"}),
+    (("--catalog", "free", "2", "--op", "cobracket", "--left", "-[x1 x1* x2 x2*]"),
+     {"Z": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]",
+      "Zmod:5": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]",
+      "Zmod:2": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]"}),
+    (("--catalog", "free", "2", "--op", "cobracket",
+      "--left", "3*[x1 x1* x1 x1*] - [x1 x2 x1* x2*]"),
+     {"Z": "-1*[x1]^[x1*] + 1*[x2]^[x2*]", "Zmod:5": "4*[x1]^[x1*] + 1*[x2]^[x2*]",
+      "Zmod:2": "1*[x1]^[x1*] + 1*[x2]^[x2*]"}),
+    (("--catalog", "free", "1", "--op", "loday", "--left", "-[x x]", "--right", "x* x*"),
+     {"Z": "-2*x x* - 2*x* x", "Zmod:5": "3*x x* + 3*x* x", "Zmod:2": "0"}),
+]
+
+
+@pytest.mark.parametrize("argv,want", NECKLACE_CASES,
+                         ids=["bracket", "bracket_deg4", "cobracket", "cobracket_mixed",
+                              "loday"])
+def test_necklace_ring_reads_off_the_integer_answer(capsys, argv, want):
+    for ring, text in want.items():
+        code, out, _ = run(capsys, "necklace", "--ring", ring, *argv)
+        assert code == 0
+        assert out.strip() == text, ring
+    _, over_q, _ = run(capsys, "necklace", "--ring", "Q", *argv)
+    assert over_q.strip() == want["Z"]
+
+
 def test_hp0_type_a_cli(capsys):
     code, out, _ = run(capsys, "hp0", "--type", "A", "--branch", "3",
                        "--degree", "8", "--format", "json")
@@ -182,6 +213,8 @@ def usage_exit(capsys, *argv):
     ("hp0", "--type", "E6", "--modulus", "4", "--degree", "8"),
     ("necklace", "--catalog", "free", "1", "--ring", "Zmod:1", "--left", "[x]",
      "--right", "[x*]"),
+    ("necklace", "--catalog", "free", "1", "--ring", "R", "--left", "[x]",
+     "--right", "[x*]"),
     ("hilbert", "--catalog", "dynkin_a", "2", "--white", "99", "--degree", "4"),
     ("hh0", "--catalog", "affine_a", "3", "--white", "7", "--degree", "4"),
     ("hilbert", "--catalog", "free", "--degree", "4"),
@@ -192,6 +225,7 @@ def usage_exit(capsys, *argv):
     ("necklace", "--catalog", "free", "1", "--op", "loday", "--left", "[x]"),
     ("necklace", "--catalog", "free", "1", "--op", "cobracket", "--left", "[x"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
+        "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
         "catalog_missing_parameter", "catalog_non_integer_parameter",
         "file_malformed_json", "file_without_arrows", "bracket_without_right",

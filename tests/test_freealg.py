@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from preproj.freealg import (Bituple, CycElement, CyclicClass, ModRing, PathContext,
-                             QQ, canonical_rotation, cyclic_project, free_context,
-                             parse_element, preprojective_relation, render_cyclic,
-                             render_element, rep_of, w_ab, z_ab)
+from preproj.freealg import (Bituple, CycElement, CyclicClass, PathContext,
+                             RingError, canonical_rotation, cyclic_project,
+                             free_context, parse_element, preprojective_relation,
+                             render_cyclic, render_element, rep_of, w_ab, z_ab)
 from preproj.quiver import Quiver, QuiverError, catalog, double
 
 
@@ -213,27 +213,27 @@ def test_render_spec_format(loop_pair):
     assert parse_element(ctx, "2*[x x* x x*] - 2*[x x x* x*]") == r2
 
 
-def test_truncated_context():
-    ctx = PathContext(catalog("free", 1), degree_bound=3)
+def test_cyclic_elements_of_different_quivers_do_not_mix():
+    # the same key on two quivers: equal terms, but not the same element
+    u = PathContext(catalog("free", 1)).cyclic({CyclicClass(0, ()): 1})
+    v = PathContext(catalog("affine_a", 1)).cyclic({CyclicClass(0, ()): 1})
+    assert u.terms == v.terms
+    assert u != v
+    with pytest.raises(QuiverError, match="different contexts"):
+        u + v
+    with pytest.raises(QuiverError, match="different contexts"):
+        u - v
+
+
+def test_coefficients_must_be_integers(loop_pair):
+    ctx = loop_pair
     x = ctx.arrow(0)
-    assert (x * x * x * x).is_zero()
-    assert not (x * x * x).is_zero()
-
-
-def test_mod_ring():
-    ctx = PathContext(catalog("free", 1), ring=ModRing(5))
-    x = ctx.arrow(0)
-    assert (x.scale(3) + x.scale(2)).is_zero()
-    assert x.scale(7) == x.scale(2)
-
-
-def test_rational_ring():
-    from fractions import Fraction
-
-    ctx = PathContext(catalog("free", 1), ring=QQ)
-    x = ctx.arrow(0)
-    half = x.scale(Fraction(1, 2))
-    assert half + half == x
+    with pytest.raises(RingError):
+        ctx.element({(0, (0,)): 2.5})
+    with pytest.raises(RingError):
+        ctx.cyclic({CyclicClass.of(ctx, (0, (0, 1))): 0.5})
+    with pytest.raises(RingError):
+        x.scale(0.5)
 
 
 def _mat_power(m, d):

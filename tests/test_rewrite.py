@@ -111,6 +111,9 @@ def test_non_unit_lead_raises():
     (x,) = ctx.letters()
     with pytest.raises(NonUnitLead):
         complete([x.scale(2)], MonomialOrder(ctx), 4)
+    # a hand-made rule with lead 2 would rewrite x to a non-integral tail
+    with pytest.raises(NonUnitLead):
+        RewriteRule(x.scale(2) - ctx.identity(), MonomialOrder(ctx))
 
 
 def test_normal_monomials_free():
