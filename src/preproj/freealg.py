@@ -52,29 +52,34 @@ class PathContext:
     def letters(self):
         return [self.arrow(a) for (a, _, _) in self.quiver.arrows]
 
-    def walks(self, d, start=None, end=None):
+    def walks(self, d, start=None, end=None, avoid=None):
         """Composable words of weight d from start to end; None is any vertex.
 
         Depth first from one explicit stack seeded with every start vertex,
-        so callers that build rows from the walks see a fixed order.
+        so callers that build rows from the walks see a fixed order.  avoid
+        is an automaton of forbidden subwords (rewrite._Automaton): a word
+        is dropped, with all its extensions, once avoid.step returns None,
+        so only words free of the forbidden ones come out.
         """
         q = self.quiver
         if d == 0:
             if start is None or end is None or start == end:
                 yield ()
             return
-        stack = [((), v, 0) for v in (q.vertices if start is None else (start,))]
+        stack = [((), v, 0, 0) for v in (q.vertices if start is None else (start,))]
         while stack:
-            word, cur, wt = stack.pop()
+            word, cur, wt, node = stack.pop()
             for a in q.out_arrows(cur):
                 nw = wt + self.weights[a]
                 if nw > d:
                     continue
-                w2 = word + (a,)
+                nxt = 0 if avoid is None else avoid.step(node, a)
+                if nxt is None:
+                    continue
                 if nw < d:
-                    stack.append((w2, q.dst(a), nw))
+                    stack.append((word + (a,), q.dst(a), nw, nxt))
                 elif end is None or q.dst(a) == end:
-                    yield w2
+                    yield word + (a,)
 
     # -- monomial helpers ------------------------------------------------
 
@@ -84,9 +89,6 @@ class PathContext:
 
     def mono_source(self, mono):
         return mono[0]
-
-    def mono_degree(self, mono):
-        return self.weight(mono[1])
 
     def idempotent(self, v):
         if v not in set(self.quiver.vertices):
@@ -102,14 +104,13 @@ class PathContext:
     def zero(self):
         return Element(self, {})
 
-    def path(self, word, check=True):
+    def path(self, word):
         word = tuple(word)
         if not word:
             raise QuiverError("use idempotent() for empty paths")
-        if check:
-            for a, b in zip(word, word[1:]):
-                if self.quiver.dst(a) != self.quiver.src(b):
-                    raise QuiverError("word is not a composable path")
+        for a, b in zip(word, word[1:]):
+            if self.quiver.dst(a) != self.quiver.src(b):
+                raise QuiverError("word is not a composable path")
         return Element(self, {(self.quiver.src(word[0]), word): 1})
 
     def element(self, terms):
@@ -469,12 +470,20 @@ def _render_word(ctx, word):
 
 
 def _render_terms(ctx, items, bracket):
+    bodies = []
+    for (key, word, c) in items:
+        body = _render_word(ctx, word) if word else f"e_{key}"
+        bodies.append((f"[{body}]" if bracket else body, c))
+    return _signed_sum(bodies)
+
+
+def _signed_sum(items):
+    """c1*body1 + c2*body2 ... from (body, c) pairs: a coefficient of +-1 is
+    written as a sign alone, and a negative term is joined with " - "."""
     if not items:
         return "0"
     parts = []
-    for (key, word, c) in items:
-        body = _render_word(ctx, word) if word else f"e_{key}"
-        body = f"[{body}]" if bracket else body
+    for body, c in items:
         if c == 1:
             token = body
         elif c == -1:

@@ -5,10 +5,12 @@ Matrices are lists of sparse row dicts {column: value}.  Elimination clears
 unit pivots first (they dominate in the commutator matrices this package
 produces and cause no coefficient growth), then runs classical gcd-based
 reduction on the small residue.  Column operations are always journaled, so
-lattice-membership questions (order of a class in a quotient) can be answered
-after the fact; smith_normal_form writes the journal and apply_col_ops is its
-only reader.  LatticeSolver holds one elimination and reads both the torsion
-summary and the order queries off it.
+lattice-membership questions (order of a class in a quotient) and integer
+kernels can be answered after the fact; smith_normal_form writes the journal
+and apply_col_ops is its only reader.  LatticeSolver holds one elimination and
+reads both the torsion summary and the order queries off it.  There is no
+rational arithmetic: a linear system over Q is solved through an integer
+kernel (integer_kernel).
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def apply_col_ops(vec: dict, ops):
     ("addmul", dst, src, c) adds c times column src to column dst;
     ("pairop", j1, j2, x, y, a, b) replaces (c1, c2) by
     (x c1 + y c2, -b c1 + a c2), unimodular since x a + y b = 1.
+    Explicit zero entries of vec are dropped.
     """
-    v = dict(vec)
+    v = {j: x for j, x in vec.items() if x}
     for op in ops:
         if op[0] == "addmul":
             _, dst, src, c = op
@@ -295,6 +298,16 @@ def _xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def integer_kernel(rows, ncols):
+    """Basis of {z in Z^ncols : M z = 0} for the matrix M with the given
+    sparse rows, as dense lists: the non-pivot columns of the unimodular V
+    journaled by smith_normal_form (M V has zero columns exactly there)."""
+    res = smith_normal_form(rows, ncols)
+    V = [apply_col_ops({i: 1}, res.col_ops) for i in range(ncols)]
+    return [[V[i].get(j, 0) for i in range(ncols)]
+            for j in range(ncols) if j not in res.diag_by_col]
 
 
 def quotient_structure(ambient_rank: int, relation_rows) -> TorsionSummary:

@@ -14,10 +14,9 @@ delta_ell in the source material carries the opposite (inconsistent) sign.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .freealg import (CycElement, CyclicClass, Element, PathContext,
-                      canonical_rotation, cyclic_project)
+from .freealg import (CycElement, CyclicClass, Element, PathContext, _Combination,
+                      _signed_sum, canonical_rotation, cyclic_project, render_cyclic)
+from .intlinalg import integer_kernel
 from .quiver import QuiverError
 
 
@@ -97,23 +96,26 @@ def bracket(u: CycElement, v: CycElement) -> CycElement:
     return CycElement(ctx, out)
 
 
-class WedgePair:
+class WedgePair(_Combination):
     """Formal sum of wedges of cyclic classes, a ^ b = -(b ^ a), a ^ a = 0.
 
     Keys are ordered by (degree, word, vertex); storing always puts the
     smaller class first, flipping the sign as needed.
     """
 
+    __slots__ = ()
+
     def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for (k1, k2), c in terms.items():
-                self.add(k1, k2, c)
+        super().__init__(ctx, {})
+        for (k1, k2), c in (terms or {}).items():
+            self.add(k1, k2, c)
 
     @staticmethod
     def _rank(ctx, k):
         return (ctx.weight(k.word), k.word, k.vertex)
+
+    def _degree(self, key):
+        return self.ctx.weight(key[0].word) + self.ctx.weight(key[1].word)
 
     def add(self, k1, k2, c):
         if c == 0:
@@ -131,37 +133,13 @@ class WedgePair:
         else:
             self.terms.pop(key, None)
 
-    def __add__(self, other):
-        out = WedgePair(self.ctx, dict(self.terms))
-        for (k1, k2), c in other.terms.items():
-            out.add(k1, k2, c)
-        return out
-
-    def __sub__(self, other):
-        out = WedgePair(self.ctx, dict(self.terms))
-        for (k1, k2), c in other.terms.items():
-            out.add(k1, k2, -c)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, WedgePair) and self.terms == other.terms
-
     def __repr__(self):
-        from .freealg import render_cyclic
+        def cyc(k):
+            return render_cyclic(CycElement(self.ctx, {k: 1}))
 
-        if not self.terms:
-            return "0"
-        bits = []
-        for (k1, k2), c in sorted(self.terms.items(),
-                                  key=lambda it: (self._rank(self.ctx, it[0][0]),
-                                                  self._rank(self.ctx, it[0][1]))):
-            e1 = render_cyclic(CycElement(self.ctx, {k1: 1}))
-            e2 = render_cyclic(CycElement(self.ctx, {k2: 1}))
-            bits.append(f"{c}*{e1}^{e2}")
-        return " + ".join(bits)
+        items = sorted(self.terms.items(), key=lambda it: (self._rank(self.ctx, it[0][0]),
+                                                           self._rank(self.ctx, it[0][1])))
+        return _signed_sum([(f"{cyc(k1)}^{cyc(k2)}", c) for (k1, k2), c in items])
 
 
 def cobracket(u: CycElement) -> WedgePair:
@@ -320,14 +298,14 @@ class CornerPoisson:
     torsion, expressed in the basis of normal monomials at i0.
     """
 
-    def __init__(self, comp, i0=None):
+    def __init__(self, comp):
         from .quiver import classify
 
         self.comp = comp
         cls = classify(comp.ctx.quiver if not comp.ctx.quiver.starred else _undouble(comp.ctx.quiver))
         if not cls.is_extended_dynkin():
             raise QuiverError("corner Poisson structure needs an extended Dynkin quiver")
-        self.i0 = cls.extending_vertex if i0 is None else i0
+        self.i0 = cls.extending_vertex
 
     def corner_basis(self, d):
         return self.comp.system.normal_monomials(self.i0, self.i0, d)
@@ -346,28 +324,38 @@ class CornerPoisson:
         return self.project_to_corner(br, d)
 
     def project_to_corner(self, cyc: CycElement, d) -> Element:
-        """Solve [corner element] = cyc modulo torsion and relations."""
+        """The corner element f with [f] = cyc modulo torsion and relations.
+
+        The columns are the images of the corner basis (z_cols), the relation
+        rows, and cyc last (z_t).  An integer kernel vector z with z_t != 0
+        writes cyc as the basis images times -z_cols / z_t plus relations, so
+        those are the coordinates of f.  QuiverError when no kernel vector
+        has z_t != 0 (cyc is not in the corner image modulo torsion), or when
+        z_t does not divide z_cols (the coordinates are not integral).
+        """
         comp = self.comp
         if d == 0:
             # degree-0 part of the corner is Z e_{i0}
             c = cyc.homogeneous_part(0).terms.get(CyclicClass(self.i0, ()), 0)
             return comp.ctx.idempotent(self.i0).scale(c)
-        target = comp.coords(cyc, d)
         basis = self.corner_basis(d)
-        n = len(comp.ambient_keys(d))
-        cols = []
-        for mono in basis:
-            cols.append(comp.coords(cyclic_project(Element(comp.ctx, {mono: 1})), d))
-        rel = comp.relation_rows(d)
-        sol = _solve_rational(n, cols, rel, target)
-        if sol is None:
+        cols = [comp.coords(cyclic_project(Element(comp.ctx, {mono: 1})), d) for mono in basis]
+        cols += comp.relation_rows(d)
+        cols.append(comp.coords(cyc, d))
+        rows = [{} for _ in comp.ambient_keys(d)]
+        for c, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][c] = v
+        z = next((z for z in integer_kernel(rows, len(cols)) if z[-1]), None)
+        if z is None:
             raise QuiverError("class does not lie in the corner image modulo torsion")
         out = {}
-        for mono, c in zip(basis, sol):
-            if c != 0:
-                if c.denominator != 1:
-                    raise QuiverError("non-integral corner coordinates")
-                out[mono] = int(c)
+        for mono, zc in zip(basis, z):
+            c, r = divmod(-zc, z[-1])
+            if r:
+                raise QuiverError("non-integral corner coordinates")
+            if c:
+                out[mono] = c
         return Element(comp.ctx, out)
 
 
@@ -376,40 +364,3 @@ def _undouble(qd):
 
     orig = [(a, s, t) for (a, s, t) in qd.arrows if a < qd.star[a]]
     return Quiver(qd.vertices, orig, names={a: qd.arrow_name(a) for (a, _, _) in orig})
-
-
-def _solve_rational(n, cols, rel_rows, target):
-    """Solve cols * x + rel * y = target over Q; returns x or None."""
-    mat = []
-    k = len(cols)
-    vecs = cols + list(rel_rows)
-    for i in range(n):
-        row = [Fraction(v.get(i, 0)) for v in vecs]
-        row.append(Fraction(target.get(i, 0)))
-        mat.append(row)
-    ncols = len(vecs)
-    piv = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, n) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv.append(c)
-        r += 1
-        if r == n:
-            break
-    # consistency
-    for i in range(r, n):
-        if mat[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = mat[i][ncols]
-    return sol[:k]

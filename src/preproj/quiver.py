@@ -75,6 +75,7 @@ class Quiver:
                 if arr[a] != (arr[b][1], arr[b][0]):
                     raise QuiverError("star pair does not swap endpoints")
         self.names = dict(names) if names else {}
+        self._double = None
         self._src = {a: s for (a, s, t) in self.arrows}
         self._dst = {a: t for (a, s, t) in self.arrows}
         self._out = {v: [] for v in self.vertices}
@@ -135,20 +136,18 @@ class Quiver:
             deg[t] += 1
         return deg
 
-    def adjacency(self, doubled=True):
-        """Adjacency matrix (list of lists) indexed by vertex order.
-
-        With doubled=True this is the adjacency matrix of the double, i.e. of
-        the underlying undirected multigraph, which is what the Hilbert
-        formulas use.  For an already-starred quiver the arrows themselves
-        are counted.
+    def adjacency(self):
+        """Adjacency matrix (list of lists) of the double, indexed by vertex
+        order: that of the underlying undirected multigraph, which is what
+        the Hilbert formulas use.  For an already-starred quiver the arrows
+        themselves are counted.
         """
         idx = {v: k for k, v in enumerate(self.vertices)}
         n = len(self.vertices)
         mat = [[0] * n for _ in range(n)]
         for (_, s, t) in self.arrows:
             mat[idx[s]][idx[t]] += 1
-            if doubled and not self.starred:
+            if not self.starred:
                 mat[idx[t]][idx[s]] += 1
         return mat
 
@@ -181,19 +180,25 @@ class Quiver:
 
 
 def double(q: Quiver) -> Quiver:
-    """Add a reverse arrow a* for every arrow a; a* gets id a + N."""
+    """Add a reverse arrow a* for every arrow a; a* gets id a + N.
+
+    Memoised on q (quivers are immutable), so double(q) is double(q) and
+    contexts built from one quiver share their doubled quiver.
+    """
     if q.starred:
         raise QuiverError("quiver is already a double")
-    n = 1 + max(a for (a, _, _) in q.arrows) if q.arrows else 0
-    arrows = list(q.arrows)
-    star = {}
-    names = dict(q.names)
-    for (a, s, t) in q.arrows:
-        arrows.append((a + n, t, s))
-        star[a] = a + n
-        star[a + n] = a
-        names[a + n] = q.arrow_name(a) + "*"
-    return Quiver(q.vertices, arrows, starred=True, star=star, names=names)
+    if q._double is None:
+        n = 1 + max(a for (a, _, _) in q.arrows) if q.arrows else 0
+        arrows = list(q.arrows)
+        star = {}
+        names = dict(q.names)
+        for (a, s, t) in q.arrows:
+            arrows.append((a + n, t, s))
+            star[a] = a + n
+            star[a + n] = a
+            names[a + n] = q.arrow_name(a) + "*"
+        q._double = Quiver(q.vertices, arrows, starred=True, star=star, names=names)
+    return q._double
 
 
 def _branch_profile(q: Quiver):
@@ -415,14 +420,21 @@ def _subquiver(q: Quiver, verts, arrow_ids):
 def find_extended_dynkin_subquiver(q: Quiver):
     """Some extended Dynkin subquiver of q, or None when q is (extended) Dynkin.
 
-    Search order: loops, parallel pairs, cycles, then ~D / ~E tree shapes.
+    A loop (~A_0) or a pair of parallel arrows (~A_1) is returned at once.
+    Otherwise q shrinks by minimality: drop a vertex, with its arrows, in id
+    order, whenever the full subquiver on the other vertices is connected
+    and not Dynkin, until no vertex can be dropped.  What is left, S, is
+    extended Dynkin.  It contains an extended Dynkin subquiver H.  A vertex
+    of S outside H, at the greatest distance from H, could still be
+    dropped; so H has every vertex of S.  An arrow of S outside H would
+    close a cycle on fewer vertices (there are no loops or parallel arrows,
+    and H is not a path), and again a vertex could be dropped; so S = H.
     The returned subquiver keeps the parent's vertex and arrow ids, so the
     embedding is the identity on ids.
     """
     if q.starred:
         raise QuiverError("expects an undoubled quiver")
-    cls = classify(q)
-    if cls.kind != "other":
+    if classify(q).kind != "other":
         return None
 
     # loops: a one-vertex one-loop subquiver is ~A_0
@@ -436,180 +448,28 @@ def find_extended_dynkin_subquiver(q: Quiver):
         if key in seen:
             return _subquiver(q, key, [seen[key], a])
         seen[key] = a
-    # undirected cycle: ~A_{k-1}; found by DFS, deterministic by arrow id
-    cyc = _find_cycle(q)
-    if cyc is not None:
-        verts, arrows = cyc
-        return _subquiver(q, verts, arrows)
-    # tree case: look for ~D_4 (a vertex of degree >= 4), then ~D_n (two
-    # vertices of degree >= 3), then ~E shapes around a single hub
-    deg = q.undirected_degrees()
-    adj = _adjacency_with_arrows(q)
-    for v in sorted(q.vertices):
-        if deg[v] >= 4:
-            picks = sorted(adj[v].items())[:4]
-            verts = [v] + [w for w, _ in picks]
-            arrows = [arr for _, arr in picks]
-            return _subquiver(q, verts, arrows)
-    hubs = sorted(v for v in q.vertices if deg[v] >= 3)
-    if len(hubs) >= 2:
-        sub = _dtilde_between(q, hubs, adj)
-        if sub is not None:
-            return sub
-    if len(hubs) == 1:
-        sub = _etilde_at(q, hubs[0], adj)
-        if sub is not None:
-            return sub
-    return None
+
+    verts = set(q.vertices)
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for v in sorted(verts):
+            if _connected_non_dynkin(q, verts - {v}):
+                verts.discard(v)
+                shrunk = True
+    return _full_subquiver(q, verts)
 
 
-def _adjacency_with_arrows(q: Quiver):
-    adj = {v: {} for v in q.vertices}
-    for (a, s, t) in q.arrows:
-        if s != t:
-            adj[s].setdefault(t, a)
-            adj[t].setdefault(s, a)
-    return adj
+def _full_subquiver(q: Quiver, verts):
+    return _subquiver(q, verts, [a for (a, s, t) in q.arrows if s in verts and t in verts])
 
 
-def _find_cycle(q: Quiver):
-    adj = {v: [] for v in q.vertices}
-    for (a, s, t) in q.arrows:
-        adj[s].append((t, a))
-        adj[t].append((s, a))
-    for v in adj:
-        adj[v].sort(key=lambda p: p[1])
-    start = q.vertices[0]
-    parent = {start: (None, None)}
-    todo = deque([start])
-    while todo:
-        v = todo.popleft()
-        for (w, a) in adj[v]:
-            if a == parent[v][1]:
-                continue
-            if w in parent:
-                # close the cycle through the BFS tree
-                path_v, path_w = _tree_path(parent, v), _tree_path(parent, w)
-                common = set(x for x, _ in path_v) & set(x for x, _ in path_w)
-                verts = set([v, w])
-                arrows = set([a])
-                for (x, e) in path_v:
-                    if x in common:
-                        break
-                    verts.add(x)
-                    arrows.add(e)
-                    verts.add(parent[x][0])
-                for (x, e) in path_w:
-                    if x in common:
-                        break
-                    verts.add(x)
-                    arrows.add(e)
-                    verts.add(parent[x][0])
-                meet = next(x for x, _ in path_v if x in common)
-                verts.add(meet)
-                return verts, arrows
-            parent[w] = (v, a)
-            todo.append(w)
-    return None
-
-
-def _tree_path(parent, v):
-    out = []
-    while parent[v][0] is not None:
-        out.append((v, parent[v][1]))
-        v = parent[v][0]
-    out.append((v, None))
-    return [(x, e) for (x, e) in out if e is not None] + [(v, None)]
-
-
-def _grow_branch(q, adj, hub, first, taken, length):
-    """Simple path of `length` arrows from hub starting toward `first`."""
-    verts = []
-    arrows = []
-    prev, cur = hub, first
-    arrows.append(adj[prev][cur])
-    verts.append(cur)
-    while len(arrows) < length:
-        nxt = [w for w in sorted(adj[cur]) if w != prev and w not in taken and w != hub and w not in verts]
-        if not nxt:
-            return None
-        w = nxt[0]
-        arrows.append(adj[cur][w])
-        verts.append(w)
-        prev, cur = cur, w
-    return verts, arrows
-
-
-def _etilde_at(q: Quiver, hub, adj):
-    deg = q.undirected_degrees()
-    if deg[hub] < 3:
-        return None
-    # try branch profiles (5,2,1), (3,3,1), (2,2,2) in each neighbor order
-    import itertools
-
-    nbrs = sorted(adj[hub])
-    for profile in ((2, 2, 2), (3, 3, 1), (5, 2, 1)):
-        for combo in itertools.permutations(nbrs, 3):
-            taken = set([hub])
-            verts = [hub]
-            arrows = []
-            ok = True
-            for first, length in zip(combo, profile):
-                grown = _grow_branch(q, adj, hub, first, taken, length)
-                if grown is None:
-                    ok = False
-                    break
-                vs, ars = grown
-                if taken & set(vs):
-                    ok = False
-                    break
-                taken |= set(vs)
-                verts += vs
-                arrows += ars
-            if ok:
-                return _subquiver(q, verts, arrows)
-    return None
-
-
-def _dtilde_between(q: Quiver, hubs, adj):
-    deg = q.undirected_degrees()
-    import itertools
-
-    for h1, h2 in itertools.combinations(hubs, 2):
-        spine = _simple_path(q, adj, h1, h2)
-        if spine is None:
-            continue
-        sp_verts, sp_arrows = spine
-        inner = set(sp_verts)
-        l1 = [w for w in sorted(adj[h1]) if w not in inner][:2]
-        l2 = [w for w in sorted(adj[h2]) if w not in inner and w not in l1][:2]
-        if len(l1) == 2 and len(l2) == 2:
-            verts = list(inner) + l1 + l2
-            arrows = sp_arrows + [adj[h1][w] for w in l1] + [adj[h2][w] for w in l2]
-            return _subquiver(q, verts, arrows)
-    return None
-
-
-def _simple_path(q, adj, a, b):
-    prev = {a: (None, None)}
-    todo = deque([a])
-    while todo:
-        v = todo.popleft()
-        if v == b:
-            verts = []
-            arrows = []
-            while v is not None:
-                verts.append(v)
-                p, e = prev[v]
-                if e is not None:
-                    arrows.append(e)
-                v = p
-            return verts, arrows
-        for w in sorted(adj[v]):
-            if w not in prev:
-                prev[w] = (v, adj[v][w])
-                todo.append(w)
-    return None
+def _connected_non_dynkin(q: Quiver, verts):
+    try:
+        sub = _full_subquiver(q, verts)
+    except QuiverError:
+        return False
+    return not classify(sub).is_dynkin()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from collections import deque
 
 from .freealg import Element, PathContext, _render_terms
-from .intlinalg import _xgcd, apply_col_ops, smith_normal_form
+from .intlinalg import _xgcd, integer_kernel
 from .quiver import QuiverError
 
 
@@ -161,31 +161,8 @@ class RewriteSystem:
         """All weight-d normal paths i -> j, sorted by the monomial order."""
         if d > self.complete_to_degree:
             raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
-        if d == 0:
-            return [(i, ())] if i == j else []
-        aut = self._automaton()
-        q = self.ctx.quiver
-        out = []
-
-        def dfs(v, node, word, wt):
-            if wt == d:
-                if v == j:
-                    out.append((i, tuple(word)))
-                return
-            for a in q.out_arrows(v):
-                wa = self.ctx.weights[a]
-                if wt + wa > d:
-                    continue
-                nxt = aut.step(node, a)
-                if nxt is None:
-                    continue
-                word.append(a)
-                dfs(q.dst(a), nxt, word, wt + wa)
-                word.pop()
-
-        dfs(i, 0, [], 0)
-        out.sort(key=self.order.key)
-        return out
+        return sorted(((i, w) for w in self.ctx.walks(d, i, j, avoid=self._automaton())),
+                      key=self.order.key)
 
     def normal_count_matrix(self, dmax):
         """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed."""
@@ -426,7 +403,8 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
         for lead, group in groups.items():
             if len(group) < 2:
                 continue
-            for combo in _lead_kernel([g.terms[lead] for g in group]):
+            lead_row = {k: g.terms[lead] for k, g in enumerate(group)}
+            for combo in integer_kernel([lead_row], len(group)):
                 e = ctx.zero()
                 for c, g in zip(combo, group):
                     if c:
@@ -464,15 +442,6 @@ def _frame_instances(rule_elements, ctx, d):
                         seen.add(key)
                         out.append(inst)
     return out
-
-
-def _lead_kernel(coeffs):
-    """Basis of the integer kernel of the 1 x n row (c_1 ... c_n): the
-    non-pivot columns of the unimodular V with (c) V in Smith form."""
-    n = len(coeffs)
-    res = smith_normal_form([dict(enumerate(coeffs))], n)
-    V = [apply_col_ops({i: 1}, res.col_ops) for i in range(n)]
-    return [[V[i].get(j, 0) for i in range(n)] for j in range(n) if j not in res.diag_by_col]
 
 
 def _solve_combo(coeffs, target):

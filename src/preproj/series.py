@@ -174,7 +174,7 @@ class TruncatedSeries:
 
 def cartan_t_matrix(q: Quiver, white=(), D=12) -> TruncatedSeries:
     """1 - t*C + t^2 * 1_black, C the adjacency matrix of the double."""
-    C = q.adjacency(doubled=True)
+    C = q.adjacency()
     n = len(C)
     white = q.white_set(white)
     idx = {v: k for k, v in enumerate(q.vertices)}
@@ -199,10 +199,10 @@ def hilbert_prep(q: Quiver, white=(), D=12) -> TruncatedSeries:
     return cartan_t_matrix(q, white, D).inverse()
 
 
-def sym_plus_series(hh0: TruncatedSeries, D=None) -> TruncatedSeries:
+def sym_plus_series(hh0: TruncatedSeries) -> TruncatedSeries:
     """prod_m (1 - t^m)^{-a_m} for a scalar series with a_m >= 0, m >= 1."""
     a = hh0.scalar_coeffs()
-    D = hh0.D if D is None else D
+    D = hh0.D
     for m, am in enumerate(a[1:D + 1], 1):
         if am < 0:
             raise SeriesError(f"negative coefficient a_{m} = {am}")
@@ -307,15 +307,14 @@ def chebyshev_like_coeffs(q: Quiver, i0: int, D: int):
     return [inv.coeffs[d][k][k] for d in range(D + 1)]
 
 
-def egid_check(q: Quiver, D=12, i0=None) -> bool:
-    """The product identity relating the (i0,i0) inverse-Cartan entries and
-    the determinant of the t-Cartan matrix, for extended Dynkin q."""
+def egid_check(q: Quiver, D=12) -> bool:
+    """The product identity relating the (i0,i0) inverse-Cartan entries, i0
+    the extending vertex, and the determinant of the t-Cartan matrix, for
+    extended Dynkin q."""
     cls = classify(q)
     if not cls.is_extended_dynkin():
         raise SeriesError("identity is about extended Dynkin quivers")
-    if i0 is None:
-        i0 = cls.extending_vertex
-    a = chebyshev_like_coeffs(q, i0, D)
+    a = chebyshev_like_coeffs(q, cls.extending_vertex, D)
     a[0] = 0  # exponents follow the positively-graded part: a_0 = a_{-1} = 0
     e = [0] + [a[m] - (a[m - 2] if m >= 2 else 0) for m in range(1, D + 1)]
     return _power_product(e, D) == o_series_char_zero(q, (), D)

@@ -162,13 +162,13 @@ NECKLACE_CASES = [
      {"Z": "[x^2 x*^2] + 2*[x x* x x*]", "Zmod:5": "[x^2 x*^2] + 2*[x x* x x*]",
       "Zmod:2": "[x^2 x*^2]"}),
     (("--catalog", "free", "2", "--op", "cobracket", "--left", "-[x1 x1* x2 x2*]"),
-     {"Z": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]",
-      "Zmod:5": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]",
-      "Zmod:2": "1*[e_0]^[x1 x1*] + 1*[e_0]^[x2 x2*]"}),
+     {"Z": "[e_0]^[x1 x1*] + [e_0]^[x2 x2*]",
+      "Zmod:5": "[e_0]^[x1 x1*] + [e_0]^[x2 x2*]",
+      "Zmod:2": "[e_0]^[x1 x1*] + [e_0]^[x2 x2*]"}),
     (("--catalog", "free", "2", "--op", "cobracket",
       "--left", "3*[x1 x1* x1 x1*] - [x1 x2 x1* x2*]"),
-     {"Z": "-1*[x1]^[x1*] + 1*[x2]^[x2*]", "Zmod:5": "4*[x1]^[x1*] + 1*[x2]^[x2*]",
-      "Zmod:2": "1*[x1]^[x1*] + 1*[x2]^[x2*]"}),
+     {"Z": "-[x1]^[x1*] + [x2]^[x2*]", "Zmod:5": "4*[x1]^[x1*] + [x2]^[x2*]",
+      "Zmod:2": "[x1]^[x1*] + [x2]^[x2*]"}),
     (("--catalog", "free", "1", "--op", "loday", "--left", "-[x x]", "--right", "x* x*"),
      {"Z": "-2*x x* - 2*x* x", "Zmod:5": "3*x x* + 3*x* x", "Zmod:2": "0"}),
 ]

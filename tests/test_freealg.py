@@ -225,6 +225,15 @@ def test_cyclic_elements_of_different_quivers_do_not_mix():
         u - v
 
 
+def test_contexts_of_one_quiver_mix():
+    # each context doubles q, and the double is shared, so elements mix
+    q = catalog("free", 1)
+    a, b = PathContext(q), PathContext(q)
+    assert double(q) is double(q)
+    assert a.quiver is b.quiver
+    assert a.arrow(0) + b.arrow(0) == a.arrow(0).scale(2)
+
+
 def test_coefficients_must_be_integers(loop_pair):
     ctx = loop_pair
     x = ctx.arrow(0)

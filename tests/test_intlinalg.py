@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from preproj.intlinalg import (LatticeSolver, TorsionSummary, apply_col_ops,
-                               quotient_structure, smith_normal_form)
+                               integer_kernel, quotient_structure, smith_normal_form)
 
 
 def snf_factors(rows):
@@ -43,6 +44,7 @@ def test_explicit_zeros_are_ignored():
     assert rows == [{0: 0, 1: 2}, {2: 0}]  # the input rows are left as given
     solver = LatticeSolver(3, rows)
     assert solver.order_of({1: 1}) == 2 and solver.order_of({0: 1}) == 0
+    assert solver.order_of({1: 1, 2: 0}) == 2  # a zero outside the span is no obstacle
 
 
 @pytest.mark.parametrize("bad", [{2: 1}, {-1: 1}, {0: 1, 5: 0}])
@@ -239,6 +241,60 @@ def test_lattice_solver_order_against_oracle():
                         k = got // p
                         assert not _member_oracle(rows, n, {j: k * v for j, v in vec.items()}), \
                             (rows, vec, got, p)
+
+
+def _rank(rows, ncols):
+    """Rank over Q of a matrix given as sparse rows."""
+    mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / mat[rank][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_kernel_random():
+    """Seeded sparse matrices, some with dependent and zero rows, built to
+    kill a planted primitive vector z0: the basis solves M z = 0, has
+    ncols - rank vectors, and spans z0 over Z."""
+    rng = random.Random(23)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        z0 = [rng.randint(-3, 3) for _ in range(ncols)]
+        if not any(z0):
+            z0[0] = 1
+        g = math.gcd(*z0)
+        z0 = [x // g for x in z0]
+        norm = sum(x * x for x in z0)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append({})
+                continue
+            if kind < 0.35 and rows:
+                # a combination of earlier rows: the rank does not grow
+                r1, r2 = rng.choice(rows), rng.choice(rows)
+                c1, c2 = rng.randint(-2, 2), rng.randint(-2, 2)
+                dense = [c1 * r1.get(j, 0) + c2 * r2.get(j, 0) for j in range(ncols)]
+            else:
+                support = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
+                r = {j: rng.randint(-4, 4) for j in support}
+                dot = sum(v * z0[j] for j, v in r.items())
+                dense = [norm * r.get(j, 0) - dot * z0[j] for j in range(ncols)]
+            rows.append({j: v for j, v in enumerate(dense) if v})
+        basis = integer_kernel(rows, ncols)
+        for z in basis:
+            assert all(sum(v * z[j] for j, v in r.items()) == 0 for r in rows), (rows, z)
+        assert len(basis) == ncols - _rank(rows, ncols)
+        span = LatticeSolver(ncols, [dict(enumerate(z)) for z in basis])
+        assert span.order_of(dict(enumerate(z0))) == 1, (rows, z0, basis)
 
 
 def test_prime_power_decomposition():

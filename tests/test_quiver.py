@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -148,6 +149,51 @@ def test_subquiver_search_exhaustive():
     assert count > 10000
 
 
+def _check_subquiver(q):
+    """None exactly for (extended) Dynkin q; otherwise an extended Dynkin
+    subquiver whose vertex and arrow ids embed into q."""
+    sub = find_extended_dynkin_subquiver(q)
+    if classify(q).kind != "other":
+        assert sub is None, (q.arrows, sub.arrows)
+        return None
+    assert sub is not None, q.arrows
+    assert classify(sub).is_extended_dynkin(), (q.arrows, sub.arrows)
+    assert set(sub.vertices) <= set(q.vertices)
+    assert set(sub.arrows) <= set(q.arrows)
+    return sub
+
+
+def _random_trees_and_unicyclic(rng, count):
+    """Trees on 6..10 vertices with every degree <= 3, every other one with
+    one extra arrow closing a cycle; random orientations."""
+    for k in range(count):
+        nv = rng.randint(6, 10)
+        deg = [0] * nv
+        edges = []
+        for v in range(1, nv):
+            u = rng.choice([w for w in range(v) if deg[w] < 3])
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+        if k % 2:
+            edges.append(tuple(rng.sample(range(nv), 2)))
+        yield Quiver(range(nv), [(a, s, t) if rng.random() < 0.5 else (a, t, s)
+                                 for a, (s, t) in enumerate(edges)])
+
+
+def test_subquiver_search_larger_quivers():
+    """~D_n (n >= 5) and ~E shapes, which need more than 5 vertices."""
+    one_more_leaf = Quiver(range(7), list(catalog("affine_d", 5).arrows) + [(5, 6, 0)])
+    fixed = [(catalog("star", 3, 2, 2), "~E6"), (catalog("star", 4, 3, 1), "~E7"),
+             (catalog("star", 6, 2, 1), "~E8"), (one_more_leaf, "~D5")]
+    for q, want in fixed:
+        assert str(classify(_check_subquiver(q))) == want
+    rng = random.Random(3)
+    found = {str(classify(sub)) for sub in map(_check_subquiver,
+                                               _random_trees_and_unicyclic(rng, 200)) if sub}
+    assert {"~D5", "~D6", "~E6"} <= found
+
+
 def test_forest_examples():
     q = Quiver([0, 1], [(0, 0, 1)])
     qd = double(q)
@@ -169,8 +215,6 @@ def test_forest_examples():
 
 
 def test_forest_invariants_random():
-    import random
-
     rng = random.Random(7)
     for _ in range(40):
         nv = rng.randint(2, 5)
