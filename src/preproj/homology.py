@@ -282,16 +282,9 @@ def lambda_graded(q: Quiver, white=(), D=12, engine="auto", ctx=None,
 
 
 def preprojective_element(ctx: PathContext) -> Element:
-    """r = sum over original arrows of (a a* - a* a), in the doubled context."""
-    q = ctx.quiver
-    if not q.starred:
-        raise QuiverError("r lives in a doubled quiver")
-    terms = {}
-    for (a, s, t) in q.arrows:
-        if a < q.star[a]:
-            terms[(s, (a, q.star[a]))] = terms.get((s, (a, q.star[a])), 0) + 1
-            terms[(t, (q.star[a], a))] = terms.get((t, (q.star[a], a)), 0) - 1
-    return ctx.element(terms)
+    """r = sum over original arrows of (a a* - a* a), in the doubled context:
+    the sum of the local relations at every vertex."""
+    return sum(preprojective_relation(ctx), ctx.zero())
 
 
 def r_power_cyclic(ctx: PathContext, p: int, ell: int) -> CycElement:

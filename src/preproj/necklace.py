@@ -17,7 +17,7 @@ from __future__ import annotations
 from .freealg import (CycElement, CyclicClass, Element, PathContext, _Combination,
                       _signed_sum, canonical_rotation, cyclic_project, render_cyclic)
 from .intlinalg import integer_kernel
-from .quiver import QuiverError
+from .quiver import QuiverError, classify
 
 
 def omega(ctx: PathContext, a: int, b: int) -> int:
@@ -299,10 +299,8 @@ class CornerPoisson:
     """
 
     def __init__(self, comp):
-        from .quiver import classify
-
         self.comp = comp
-        cls = classify(comp.ctx.quiver if not comp.ctx.quiver.starred else _undouble(comp.ctx.quiver))
+        cls = classify(comp.ctx.quiver)
         if not cls.is_extended_dynkin():
             raise QuiverError("corner Poisson structure needs an extended Dynkin quiver")
         self.i0 = cls.extending_vertex
@@ -358,9 +356,3 @@ class CornerPoisson:
                 out[mono] = c
         return Element(comp.ctx, out)
 
-
-def _undouble(qd):
-    from .quiver import Quiver
-
-    orig = [(a, s, t) for (a, s, t) in qd.arrows if a < qd.star[a]]
-    return Quiver(qd.vertices, orig, names={a: qd.arrow_name(a) for (a, _, _) in orig})

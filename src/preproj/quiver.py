@@ -23,7 +23,8 @@ class QuiverClass:
     kind is 'dynkin', 'extended', or 'other'; family is 'A', 'D' or 'E' when
     kind is not 'other'.  rank follows the usual subscript (so the one-loop
     quiver is ('extended', 'A', 0)).  extending_vertex is set only for
-    extended Dynkin quivers and is the smallest valid choice.
+    extended Dynkin quivers and is the smallest vertex with delta_v = 1, delta
+    the null root.
     """
 
     kind: str
@@ -128,14 +129,6 @@ class Quiver:
 
     # -- undirected shape ------------------------------------------------
 
-    def undirected_degrees(self):
-        """Vertex degrees in the underlying graph; a loop counts twice."""
-        deg = {v: 0 for v in self.vertices}
-        for (_, s, t) in self.arrows:
-            deg[s] += 1
-            deg[t] += 1
-        return deg
-
     def adjacency(self):
         """Adjacency matrix (list of lists) of the double, indexed by vertex
         order: that of the underlying undirected multigraph, which is what
@@ -201,122 +194,64 @@ def double(q: Quiver) -> Quiver:
     return q._double
 
 
-def _branch_profile(q: Quiver):
-    """For a tree with exactly one vertex of degree >= 3, the sorted branch
-    lengths from that vertex, or None if the shape is not such a star."""
-    deg = q.undirected_degrees()
-    hubs = [v for v in q.vertices if deg[v] >= 3]
-    if len(hubs) != 1:
-        return None
-    hub = hubs[0]
-    adj = {v: [] for v in q.vertices}
-    for (_, s, t) in q.arrows:
-        adj[s].append(t)
-        adj[t].append(s)
-    lengths = []
-    for w in adj[hub]:
-        length = 1
-        prev, cur = hub, w
-        while deg[cur] == 2:
-            nxt = [u for u in adj[cur] if u != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        if deg[cur] > 2:
-            return None
-        lengths.append(length)
-    return hub, sorted(lengths, reverse=True)
+def _cartan(q: Quiver):
+    """C = 2I - A, the Gram matrix of the Tits form: series.cartan_t_matrix at t = 1."""
+    C = [[-x for x in row] for row in q.adjacency()]
+    for i, row in enumerate(C):
+        row[i] += 2
+    return C
+
+
+def _leading_minors(C):
+    """[1, c_11, ...]: the leading principal minors of the integer matrix C,
+    the empty one first, by fraction-free (Bareiss) elimination without
+    pivoting; stops after the first minor <= 0."""
+    m = [row[:] for row in C]
+    minors = [1]
+    for k in range(len(m)):
+        minors.append(m[k][k])
+        if m[k][k] <= 0:
+            break
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // minors[-2]
+    return minors
+
+
+def _is_dynkin(q: Quiver):
+    """Whether the Tits form is positive definite (Gabriel: q is Dynkin)."""
+    minors = _leading_minors(_cartan(q))
+    return len(minors) > len(q.vertices) and minors[-1] > 0
 
 
 def classify(q: Quiver) -> QuiverClass:
-    """Classify the underlying undirected graph as Dynkin / extended Dynkin / other."""
-    if q.starred:
-        raise QuiverError("classify expects an undoubled quiver")
-    nv = len(q.vertices)
-    ne = len(q.arrows)
-    deg = q.undirected_degrees()
-    loops = [a for (a, s, t) in q.arrows if s == t]
+    """Classify the underlying undirected graph by its Tits form.
 
-    if loops:
-        if nv == 1 and ne == 1:
-            return QuiverClass("extended", "A", 0, extending_vertex=q.vertices[0])
+    C = 2I - A is positive definite exactly for Dynkin graphs; det C is
+    n + 1 for A_n (tested first: A_3 also has 4), 4 for D_n and 3, 2, 1 for
+    E_6, E_7, E_8.  It is extended
+    Dynkin exactly when the first n - 1 leading minors are positive and
+    det C = 0 (every proper subgraph of an extended Dynkin graph is Dynkin,
+    so this holds in any vertex order; conversely it makes C positive
+    semidefinite with kernel spanned by the null root delta).  Then
+    adj C = k delta delta^T with k > 0, so deleting vertex v leaves a minor
+    k delta_v^2: the extending vertices (delta_v = 1) have the least one,
+    and max / min is (max delta)^2, 1 for ~A, 4 for ~D and 9, 16, 36 for ~E.
+    A double has the same adjacency, so it classifies as the quiver it doubles.
+    """
+    C = _cartan(q)
+    n = len(C)
+    minors = _leading_minors(C)
+    if len(minors) <= n or minors[-1] < 0:
         return QuiverClass("other")
-
-    if ne == nv - 1:
-        # tree shapes
-        maxdeg = max(deg.values()) if deg else 0
-        if maxdeg <= 2:
-            return QuiverClass("dynkin", "A", nv)
-        prof = _branch_profile(q)
-        if prof is not None:
-            hub, lengths = prof
-            if len(lengths) == 3:
-                l1, l2, l3 = lengths
-                if (l2, l3) == (1, 1):
-                    return QuiverClass("dynkin", "D", nv)
-                if (l1, l2, l3) == (2, 2, 2):
-                    return QuiverClass("extended", "E", 6, _extending_vertex(q, "E", 6))
-                if (l1, l2, l3) == (3, 3, 1):
-                    return QuiverClass("extended", "E", 7, _extending_vertex(q, "E", 7))
-                if (l1, l2, l3) == (5, 2, 1):
-                    return QuiverClass("extended", "E", 8, _extending_vertex(q, "E", 8))
-                if (l2, l3) == (2, 1) and l1 in (2, 3, 4):
-                    return QuiverClass("dynkin", "E", l1 + 4)
-            if len(lengths) == 4 and lengths == [1, 1, 1, 1]:
-                return QuiverClass("extended", "D", 4, _extending_vertex(q, "D", 4))
-        else:
-            # two trivalent vertices -> candidate extended D_n, n >= 5
-            hubs = [v for v in q.vertices if deg[v] == 3]
-            if len(hubs) == 2 and max(deg.values()) == 3:
-                ends = [v for v in q.vertices if deg[v] == 1]
-                if len(ends) == 4 and _is_extended_d_shape(q, hubs):
-                    return QuiverClass("extended", "D", nv - 1, _extending_vertex(q, "D", nv - 1))
-        return QuiverClass("other")
-
-    if ne == nv:
-        # one independent cycle
-        if all(d == 2 for d in deg.values()):
-            return QuiverClass("extended", "A", nv - 1, _extending_vertex(q, "A", nv - 1))
-        return QuiverClass("other")
-
-    return QuiverClass("other")
-
-
-def _is_extended_d_shape(q: Quiver, hubs):
-    """Both trivalent vertices carry two pendant leaves and lie on a path."""
-    adj = {v: set() for v in q.vertices}
-    for (_, s, t) in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    deg = q.undirected_degrees()
-    for h in hubs:
-        leaves = [w for w in adj[h] if deg[w] == 1]
-        if len(leaves) != 2:
-            return False
-    return True
-
-
-def _deleting_leaves_dynkin(q: Quiver, v):
-    """Whether removing v (and incident arrows) leaves a connected Dynkin quiver."""
-    verts = [w for w in q.vertices if w != v]
-    arrows = [(a, s, t) for (a, s, t) in q.arrows if s != v and t != v]
-    if not verts:
-        return False
-    try:
-        sub = Quiver(verts, arrows)
-    except QuiverError:
-        return False
-    return classify(sub).is_dynkin()
-
-
-def _extending_vertex(q: Quiver, family, rank):
-    if (family, rank) == ("A", 0):
-        return q.vertices[0]
-    for v in sorted(q.vertices):
-        if _deleting_leaves_dynkin(q, v):
-            return v
-    raise QuiverError("no extending vertex found in a quiver classified as extended Dynkin")
+    if minors[-1] > 0:
+        family = "A" if minors[-1] == n + 1 else "D" if minors[-1] == 4 else "E"
+        return QuiverClass("dynkin", family, n)
+    cof = {v: _leading_minors([r[:k] + r[k + 1:] for i, r in enumerate(C) if i != k])[-1]
+           for k, v in enumerate(q.vertices)}
+    least = min(cof.values())
+    family = {1: "A", 4: "D"}.get(max(cof.values()) // least, "E")
+    return QuiverClass("extended", family, n - 1, min(v for v in cof if cof[v] == least))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +404,7 @@ def _connected_non_dynkin(q: Quiver, verts):
         sub = _full_subquiver(q, verts)
     except QuiverError:
         return False
-    return not classify(sub).is_dynkin()
+    return not _is_dynkin(sub)
 
 
 # ---------------------------------------------------------------------------

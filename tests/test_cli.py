@@ -42,6 +42,22 @@ def test_hilbert_from_file(tmp_path, capsys):
     assert doc[2]["matrix"] == [[0, 0], [0, 1]]
 
 
+def test_hilbert_relabeled_extended_e7(tmp_path, capsys):
+    """~E7 with a short-arm vertex numbered 1: the corner series is still
+    taken at an extending vertex."""
+    q = Quiver(range(8), [(0, 1, 0), (1, 2, 0), (2, 3, 2), (3, 4, 3),
+                          (4, 5, 0), (5, 6, 5), (6, 7, 6)])
+    f = tmp_path / "e7.json"
+    f.write_text(q.to_json())
+    code, by_file, _ = run(capsys, "hilbert", "--file", str(f), "--degree", "12",
+                           "--format", "csv")
+    assert code == 0
+    code, by_catalog, _ = run(capsys, "hilbert", "--catalog", "affine_e", "7",
+                              "--degree", "12", "--format", "csv")
+    assert code == 0
+    assert by_file == by_catalog
+
+
 def test_hh0_free2(capsys):
     code, out, _ = run(capsys, "hh0", "--catalog", "free", "2", "--degree", "6",
                        "--format", "json")

@@ -5,6 +5,7 @@ import pytest
 
 from preproj.quiver import (Quiver, QuiverError, catalog, classify, double,
                             find_extended_dynkin_subquiver, forest_for_white)
+from preproj.series import egid_check
 
 
 def test_double_one_loop():
@@ -63,6 +64,8 @@ def test_classify_catalog_exhaustive():
     for (name, arg), want in cases:
         q = catalog(name, *arg) if isinstance(arg, tuple) else catalog(name, arg)
         assert str(classify(q)) == want, (name, arg)
+        # a double has the same adjacency, so it classifies as the quiver it doubles
+        assert classify(double(q)) == classify(q), (name, arg)
 
 
 def test_extending_vertex_is_smallest_valid():
@@ -71,6 +74,26 @@ def test_extending_vertex_is_smallest_valid():
     qd4 = catalog("affine_d", 4)
     # removing any external vertex of ~D4 leaves D4; smallest id wins
     assert classify(qd4).extending_vertex == 0
+
+
+def test_extending_vertex_of_relabeled_quivers():
+    """Whatever the vertex ids, the extending vertex has delta_v = 1: deleting
+    it leaves the Dynkin diagram of the same type, and egid_check holds.  A
+    short-arm vertex of ~E7 or ~E8 also leaves a Dynkin (A7, A8) quiver."""
+    rng = random.Random(8)
+    for name, n in [("affine_d", 5), ("affine_e", 6), ("affine_e", 7), ("affine_e", 8)]:
+        base = catalog(name, n)
+        dynkin = f"{name[-1].upper()}{n}"
+        for _ in range(4):
+            perm = rng.sample(base.vertices, len(base.vertices))
+            q = Quiver(base.vertices, [(a, perm[s], perm[t]) for (a, s, t) in base.arrows])
+            cls = classify(q)
+            assert str(cls) == f"~{dynkin}", perm
+            v = cls.extending_vertex
+            rest = Quiver([w for w in q.vertices if w != v],
+                          [(a, s, t) for (a, s, t) in q.arrows if v not in (s, t)])
+            assert str(classify(rest)) == dynkin, perm
+            assert egid_check(q, 12), perm
 
 
 def test_catalog_shapes():
