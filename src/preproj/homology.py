@@ -8,7 +8,10 @@ Two interchangeable engines compute the graded pieces:
 * 'normal' - ambient spanned by rotation classes of closed normal monomials
   of a completed rewrite system; relations are cyclic projections of
   commutators [m, a] of normal monomials with single arrows (these integrally
-  span all commutators).  Needs a completion with unit leading coefficients.
+  span all commutators).  A pair whose products m a and a m are both normal
+  is skipped before anything is built: they are rotations of one normal
+  word, so the commutator is zero.  Needs a completion with unit leading
+  coefficients.
 
 * 'span' - ambient spanned by rotation classes of all closed paths; relations
   are cyclic projections of g*u over ideal generators g and closing paths u.
@@ -142,12 +145,20 @@ class LambdaComputation:
         if self.engine == "normal":
             q = self.ctx.quiver
             sys_ = self.system
+            # m is normal, so a leading word of m a ends at a and one of a m
+            # starts there: it lies in the last (first) L letters
+            L = max((len(r.lm_word) for r in sys_.rules), default=0)
+            reducible = sys_._find_reduction
             for (a, s, t) in q.arrows:
                 wa = self.ctx.weights[a]
                 if wa >= d:
                     continue
                 ae = self.ctx.arrow(a)
                 for mono in sys_.normal_monomials(t, s, d - wa):
+                    w = mono[1]
+                    if (reducible(w[max(0, len(w) + 1 - L):] + (a,)) is None
+                            and reducible((a,) + w[:L - 1]) is None):
+                        continue    # m a and a m are normal rotations: [m, a] = 0
                     m = Element(self.ctx, {mono: 1})
                     rel = sys_.reduce(m * ae) - sys_.reduce(ae * m)
                     push(cyclic_project(rel))

@@ -3,7 +3,8 @@ quotients, lattice membership and order queries.
 
 Matrices are lists of sparse row dicts {column: value}.  Elimination clears
 unit pivots first (they dominate in the commutator matrices this package
-produces and cause no coefficient growth), then runs classical gcd-based
+produces and cause no coefficient growth), cheapest Markowitz cost first to
+keep the fill-in and the journal short, then runs classical gcd-based
 reduction on the small residue.  Column operations are always journaled, so
 lattice-membership questions (order of a class in a quotient) and integer
 kernels can be answered after the fact; smith_normal_form writes the journal
@@ -15,6 +16,8 @@ kernel (integer_kernel).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,13 +168,28 @@ def smith_normal_form(rows, ncols):
                 return False
         return True
 
-    # phase 1: unit pivots (no coefficient growth)
-    unit_queue = [(i, j) for i, r in enumerate(rows) for j, v in r.items() if v in (1, -1)]
-    while unit_queue:
-        pi, pj = unit_queue.pop()
+    # phase 1: unit pivots (no coefficient growth), least Markowitz cost
+    # (row nnz - 1) * (column nnz - 1) first: it bounds the fill-in of the
+    # step.  Equal costs go last in, first out (seq counts down), so a matrix
+    # whose costs all tie, such as a single row, is eliminated in the order
+    # it was found.  Keys go stale as rows change: a popped entry whose cost
+    # has grown is pushed back with its current cost.
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(by_col[j]) - 1)
+
+    seq = itertools.count(0, -1)
+    unit_heap = [(cost(i, j), next(seq), i, j)
+                 for i, r in enumerate(rows) for j, v in r.items() if v in (1, -1)]
+    heapq.heapify(unit_heap)
+    while unit_heap:
+        c, _, pi, pj = heapq.heappop(unit_heap)
         if pi not in active_rows or pj in done_cols or rows[pi].get(pj, 0) not in (1, -1):
             continue
-        affected = set(by_col.get(pj, ())) & active_rows
+        now = cost(pi, pj)
+        if now > c:
+            heapq.heappush(unit_heap, (now, next(seq), pi, pj))
+            continue
+        affected = set(by_col[pj]) & active_rows
         eliminate_with(pi, pj)
         active_rows.discard(pi)
         done_cols.add(pj)
@@ -180,7 +198,7 @@ def smith_normal_form(rows, ncols):
             if i in active_rows:
                 for j, v in rows[i].items():
                     if v in (1, -1) and j not in done_cols:
-                        unit_queue.append((i, j))
+                        heapq.heappush(unit_heap, (cost(i, j), next(seq), i, j))
 
     # phase 2: classical gcd reduction on the residue.  The search takes the
     # first entry no larger than the previous pivot instead of rescanning for

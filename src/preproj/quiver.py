@@ -218,12 +218,6 @@ def _leading_minors(C):
     return minors
 
 
-def _is_dynkin(q: Quiver):
-    """Whether the Tits form is positive definite (Gabriel: q is Dynkin)."""
-    minors = _leading_minors(_cartan(q))
-    return len(minors) > len(q.vertices) and minors[-1] > 0
-
-
 def classify(q: Quiver) -> QuiverClass:
     """Classify the underlying undirected graph by its Tits form.
 
@@ -369,8 +363,10 @@ def find_extended_dynkin_subquiver(q: Quiver):
     """
     if q.starred:
         raise QuiverError("expects an undoubled quiver")
-    if classify(q).kind != "other":
-        return None
+    C = _cartan(q)
+    minors = _leading_minors(C)
+    if len(minors) > len(C) and minors[-1] >= 0:
+        return None     # positive semidefinite: (extended) Dynkin, see classify
 
     # loops: a one-vertex one-loop subquiver is ~A_0
     for (a, s, t) in q.arrows:
@@ -384,27 +380,34 @@ def find_extended_dynkin_subquiver(q: Quiver):
             return _subquiver(q, key, [seen[key], a])
         seen[key] = a
 
+    index = {v: k for k, v in enumerate(q.vertices)}
     verts = set(q.vertices)
     shrunk = True
     while shrunk:
         shrunk = False
         for v in sorted(verts):
-            if _connected_non_dynkin(q, verts - {v}):
+            if _connected_non_dynkin(C, sorted(index[w] for w in verts if w != v)):
                 verts.discard(v)
                 shrunk = True
-    return _full_subquiver(q, verts)
-
-
-def _full_subquiver(q: Quiver, verts):
     return _subquiver(q, verts, [a for (a, s, t) in q.arrows if s in verts and t in verts])
 
 
-def _connected_non_dynkin(q: Quiver, verts):
-    try:
-        sub = _full_subquiver(q, verts)
-    except QuiverError:
+def _connected_non_dynkin(C, ks):
+    """Whether the full subgraph on the vertex indices ks is connected and not
+    Dynkin, read off the restriction of C = 2I - A to ks."""
+    if not ks:
         return False
-    return not _is_dynkin(sub)
+    seen, todo = {ks[0]}, [ks[0]]
+    while todo:
+        i = todo.pop()
+        for k in ks:
+            if C[i][k] and k not in seen:
+                seen.add(k)
+                todo.append(k)
+    if len(seen) < len(ks):
+        return False
+    minors = _leading_minors([[C[i][k] for k in ks] for i in ks])
+    return len(minors) <= len(ks) or minors[-1] <= 0
 
 
 # ---------------------------------------------------------------------------

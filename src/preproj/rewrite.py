@@ -48,8 +48,7 @@ class MonomialOrder:
 
     def key(self, mono):
         v, word = mono
-        return (self.ctx.weight(word), len(word),
-                tuple(self.position[a] for a in word), v)
+        return (self.ctx.weight(word), len(word), tuple(map(self.position.__getitem__, word)), v)
 
     def leading(self, x: Element):
         if x.is_zero():

@@ -6,12 +6,12 @@ from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_projec
                              render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               PoissonPresentation, _bracket_gen_mono,
-                              _monomials_of_degree, frobenius_cyc, ghost,
-                              hp0_poisson, lambda_graded, poisson_presentation,
-                              preprojective_element, r_power_class,
-                              r_power_cyclic)
+                              _monomials_of_degree, forest_arrow_order,
+                              frobenius_cyc, ghost, hp0_poisson, lambda_graded,
+                              poisson_presentation, preprojective_element,
+                              preprojective_system, r_power_class, r_power_cyclic)
 from preproj.intlinalg import LatticeSolver
-from preproj.quiver import catalog, classify
+from preproj.quiver import Quiver, catalog, classify, double
 from preproj.series import hilbert_prep
 
 
@@ -94,6 +94,44 @@ def test_one_elimination_per_degree(monkeypatch, engine):
     orders = [comp.order_of(r_power_class(comp, p, ell)) for p, ell in ((2, 1), (3, 1), (2, 2))]
     assert orders == [2, 3, 2]
     assert eliminated == [len(comp.ambient_keys(d)) for d in range(9)]
+
+
+def _all_commutator_rows(comp, d):
+    """Every [m, a] of the normal engine, built and projected, zero rows
+    dropped and duplicates kept once, in the order they are met."""
+    ctx, sys_ = comp.ctx, comp.system
+    idx = comp.key_index(d)
+    rows = {}
+    for (a, s, t) in ctx.quiver.arrows:
+        if ctx.weights[a] >= d:
+            continue
+        ae = ctx.arrow(a)
+        for mono in sys_.normal_monomials(t, s, d - ctx.weights[a]):
+            m = ctx.element({mono: 1})
+            cyc = cyclic_project(sys_.reduce(m * ae) - sys_.reduce(ae * m))
+            row = {idx[k]: c for k, c in cyc.terms.items()}
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
+
+
+@pytest.mark.parametrize("q, white, D", [
+    (catalog("free", 2), (), 7),
+    (catalog("affine_d", 4), (), 10),
+    (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 1), (4, 1, 2)]), (0,), 7),
+    (catalog("affine_a", 3), (0, 1, 2), 6),
+], ids=["free2", "affine_d4", "partial", "all_white"])
+def test_zero_commutator_filter_keeps_row_set(q, white, D):
+    """relation_rows skips the pairs (m, a) whose commutator is zero before
+    building it; the rows that remain, and their order, are those of the
+    full build.  With every vertex white there are no rules and no rows."""
+    order = forest_arrow_order(double(q), white) if white else None
+    ctx = PathContext(q)
+    comp = LambdaComputation(ctx, preprojective_system(q, white, D, ctx=ctx, arrow_order=order))
+    assert bool(comp.system.rules) == (len(white) < len(q.vertices))
+    for d in range(D + 1):
+        assert comp.relation_rows(d) == _all_commutator_rows(comp, d), d
+    assert any(comp.relation_rows(d) for d in range(D + 1)) == bool(comp.system.rules)
 
 
 def test_free_rank_matches_corner_series():

@@ -226,21 +226,24 @@ def test_lattice_solver_order_against_oracle():
         for _ in range(8):
             vec = {j: rng.randint(-3, 3) for j in range(n)}
             vec = {k: v for k, v in vec.items() if v}
-            got = solver.order_of(vec)
-            if got == 0:
-                # no huge multiple lands in the lattice either
-                big = 720720  # lcm(1..13)
-                assert not _member_oracle(rows, n, {j: big * v for j, v in vec.items()}), \
-                    (rows, vec)
-            else:
-                # got is a period, and minimal among its divisors
-                assert _member_oracle(rows, n, {j: got * v for j, v in vec.items()}), \
-                    (rows, vec, got)
-                for p in (2, 3, 5, 7, 11, 13, 29):
-                    if got % p == 0:
-                        k = got // p
-                        assert not _member_oracle(rows, n, {j: k * v for j, v in vec.items()}), \
-                            (rows, vec, got, p)
+            _assert_order_against_oracle(rows, n, vec, solver.order_of(vec))
+
+
+def _assert_order_against_oracle(rows, n, vec, got):
+    if got == 0:
+        # no huge multiple lands in the lattice either
+        big = 720720  # lcm(1..13)
+        assert not _member_oracle(rows, n, {j: big * v for j, v in vec.items()}), \
+            (rows, vec)
+    else:
+        # got is a period, and minimal among its divisors
+        assert _member_oracle(rows, n, {j: got * v for j, v in vec.items()}), \
+            (rows, vec, got)
+        for p in (2, 3, 5, 7, 11, 13, 29):
+            if got % p == 0:
+                k = got // p
+                assert not _member_oracle(rows, n, {j: k * v for j, v in vec.items()}), \
+                    (rows, vec, got, p)
 
 
 def _rank(rows, ncols):
@@ -317,3 +320,35 @@ def test_snf_against_sympy():
         ref = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         theirs = sorted(abs(ref[i, i]) for i in range(min(nr, nc)) if ref[i, i] != 0)
         assert ours == theirs, (rows, ours, theirs)
+
+
+def test_markowitz_unit_phase_against_oracles():
+    """Seeded sparse matrices of about 30 x 30 with mostly +-1 entries and
+    rows of unequal length, so phase 1 takes most pivots and its Markowitz
+    order differs from the order the unit entries are found in: the
+    invariant factors match sympy and order_of matches the membership
+    oracle, on relation combinations and on arbitrary vectors."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(89)
+    for _ in range(6):
+        nr, nc = rng.randint(26, 34), rng.randint(26, 34)
+        rows = []
+        for _ in range(nr):
+            support = rng.sample(range(nc), rng.randint(1, 6))
+            rows.append({j: rng.choice((1, -1, 1, -1, 1, -1, 2, -3)) for j in support})
+        solver = LatticeSolver(nc, rows)
+        ref = sympy_snf(sympy.Matrix([[r.get(j, 0) for j in range(nc)] for r in rows]),
+                        domain=sympy.ZZ)
+        theirs = sorted(abs(ref[i, i]) for i in range(min(nr, nc)) if ref[i, i] != 0)
+        assert list(solver.res.invariant_factors) == theirs, rows
+        for _ in range(6):
+            picks = [(rng.choice(rows), rng.randint(-2, 2)) for _ in range(3)]
+            vec = {}
+            for r, c in picks:
+                for j, x in r.items():
+                    vec[j] = vec.get(j, 0) + c * x
+            vec[rng.randrange(nc)] = rng.randint(-3, 3)
+            vec = {j: x for j, x in vec.items() if x}
+            _assert_order_against_oracle(rows, nc, vec, solver.order_of(vec))
