@@ -248,7 +248,7 @@ def _degree(text):
 def _add_degree(p):
     p.add_argument("--degree", type=_degree, default=12,
                    help="degree bound D (default 12; out of reach for wild quivers: "
-                        "hh0 of free 2 takes about 15 s at D = 9 and 2 min at D = 10)")
+                        "hh0 of free 2 takes about 7 s at D = 9 and 30 s at D = 10)")
 
 
 def _add_format(p, choices=("text", "json", "csv")):

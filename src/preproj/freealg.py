@@ -87,9 +87,6 @@ class PathContext:
         v, word = mono
         return self.quiver.dst(word[-1]) if word else v
 
-    def mono_source(self, mono):
-        return mono[0]
-
     def idempotent(self, v):
         if v not in set(self.quiver.vertices):
             raise QuiverError(f"{v} is not a vertex")
@@ -564,7 +561,7 @@ def parse_element(ctx: PathContext, text: str):
                 key = CyclicClass(_idempotent_vertex(ctx, inner), ())
             else:
                 word = _parse_word(ctx, inner)
-                key = CyclicClass(ctx.quiver.src(word[0]), canonical_rotation(word))
+                key = CyclicClass.of(ctx, (ctx.quiver.src(word[0]), word))
             acc_cy[key] = acc_cy.get(key, 0) + coeff
         elif body.startswith("e_"):
             v = _idempotent_vertex(ctx, body)

@@ -25,8 +25,8 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from .freealg import (CycElement, CyclicClass, Element, PathContext,
-                      canonical_rotation, cyclic_project, preprojective_relation)
+from .freealg import (CycElement, CyclicClass, Element, PathContext, cyclic_project,
+                      preprojective_relation)
 from .intlinalg import LatticeSolver, TorsionSummary, quotient_structure
 from .quiver import Quiver, QuiverError, forest_for_white
 from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, complete
@@ -110,8 +110,7 @@ class LambdaComputation:
         else:
             for v in self.ctx.quiver.vertices:
                 for word in self.ctx.walks(d, v, v):
-                    w = canonical_rotation(word)
-                    found[CyclicClass(self.ctx.quiver.src(w[0]), w)] = True
+                    found[CyclicClass.of(self.ctx, (v, word))] = True
         return sorted(found, key=lambda k: (k.word, k.vertex))
 
     def ambient_keys(self, d):

@@ -4,14 +4,19 @@ quotients, lattice membership and order queries.
 Matrices are lists of sparse row dicts {column: value}.  Elimination clears
 unit pivots first (they dominate in the commutator matrices this package
 produces and cause no coefficient growth), cheapest Markowitz cost first to
-keep the fill-in and the journal short, then runs classical gcd-based
-reduction on the small residue.  Column operations are always journaled, so
-lattice-membership questions (order of a class in a quotient) and integer
-kernels can be answered after the fact; smith_normal_form writes the journal
-and apply_col_ops is its only reader.  LatticeSolver holds one elimination and
-reads both the torsion summary and the order queries off it.  There is no
-rational arithmetic: a linear system over Q is solved through an integer
-kernel (integer_kernel).
+keep the fill-in and the journal short, then runs Euclid's algorithm on the
+small residue: a pivot reduces its column and row by floor division, and the
+first remainder it leaves, smaller than the pivot, becomes the next pivot.
+The result is a diagonal form; its divisibility chain (the invariant
+factors) is computed from the diagonal values by gcd/lcm pairing, with no
+further matrix operations.  The only column operation is "add c times column
+src to column dst", journaled as (dst, src, c), so lattice-membership
+questions (order of a class in a quotient) and integer kernels can be
+answered after the fact; smith_normal_form writes the journal and
+apply_col_ops is its only reader.  LatticeSolver holds one elimination and
+reads both the torsion summary and the order queries off it; an order needs
+only the diagonal form, chain or not.  There is no rational arithmetic: a
+linear system over Q is solved through an integer kernel (integer_kernel).
 """
 
 from __future__ import annotations
@@ -43,39 +48,25 @@ class TorsionSummary:
 
 @dataclass
 class SNFResult:
-    invariant_factors: tuple          # nonzero diagonal in a divisibility chain
-    diag_by_col: dict                 # pivot column -> diagonal value (final coords)
-    col_ops: list                     # journal, see apply_col_ops
+    invariant_factors: tuple          # divisibility chain of the nonzero diagonal
+    diag_by_col: dict                 # pivot column -> diagonal value; need not be a chain
+    col_ops: list                     # journal of (dst, src, c), see apply_col_ops
 
 
 def apply_col_ops(vec: dict, ops):
     """Apply a journal of column operations to a sparse row vector: v <- v V.
 
-    ("addmul", dst, src, c) adds c times column src to column dst;
-    ("pairop", j1, j2, x, y, a, b) replaces (c1, c2) by
-    (x c1 + y c2, -b c1 + a c2), unimodular since x a + y b = 1.
+    Each entry (dst, src, c) adds c times column src to column dst.
     Explicit zero entries of vec are dropped.
     """
     v = {j: x for j, x in vec.items() if x}
-    for op in ops:
-        if op[0] == "addmul":
-            _, dst, src, c = op
-            if src in v:
-                s = v.get(dst, 0) + c * v[src]
-                if s:
-                    v[dst] = s
-                else:
-                    v.pop(dst, None)
-        else:
-            _, j1, j2, x, y, a, b = op
-            v1, v2 = v.get(j1, 0), v.get(j2, 0)
-            n1 = x * v1 + y * v2
-            n2 = -b * v1 + a * v2
-            for j, n in ((j1, n1), (j2, n2)):
-                if n:
-                    v[j] = n
-                else:
-                    v.pop(j, None)
+    for dst, src, c in ops:
+        if src in v:
+            s = v.get(dst, 0) + c * v[src]
+            if s:
+                v[dst] = s
+            else:
+                v.pop(dst, None)
     return v
 
 
@@ -88,7 +79,8 @@ def smith_normal_form(rows, ncols):
     of M V lies in the span of the d_j e_j, where d_j = res.diag_by_col[j]
     over the pivot columns j; apply_col_ops reads V one row vector at a time.
     That is enough to answer membership and order questions against the row
-    lattice (see LatticeSolver).
+    lattice (see LatticeSolver).  res.invariant_factors is the divisibility
+    chain of the d_j.
     """
     rows = _copy_rows(rows, ncols)
     nrows = len(rows)
@@ -125,28 +117,16 @@ def smith_normal_form(rows, ncols):
             else:
                 r.pop(dst, None)
                 by_col.get(dst, set()).discard(i)
-        journal.append(("addmul", dst, src, c))
-
-    def row_pair_op(i1, i2, x, y, a, b):
-        # (r1, r2) <- (x r1 + y r2, -b r1 + a r2), unimodular since x a + y b = 1
-        r1, r2 = dict(rows[i1]), dict(rows[i2])
-        new1 = _lin(r1, r2, x, y)
-        new2 = _lin(r1, r2, -b, a)
-        for j in set(r1) | set(r2):
-            by_col.get(j, set()).discard(i1)
-            by_col.get(j, set()).discard(i2)
-        rows[i1], rows[i2] = new1, new2
-        for j in new1:
-            by_col.setdefault(j, set()).add(i1)
-        for j in new2:
-            by_col.setdefault(j, set()).add(i2)
+        journal.append((dst, src, c))
 
     active_rows = set(range(nrows))
     done_cols = set()
     pivots = []  # (row, col); diagonal value = rows[row][col]
 
     def eliminate_with(pi, pj):
-        """Clear row and column of the pivot; False if a non-divisible entry blocks."""
+        """Clear the pivot's row and column and return None, or stop at the
+        first remainder left behind and return its position.  The pivot is
+        made positive, so floor division leaves a remainder in (0, pivot)."""
         if rows[pi][pj] < 0:
             row_negate(pi)
         pv = rows[pi][pj]
@@ -157,7 +137,7 @@ def smith_normal_form(rows, ncols):
             if q:
                 row_addmul(i, pi, -q)
             if rows[i].get(pj):
-                return False
+                return i, pj
         for j in list(rows[pi]):
             if j == pj:
                 continue
@@ -165,8 +145,8 @@ def smith_normal_form(rows, ncols):
             if q:
                 col_addmul(j, pj, -q)
             if rows[pi].get(j):
-                return False
-        return True
+                return pi, j
+        return None
 
     # phase 1: unit pivots (no coefficient growth), least Markowitz cost
     # (row nnz - 1) * (column nnz - 1) first: it bounds the fill-in of the
@@ -200,10 +180,10 @@ def smith_normal_form(rows, ncols):
                     if v in (1, -1) and j not in done_cols:
                         heapq.heappush(unit_heap, (cost(i, j), next(seq), i, j))
 
-    # phase 2: classical gcd reduction on the residue.  The search takes the
-    # first entry no larger than the previous pivot instead of rescanning for
-    # the minimum: any nonzero pivot is correct, since the gcd repairs below
-    # and phase 3 handle the entries it does not divide.
+    # phase 2: Euclid on the residue.  The search takes the first entry no
+    # larger than the previous pivot instead of rescanning for the minimum:
+    # any nonzero pivot is correct, since a remainder it leaves behind becomes
+    # the next pivot, and each restart shrinks the pivot, so the loop ends.
     bound = 1
     while True:
         best = None
@@ -220,51 +200,35 @@ def smith_normal_form(rows, ncols):
                 break
         if best is None:
             break
-        bound, pi, pj = best
-        while not eliminate_with(pi, pj):
-            pv = rows[pi][pj]
-            bad_row = next((i for i in by_col.get(pj, ()) if i != pi and i in active_rows
-                            and rows[i].get(pj)), None)
-            if bad_row is not None:
-                v = rows[bad_row][pj]
-                g, x, y = _xgcd(pv, v)
-                row_pair_op(pi, bad_row, x, y, pv // g, v // g)
-                continue
-            bad_col = next((j for j in rows[pi] if j != pj and rows[pi].get(j)), None)
-            if bad_col is not None:
-                v = rows[pi][bad_col]
-                g, x, y = _xgcd(pv, v)
-                _col_pair_journal(rows, by_col, journal, pj, bad_col, x, y, pv // g, v // g)
-                continue
-            break
+        _, pi, pj = best
+        while (blocked := eliminate_with(pi, pj)) is not None:
+            pi, pj = blocked
+        bound = rows[pi][pj]
         active_rows.discard(pi)
         done_cols.add(pj)
         pivots.append((pi, pj))
 
-    # phase 3: repair the divisibility chain with genuine journaled operations
+    diag_by_col = {j: abs(rows[i][j]) for (i, j) in pivots}
+    return SNFResult(invariant_factors=_divisibility_chain(diag_by_col.values()),
+                     diag_by_col=diag_by_col, col_ops=journal)
+
+
+def _divisibility_chain(values):
+    """Invariant factors of a diagonal matrix with the given positive
+    diagonal: sort, replace each adjacent pair (a, b) with a not dividing b
+    by (gcd, lcm), and repeat until no pair changes.  One pass over a chain."""
+    d = sorted(values)
     changed = True
     while changed:
         changed = False
-        pivots.sort(key=lambda rc: rows[rc[0]][rc[1]])
-        for k in range(len(pivots) - 1):
-            (i1, c1), (i2, c2) = pivots[k], pivots[k + 1]
-            a, b = rows[i1][c1], rows[i2][c2]
-            if b % a == 0:
-                continue
-            changed = True
-            col_addmul(c1, c2, 1)          # puts b into (i2, c1)
-            g, x, y = _xgcd(a, b)
-            row_pair_op(i1, i2, x, y, a // g, b // g)
-            # now (i1,c1)=g, (i1,c2)=y*b, (i2,c2)=lcm; clear the stray entry
-            stray = rows[i1].get(c2, 0)
-            if stray:
-                col_addmul(c2, c1, -(stray // g))
-            assert rows[i1].get(c2, 0) == 0
-
-    diag = sorted(abs(rows[i][j]) for (i, j) in pivots)
-    return SNFResult(invariant_factors=tuple(diag),
-                     diag_by_col={j: abs(rows[i][j]) for (i, j) in pivots},
-                     col_ops=journal)
+        for k in range(len(d) - 1):
+            a, b = d[k], d[k + 1]
+            if b % a:
+                g = math.gcd(a, b)
+                d[k], d[k + 1] = g, a // g * b
+                changed = True
+        d.sort()
+    return tuple(d)
 
 
 def _copy_rows(rows, ncols):
@@ -274,48 +238,6 @@ def _copy_rows(rows, ncols):
             raise ValueError(f"column index outside 0..{ncols - 1} in relation row")
         out.append({j: v for j, v in r.items() if v})
     return out
-
-
-def _col_pair_journal(rows, by_col, journal, j1, j2, x, y, a, b):
-    """(c1, c2) <- (x c1 + y c2, -b c1 + a c2) applied to all rows."""
-    touched = set(by_col.get(j1, ())) | set(by_col.get(j2, ()))
-    for i in touched:
-        r = rows[i]
-        v1, v2 = r.get(j1, 0), r.get(j2, 0)
-        n1 = x * v1 + y * v2
-        n2 = -b * v1 + a * v2
-        for j, n in ((j1, n1), (j2, n2)):
-            if n:
-                if j not in r:
-                    by_col.setdefault(j, set()).add(i)
-                r[j] = n
-            else:
-                r.pop(j, None)
-                by_col.get(j, set()).discard(i)
-    journal.append(("pairop", j1, j2, x, y, a, b))
-
-
-def _lin(r1, r2, c1, c2):
-    out = {}
-    for j in set(r1) | set(r2):
-        v = c1 * r1.get(j, 0) + c2 * r2.get(j, 0)
-        if v:
-            out[j] = v
-    return out
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def integer_kernel(rows, ncols):

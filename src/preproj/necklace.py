@@ -15,7 +15,7 @@ delta_ell in the source material carries the opposite (inconsistent) sign.
 from __future__ import annotations
 
 from .freealg import (CycElement, CyclicClass, Element, PathContext, _Combination,
-                      _signed_sum, canonical_rotation, cyclic_project, render_cyclic)
+                      _signed_sum, cyclic_project, render_cyclic)
 from .intlinalg import integer_kernel
 from .quiver import QuiverError, classify
 
@@ -82,12 +82,10 @@ def bracket(u: CycElement, v: CycElement) -> CycElement:
                     om = omega(ctx, ai, bj)
                     if not om:
                         continue
+                    # opened u runs from (a_i)_t to (a_i)_s and opened v
+                    # back, so joined is closed at (a_i)_t
                     joined = _open_word(ctx, wu, i) + _open_word(ctx, wv, j)
-                    if joined:
-                        w = canonical_rotation(joined)
-                        key = CyclicClass(ctx.quiver.src(w[0]), w)
-                    else:
-                        key = CyclicClass(ctx.quiver.dst(ai), ())
+                    key = CyclicClass.of(ctx, (ctx.quiver.dst(ai), joined))
                     s = out.get(key, 0) + om * cu * cv
                     if s:
                         out[key] = s
@@ -155,17 +153,10 @@ def cobracket(u: CycElement) -> WedgePair:
                     continue
                 part1 = word[j + 1:] + word[:i]   # (a_j)_t ... a_{i-1}
                 part2 = word[i + 1:j]             # (a_i)_t ... a_{j-1}
-                k1 = _cyc_key(ctx, part1, ctx.quiver.dst(word[j]))
-                k2 = _cyc_key(ctx, part2, ctx.quiver.dst(word[i]))
+                k1 = CyclicClass.of(ctx, (ctx.quiver.dst(word[j]), part1))
+                k2 = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), part2))
                 out.add(k1, k2, om * c)
     return out
-
-
-def _cyc_key(ctx, word, vertex):
-    if not word:
-        return CyclicClass(vertex, ())
-    w = canonical_rotation(word)
-    return CyclicClass(ctx.quiver.src(w[0]), w)
 
 
 def bracket_of_wedge(w: WedgePair) -> CycElement:
@@ -213,7 +204,7 @@ def delta_ell(p: Element):
                 if not om:
                     continue
                 between = word[i + 1:j]
-                kcyc = _cyc_key(ctx, between, ctx.quiver.dst(word[i]))
+                kcyc = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), between))
                 # prefix ends at (a_i)_s and suffix starts at (a_j)_t, which
                 # equals (a_i)_s whenever omega pairs them, so this composes
                 outer = word[:i] + word[j + 1:]
@@ -280,11 +271,9 @@ def bv_defect(a: Element, b: Element) -> dict:
         for mono, cm in (a * Element(ctx, dict(pe.terms))).terms.items():
             sub((k, mono), c * cm)
     for (left, right), c in double_bracket(a, b).items():
-        v, w = left
-        if w and ctx.mono_target(left) != v:
+        if ctx.mono_target(left) != left[0]:
             continue  # open paths die under pr
-        k = _cyc_key(ctx, w, v)
-        sub((k, right), c)
+        sub((CyclicClass.of(ctx, left), right), c)
     return acc
 
 

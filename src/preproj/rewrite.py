@@ -10,11 +10,10 @@ fall back to degreewise integer linear algebra.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 
 from .freealg import Element, PathContext, _render_terms
-from .intlinalg import _xgcd, integer_kernel
+from .intlinalg import integer_kernel
 from .quiver import QuiverError
 
 
@@ -390,14 +389,12 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
     for d in range(1, max_degree + 1):
         insts = _frame_instances(rule_elements, ctx, d)
         groups = {}
-        entries = []
         for el in insts:
             monos = list(el.terms)
             lead = maximal(monos)
             for m in monos:
                 if m != lead and not less(m, lead):
                     return ConfluenceReport(False, witness=el, degree=d)
-            entries.append((lead, el))
             groups.setdefault(lead, []).append(el)
         for lead, group in groups.items():
             if len(group) < 2:
@@ -408,7 +405,7 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
                 for c, g in zip(combo, group):
                     if c:
                         e = e + g.scale(c)
-                reduced = _reduces_to_zero(e, entries, maximal)
+                reduced = _reduces_to_zero(e, groups, maximal)
                 if reduced is None:
                     inconclusive_at = inconclusive_at or d
                 elif not reduced:
@@ -443,8 +440,24 @@ def _frame_instances(rule_elements, ctx, d):
     return out
 
 
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def _solve_combo(coeffs, target):
-    """Integers k_i with sum k_i c_i = target; requires gcd | target."""
+    """Integers k_i with sum k_i c_i = target, or None when gcd(coeffs) does
+    not divide target."""
     combo = [0] * len(coeffs)
     g = 0
     for i, c in enumerate(coeffs):
@@ -452,15 +465,13 @@ def _solve_combo(coeffs, target):
         combo = [x * k for k in combo]
         combo[i] = y
         g = gg
-    if g == 0:
-        raise ArithmeticError("all candidate leads vanish")
     q, r = divmod(target, g)
     if r:
-        raise ArithmeticError("target not in the lead ideal")
+        return None
     return [k * q for k in combo]
 
 
-def _reduces_to_zero(e, entries, maximal):
+def _reduces_to_zero(e, groups, maximal):
     """True or False, or None when REDUCTION_BUDGET steps did not settle it."""
     steps = 0
     while not e.is_zero():
@@ -469,16 +480,13 @@ def _reduces_to_zero(e, entries, maximal):
             return None
         m = maximal(list(e.terms))
         c = e.terms[m]
-        cands = [el for (lm, el) in entries if lm == m]
+        cands = groups.get(m)
         if not cands:
             return False
-        leads = [el.terms[m] for el in cands]
-        g = 0
-        for v in leads:
-            g = math.gcd(g, v)
-        if g == 0 or c % g:
+        combo = _solve_combo([el.terms[m] for el in cands], c)
+        if combo is None:
             return False
-        for k, el in zip(_solve_combo(leads, c), cands):
+        for k, el in zip(combo, cands):
             if k:
                 e = e - el.scale(k)
         if e.terms.get(m):

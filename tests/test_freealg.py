@@ -42,7 +42,7 @@ def test_closed_product(loop_pair):
     x, y = ctx.arrow(0), ctx.arrow(1)
     p = x * y
     mono = next(iter(p.terms))
-    assert ctx.mono_source(mono) == ctx.mono_target(mono) == 0
+    assert mono[0] == ctx.mono_target(mono) == 0
 
 
 def test_full_cycle_affine_a():
@@ -203,6 +203,16 @@ def test_render_parse_roundtrip(two_pairs):
         cyc = cyclic_project(el)
         if not cyc.is_zero():
             assert parse_element(ctx, render_cyclic(cyc)) == cyc
+
+
+def test_parse_necklace_keys_by_canonical_rotation():
+    """Every rotation of a cycle parses to the same class, keyed at the source
+    of its canonical rotation; an open path has no class."""
+    ctx = PathContext(double(catalog("affine_a", 3)))
+    assert parse_element(ctx, "[a1 a2 a0] - [a0 a1 a2]").is_zero()
+    assert parse_element(ctx, "[a2 a0 a1]") == parse_element(ctx, "[a0 a1 a2]")
+    with pytest.raises(QuiverError):
+        parse_element(ctx, "[a0 a1]")
 
 
 def test_render_spec_format(loop_pair):

@@ -137,7 +137,8 @@ def test_quotient_invariance_under_row_ops():
 
 def test_col_journal_diagonalizes():
     """V read off the column journal is unimodular, and every row of M V lies
-    in the span of d_j e_j over the pivot columns j."""
+    in the span of d_j e_j over the pivot columns j.  The diagonal d_j need
+    not be a chain; its chain is the invariant factors."""
     rng = random.Random(31)
     for _ in range(25):
         nr = rng.randint(1, 4)
@@ -147,12 +148,34 @@ def test_col_journal_diagonalizes():
         V = [[apply_col_ops({i: 1}, res.col_ops).get(j, 0) for j in range(nc)]
              for i in range(nc)]
         assert abs(_det(V)) == 1
-        assert sorted(res.diag_by_col.values()) == list(res.invariant_factors)
+        diag, f = list(res.diag_by_col.values()), res.invariant_factors
+        assert len(diag) == len(f) and math.prod(diag) == math.prod(f)
+        assert all(b % a == 0 for a, b in zip(f, f[1:]))
         for r in rows:
             mv = [sum(r[k] * V[k][j] for k in range(nc)) for j in range(nc)]
             for j, x in enumerate(mv):
                 d = res.diag_by_col.get(j)
                 assert (x == 0) if d is None else (x % d == 0), (rows, res)
+
+
+@pytest.mark.parametrize("rows, ncols, factors, orders", [
+    ([{0: 2}, {0: 3}], 1, (1,), [({0: 1}, 1)]),             # remainder below the pivot
+    ([{0: 2, 1: 3}], 2, (1,), [({0: 2, 1: 3}, 1), ({0: 1}, 0)]),  # remainder right of it
+    ([{0: 4, 1: 6}, {0: 6, 1: 4}], 2, (2, 10),
+     [({0: 1}, 10), ({0: 2}, 5), ({0: 2, 1: 2}, 5), ({0: 10, 1: 2}, 5)]),
+    ([{0: 6}, {1: 4}], 2, (2, 12), [({0: 1}, 6), ({1: 1}, 4), ({0: 1, 1: 1}, 12)]),
+])
+def test_euclid_restarts(rows, ncols, factors, orders):
+    """A pivot that leaves a remainder in its column or its row hands over to
+    it; the journal holds only (dst, src, c) column additions, and the chain
+    and the orders are those of the lattice, whatever the diagonal."""
+    res = smith_normal_form(rows, ncols)
+    assert res.invariant_factors == factors
+    assert all(len(op) == 3 and all(isinstance(x, int) for x in op) for op in res.col_ops)
+    solver = LatticeSolver(ncols, rows)
+    for vec, k in orders:
+        assert solver.order_of(vec) == k, (rows, vec)
+        _assert_order_against_oracle(rows, ncols, vec, k)
 
 
 def _hnf_rows(rows, n):
