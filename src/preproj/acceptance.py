@@ -8,15 +8,13 @@ random samples take a `seed` and report it in their details.
 from __future__ import annotations
 
 import inspect
-import itertools
 import operator
 import random
 import time
 from functools import partial, reduce
 from importlib import resources
 
-from .freealg import (CycElement, PathContext, canonical_rotation,
-                      cyclic_project, free_context, w_ab)
+from .freealg import CycElement, PathContext, cyclic_project, free_context, w_ab
 from .homology import (LambdaComputation, forest_system, hp0_poisson,
                        lambda_graded, poisson_presentation,
                        preprojective_element, preprojective_system,
@@ -58,11 +56,6 @@ def _random_connected_quiver(rng, max_vertices=4, extra_arrows=(1, 3),
         if cls.kind in exclude:
             continue
         return q
-
-
-def _all_necklaces(ctx, dmax):
-    comp = LambdaComputation(ctx, None, ideal_gens=[], engine="span")
-    return {d: comp.ambient_keys(d) for d in range(1, dmax + 1)}
 
 
 def _cyc_of_key(ctx, key):
@@ -242,13 +235,8 @@ def crit_dynkin_tables():
 
 
 def _cyclically_normal_count(ctx, forbidden, d):
-    seen = set()
-    for v in ctx.quiver.vertices:
-        for word in ctx.walks(d, v, v):
-            w = canonical_rotation(word)
-            if all((w[i], w[(i + 1) % d]) not in forbidden for i in range(d)):
-                seen.add(w)
-    return len(seen)
+    return sum(all((k.word[i], k.word[(i + 1) % d]) not in forbidden for i in range(d))
+               for k in ctx.necklaces(d))
 
 
 def crit_partial_preprojective(seed=DEFAULT_SEED):
@@ -288,11 +276,7 @@ def crit_partial_preprojective(seed=DEFAULT_SEED):
 
 
 def _necklaces_to_total_degree(ctx, dmax):
-    out = []
-    table = _all_necklaces(ctx, dmax)
-    for d in range(1, dmax + 1):
-        out += [(d, k) for k in table[d]]
-    return out
+    return [(d, k) for d in range(1, dmax + 1) for k in ctx.necklaces(d)]
 
 
 def crit_necklace_properties(seed=DEFAULT_SEED):
@@ -543,7 +527,8 @@ def crit_w_lattice():
     for a in range(1, 5):
         for b in range(1, 5):
             W = w_ab(a, b, r, x, y)
-            necks = _bigraded_necklaces(a, b)
+            necks = [k.word for k in ctx.necklaces(a + b)
+                     if k.word.count(0) + k.word.count(2) == a]
             idx = {w: i for i, w in enumerate(necks)}
             row = {}
             for key, c in W.terms.items():
@@ -556,16 +541,6 @@ def crit_w_lattice():
                 ok = False
                 details.append(f"({a},{b}): gap {gap} want {want}")
     return ok, "all bidegrees (a,b) <= (4,4) as expected" if ok else "; ".join(details)
-
-
-def _bigraded_necklaces(a, b):
-    out = set()
-    for nr in range(0, min(a, b) + 1):
-        nx, ny = a - nr, b - nr
-        letters = [0] * nx + [1] * ny + [2] * nr
-        for perm in set(itertools.permutations(letters)):
-            out.add(canonical_rotation(perm))
-    return sorted(out)
 
 
 def crit_e8_degree28():

@@ -58,8 +58,7 @@ class PathContext:
         Depth first from one explicit stack seeded with every start vertex,
         so callers that build rows from the walks see a fixed order.  avoid
         is an automaton of forbidden subwords (rewrite._Automaton): a word
-        is dropped, with all its extensions, once avoid.step returns None,
-        so only words free of the forbidden ones come out.
+        is dropped, with all its extensions, once it contains one.
         """
         q = self.quiver
         if d == 0:
@@ -73,13 +72,64 @@ class PathContext:
                 nw = wt + self.weights[a]
                 if nw > d:
                     continue
-                nxt = 0 if avoid is None else avoid.step(node, a)
-                if nxt is None:
+                nxt, hit = (0, 0) if avoid is None else avoid.advance(node, a)
+                if hit:
                     continue
                 if nw < d:
                     stack.append((word + (a,), q.dst(a), nw, nxt))
                 elif end is None or q.dst(a) == end:
                     yield word + (a,)
+
+    def necklaces(self, d, leads=None):
+        """CyclicClass of each closed walk of weight d > 0, once, in increasing
+        order of words, by the prenecklace recursion of Fredricksen, Kessler
+        and Maiorana (Ruskey, Savage, Wang 1992): a prenecklace of period p
+        extends by b >= word[-p] (period p if equal, else the new length) and
+        is a necklace, its least rotation, when p divides its length.  With
+        leads (rewrite._Automaton of leading words), only the classes where
+        every occurrence of one, read cyclically, has a cut point strictly
+        inside it (a rotation is free of them); prefixes are cut the same way.
+        """
+        q, wts = self.quiver, self.weights
+        succ = {v: sorted(((a, wts[a], q.dst(a)) for a in q.out_arrows(v)), reverse=True)
+                for v in q.vertices}
+        arrows = sorted(a for (a, _, _) in q.arrows)
+        for k, first in enumerate(arrows):
+            # reach[r]: vertices with a walk of weight r to start on letters >= first
+            start = q.src(first)
+            reach = [{start}]
+            for r in range(1, d):
+                reach.append({q.src(a) for a in arrows[k:]
+                              if wts[a] <= r and q.dst(a) in reach[r - wts[a]]})
+            w0, v0 = wts[first], q.dst(first)
+            node, hit = leads.advance(0, first) if leads is not None else (0, 0)
+            if hit or w0 > d or v0 not in reach[d - w0]:
+                continue
+            # (word, period, weight, end vertex, automaton state, cuts lo..hi)
+            stack = [((first,), 1, w0, v0, node, 0, d)]
+            while stack:
+                word, p, w, v, node, lo, hi = stack.pop()
+                t = len(word)
+                if w == d:
+                    if t % p == 0 and (hi == d or _has_cut(word, node, lo, hi, leads)):
+                        yield CyclicClass(start, word)
+                    continue
+                floor = word[t - p]
+                for a, wa, b in succ[v]:
+                    if a < floor:
+                        break
+                    nw = w + wa
+                    if nw > d or b not in reach[d - nw]:
+                        continue
+                    nnode, nlo, nhi = node, lo, hi
+                    if leads is not None:
+                        nnode, hit = leads.advance(node, a)
+                        if hit:
+                            nlo, nhi = max(lo, t + 2 - hit), min(hi, t)
+                            if nlo > nhi:
+                                continue
+                    stack.append((word + (a,), p if a == floor else t + 1, nw, b,
+                                  nnode, nlo, nhi))
 
     # -- monomial helpers ------------------------------------------------
 
@@ -137,6 +187,17 @@ def canonical_rotation(word):
         if rot < best:
             best = rot
     return best
+
+
+def _has_cut(word, node, lo, hi, leads):
+    """Whether a cut in lo..hi lies inside every occurrence of a leading word
+    that wraps round the end of word (read up to state node)."""
+    n, wraps = len(word), []
+    for j in range(1, leads.longest):
+        node, hit = leads.advance(node, word[(j - 1) % n])
+        if j < hit <= n:
+            wraps.append((n + j - hit, j))     # from n + j - hit to cut j
+    return any(all(c > s or c < e for s, e in wraps) for c in range(lo, hi + 1))
 
 
 @dataclass(frozen=True)

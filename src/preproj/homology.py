@@ -5,15 +5,15 @@ mod p, and the noncommutative ghost map.
 
 Two interchangeable engines compute the graded pieces:
 
-* 'normal' - ambient spanned by rotation classes of closed normal monomials
-  of a completed rewrite system; relations are cyclic projections of
-  commutators [m, a] of normal monomials with single arrows (these integrally
-  span all commutators).  A pair whose products m a and a m are both normal
-  is skipped before anything is built: they are rotations of one normal
-  word, so the commutator is zero.  Needs a completion with unit leading
-  coefficients.
+* 'normal' - ambient spanned by the necklaces with a normal rotation of a
+  completed rewrite system (PathContext.necklaces: each once, kept when
+  every occurrence of a leading word, read cyclically, has one cut point
+  strictly inside it); relations are commutators [m, a] of normal monomials
+  with single arrows (these integrally span all commutators), reduced as
+  words into coordinates, skipped when m a and a m are both normal (then
+  rotations of one word).  Needs a completion with unit leading coefficients.
 
-* 'span' - ambient spanned by rotation classes of all closed paths; relations
+* 'span' - ambient spanned by all necklaces (the same generator); relations
   are cyclic projections of g*u over ideal generators g and closing paths u.
   No completion needed; the automatic fallback when completion meets a
   non-unit leading coefficient, and selectable directly.
@@ -25,8 +25,8 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from .freealg import (CycElement, CyclicClass, Element, PathContext, cyclic_project,
-                      preprojective_relation)
+from .freealg import (CycElement, CyclicClass, Element, PathContext, canonical_rotation,
+                      cyclic_project, preprojective_relation)
 from .intlinalg import LatticeSolver, TorsionSummary, quotient_structure
 from .quiver import Quiver, QuiverError, forest_for_white
 from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, complete
@@ -102,16 +102,12 @@ class LambdaComputation:
     def _enumerate_keys(self, d):
         if d == 0:
             return [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
-        found = {}
-        if self.engine == "normal":
-            for i in self.ctx.quiver.vertices:
-                for mono in self.system.normal_monomials(i, i, d):
-                    found[CyclicClass.of(self.ctx, mono)] = True
-        else:
-            for v in self.ctx.quiver.vertices:
-                for word in self.ctx.walks(d, v, v):
-                    found[CyclicClass.of(self.ctx, (v, word))] = True
-        return sorted(found, key=lambda k: (k.word, k.vertex))
+        if self.engine == "span":
+            return list(self.ctx.necklaces(d))
+        bound = self.system.complete_to_degree
+        if d > bound:
+            raise QuiverError(f"degree {d} beyond certified bound {bound}")
+        return list(self.ctx.necklaces(d, self.system._automaton()))
 
     def ambient_keys(self, d):
         return self._degree(d).keys
@@ -128,59 +124,66 @@ class LambdaComputation:
         return st.rows
 
     def _build_rows(self, d, idx):
-        rows = {}
-
-        def push(cyc: CycElement):
-            if cyc.is_zero():
-                return
-            row = {}
-            for key, c in cyc.terms.items():
-                if key not in idx:
-                    raise QuiverError(f"class {key} missing from ambient at degree {d}")
-                row[idx[key]] = c
+        rows = {}       # a row met twice is kept once, where it was first met
+        build = self._commutator_rows if self.engine == "normal" else self._span_rows
+        for row in build(d, idx):
             if row:
                 rows[frozenset(row.items())] = row
-
-        if self.engine == "normal":
-            q = self.ctx.quiver
-            sys_ = self.system
-            # m is normal, so a leading word of m a ends at a and one of a m
-            # starts there: it lies in the last (first) L letters
-            L = max((len(r.lm_word) for r in sys_.rules), default=0)
-            reducible = sys_._find_reduction
-            for (a, s, t) in q.arrows:
-                wa = self.ctx.weights[a]
-                if wa >= d:
-                    continue
-                ae = self.ctx.arrow(a)
-                for mono in sys_.normal_monomials(t, s, d - wa):
-                    w = mono[1]
-                    if (reducible(w[max(0, len(w) + 1 - L):] + (a,)) is None
-                            and reducible((a,) + w[:L - 1]) is None):
-                        continue    # m a and a m are normal rotations: [m, a] = 0
-                    m = Element(self.ctx, {mono: 1})
-                    rel = sys_.reduce(m * ae) - sys_.reduce(ae * m)
-                    push(cyclic_project(rel))
-        else:
-            for g in self.ideal_gens:
-                degs = g.degrees()
-                if len(degs) != 1:
-                    raise QuiverError("span engine expects homogeneous generators")
-                wg = degs[0]
-                if wg > d:
-                    continue
-                srcs = {m[0] for m in g.terms}
-                dsts = {self.ctx.mono_target(m) for m in g.terms}
-                if len(srcs) != 1 or len(dsts) != 1:
-                    raise QuiverError("span engine expects vertex-local generators")
-                i, j = srcs.pop(), dsts.pop()
-                if wg == d:
-                    if i == j:
-                        push(cyclic_project(g))
-                    continue
-                for u in self.ctx.walks(d - wg, j, i):
-                    push(cyclic_project(g * self.ctx.path(u)))
         return list(rows.values())
+
+    def _commutator_rows(self, d, idx):
+        """[m, a] over arrows a and normal m, reduced straight into coordinates."""
+        ctx, sys_ = self.ctx, self.system
+        # m is normal, so a leading word of m a is u a with u a suffix of m,
+        # and one of a m is a v with v a prefix of m
+        ends, starts = {}, {}
+        for r in sys_.rules:
+            ends.setdefault(r.lm_word[-1], []).append(r.lm_word[:-1])
+            starts.setdefault(r.lm_word[0], []).append(r.lm_word[1:])
+        coord = {k.word: i for k, i in idx.items()}
+        col = {}        # closed normal word -> coordinate of its necklace
+
+        def reduced(mono, reducible):
+            x = Element(ctx, {mono: 1})
+            return sys_.reduce(x) if reducible else x
+
+        monos = functools.cache(sys_.normal_monomials)
+        for (a, s, t) in ctx.quiver.arrows:
+            us, vs = ends.get(a, ()), starts.get(a, ())
+            if ctx.weights[a] >= d or not (us or vs):
+                continue    # every m a and a m is normal: [m, a] = 0
+            for _, w in monos(t, s, d - ctx.weights[a]):
+                left = any(w[len(w) - len(u):] == u for u in us)
+                right = any(w[:len(v)] == v for v in vs)
+                if not (left or right):
+                    continue    # m a and a m are normal rotations: [m, a] = 0
+                row = {}
+                for (_, word), c in (reduced((t, w + (a,)), left)
+                                     - reduced((s, (a,) + w), right)).terms.items():
+                    j = col.get(word)
+                    if j is None:
+                        j = col[word] = coord[canonical_rotation(word)]
+                    c += row.get(j, 0)
+                    if c:
+                        row[j] = c
+                    else:
+                        row.pop(j, None)
+                yield row
+
+    def _span_rows(self, d, idx):
+        """Cyclic projections of g u over generators g and paths u closing them."""
+        for g in self.ideal_gens:
+            degs = g.degrees()
+            srcs = {m[0] for m in g.terms}
+            dsts = {self.ctx.mono_target(m) for m in g.terms}
+            if len(degs) != 1:
+                raise QuiverError("span engine expects homogeneous generators")
+            if len(srcs) != 1 or len(dsts) != 1:
+                raise QuiverError("span engine expects vertex-local generators")
+            if degs[0] <= d:
+                for u in self.ctx.walks(d - degs[0], dsts.pop(), srcs.pop()):
+                    x = g * self.ctx.path(u) if u else g
+                    yield {idx[key]: c for key, c in cyclic_project(x).terms.items()}
 
     # -- quotient structure ------------------------------------------------
 
@@ -311,23 +314,14 @@ def r_power_class(comp: LambdaComputation, p: int, ell: int) -> HomologyClass:
 
 
 def frobenius_cyc(c: CycElement, p: int) -> CycElement:
-    """[a] -> [a^p] on cyclic words with mod-p coefficients.
+    """[w] -> [w^p] on cyclic words with mod-p coefficients.
 
-    The input's necklaces are lifted along their canonical words, the sum is
-    raised to the p-th power in the path algebra, and the result is reduced
-    mod p.  Well defined on A_cyc tensor F_p by Jacobson's congruence.
+    This is the p-th power map of A_cyc tensor F_p: it is additive there by
+    Jacobson's congruence, and c^p = c mod p.  The p-th power of a least
+    rotation is the least rotation of the power.
     """
-    ctx = c.ctx
-    lift_terms = {}
-    for key, coeff in c.terms.items():
-        if not key.word:
-            mono = (key.vertex, ())
-        else:
-            mono = (ctx.quiver.src(key.word[0]), key.word)
-        lift_terms[mono] = lift_terms.get(mono, 0) + coeff
-    lifted = ctx.element(lift_terms)
-    powered = cyclic_project(lifted ** p)
-    return CycElement(ctx, {k: v % p for k, v in powered.terms.items() if v % p})
+    return CycElement(c.ctx, {CyclicClass(k.vertex, k.word * p): v % p
+                              for k, v in c.terms.items() if v % p})
 
 
 def ghost(components, p: int):

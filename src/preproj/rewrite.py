@@ -44,6 +44,9 @@ class MonomialOrder:
                 pos[a] = nxt
                 nxt += 1
         self.position = pos
+        # sort key of words by letter positions; None when positions follow ids
+        self.letter_key = None if sorted(pos, key=pos.get) == sorted(pos) else \
+            (lambda word: tuple(map(pos.__getitem__, word)))
 
     def key(self, mono):
         v, word = mono
@@ -59,7 +62,7 @@ class MonomialOrder:
 class RewriteRule:
     """element = lc * LM + tail, lc = +-1, every tail monomial strictly smaller."""
 
-    __slots__ = ("element", "lm", "lc")
+    __slots__ = ("element", "lm", "lc", "lm_word")
 
     def __init__(self, element: Element, order: MonomialOrder):
         lm, lc = order.leading(element)
@@ -72,10 +75,7 @@ class RewriteRule:
         self.element = element
         self.lm = lm
         self.lc = lc
-
-    @property
-    def lm_word(self):
-        return self.lm[1]
+        self.lm_word = lm[1]
 
     def __repr__(self):
         return f"RewriteRule({self.element!r})"
@@ -159,8 +159,9 @@ class RewriteSystem:
         """All weight-d normal paths i -> j, sorted by the monomial order."""
         if d > self.complete_to_degree:
             raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
-        return sorted(((i, w) for w in self.ctx.walks(d, i, j, avoid=self._automaton())),
-                      key=self.order.key)
+        # at one weight and one source the order compares length, then letters
+        words = sorted(self.ctx.walks(d, i, j, avoid=self._automaton()), key=self.order.letter_key)
+        return [(i, w) for w in sorted(words, key=len)]
 
     def normal_count_matrix(self, dmax):
         """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed."""
@@ -188,8 +189,8 @@ class RewriteSystem:
                         nw = wt + self.ctx.weights[a]
                         if nw > dmax:
                             continue
-                        nxt = aut.step(node, a)
-                        if nxt is None:
+                        nxt, hit = aut.advance(node, a)
+                        if hit:
                             continue
                         bucket = layers.setdefault(nw, {})
                         key = (q.dst(a), nxt)
@@ -212,14 +213,15 @@ def _normalize_lead(el: Element, order: MonomialOrder) -> Element:
 
 
 class _Automaton:
-    """Aho-Corasick over arrow ids; step returns None once a forbidden word
-    has been read.  Assumes no listed word is a proper subword of another
-    (guaranteed for inter-reduced rule sets)."""
+    """Aho-Corasick over arrow ids: advance reads a letter and returns the new
+    state and the length of the forbidden word ending there, or 0.  No listed
+    word may be a proper subword of another (true of inter-reduced rules)."""
 
     def __init__(self, words):
         self.goto = [{}]
         self.fail = [0]
-        self.dead = [False]
+        self.hit = [0]
+        self.longest = max(map(len, words), default=0)
         for w in words:
             node = 0
             for a in w:
@@ -227,11 +229,11 @@ class _Automaton:
                 if nxt is None:
                     self.goto.append({})
                     self.fail.append(0)
-                    self.dead.append(False)
+                    self.hit.append(0)
                     nxt = len(self.goto) - 1
                     self.goto[node][a] = nxt
                 node = nxt
-            self.dead[node] = True
+            self.hit[node] = len(w)
         todo = deque()
         for a, v in self.goto[0].items():
             self.fail[v] = 0
@@ -244,15 +246,14 @@ class _Automaton:
                     f = self.fail[f]
                 w = self.goto[f].get(a, 0)
                 self.fail[v] = w if w != v else 0
-                if self.dead[self.fail[v]]:
-                    self.dead[v] = True
+                self.hit[v] = self.hit[v] or self.hit[self.fail[v]]
                 todo.append(v)
 
-    def step(self, node, a):
+    def advance(self, node, a):
         while node and a not in self.goto[node]:
             node = self.fail[node]
         nxt = self.goto[node].get(a, 0)
-        return None if self.dead[nxt] else nxt
+        return nxt, self.hit[nxt]
 
 
 def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:

@@ -241,15 +241,21 @@ def usage_exit(capsys, *argv):
     ("necklace", "--catalog", "free", "1", "--op", "loday", "--left", "[x]"),
     ("necklace", "--catalog", "free", "1", "--op", "cobracket", "--left", "[x"),
     ("necklace", "--catalog", "affine_a", "3", "--left", "[a0 a1]", "--right", "[a0* a2*]"),
+    ("hh0", "--file", "{tmp}", "--degree", "2"),
+    ("hh0", "--file", "{tmp}/missing.json", "--degree", "2"),
+    ("hilbert", "--file", "{tmp}/binary.json", "--degree", "2"),
+    ("groebner", "--catalog", "dynkin_a", "2", "--degree", "4", "--expect", "{tmp}"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
         "catalog_missing_parameter", "catalog_non_integer_parameter",
         "file_malformed_json", "file_without_arrows", "bracket_without_right",
-        "loday_without_right", "unclosed_bracket", "open_necklace_word"])
+        "loday_without_right", "unclosed_bracket", "open_necklace_word",
+        "file_is_a_directory", "file_missing", "file_not_text", "expect_is_a_directory"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"vertices": [0')
     (tmp_path / "no_arrows.json").write_text('{"vertices": [0, 1]}')
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
-                             render_cyclic)
+                             free_context, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               PoissonPresentation, _bracket_gen_mono,
                               _monomials_of_degree, forest_arrow_order,
@@ -11,7 +11,8 @@ from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               poisson_presentation, preprojective_element,
                               preprojective_system, r_power_class, r_power_cyclic)
 from preproj.intlinalg import LatticeSolver
-from preproj.quiver import Quiver, catalog, classify, double
+from preproj.quiver import Quiver, QuiverError, catalog, classify, double
+from preproj.rewrite import MonomialOrder, complete
 from preproj.series import hilbert_prep
 
 
@@ -134,6 +135,65 @@ def test_zero_commutator_filter_keeps_row_set(q, white, D):
     assert any(comp.relation_rows(d) for d in range(D + 1)) == bool(comp.system.rules)
 
 
+def _reference_keys(comp, d):
+    """The ambient keys as they were first enumerated: every closed walk
+    (normal, for the normal engine) from every vertex, keyed by its least
+    rotation, then sorted by (word, vertex)."""
+    ctx = comp.ctx
+    if d == 0:
+        return [CyclicClass(v, ()) for v in ctx.quiver.vertices]
+    avoid = comp.system._automaton() if comp.engine == "normal" else None
+    found = {CyclicClass.of(ctx, (v, w)) for v in ctx.quiver.vertices
+             for w in ctx.walks(d, v, v, avoid=avoid)}
+    return sorted(found, key=lambda k: (k.word, k.vertex))
+
+
+def _weighted_free_system(D):
+    ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
+    x, y, z = ctx.letters()
+    return ctx, complete([x * z - z * x - y * y, x * y * x - y * y], MonomialOrder(ctx), D)
+
+
+@pytest.mark.parametrize("name, D", [
+    ("free2", 7), ("free2_span", 7), ("affine_d4", 10), ("partial", 7),
+    ("star2211", 12), ("e8", 28), ("weighted", 10), ("weighted_span", 10)])
+def test_ambient_keys_match_reference(name, D):
+    """The necklace generator lists the keys of the walk enumeration, in
+    the same order, for both engines and for weighted arrows."""
+    if name.startswith("weighted"):
+        ctx, sys_ = _weighted_free_system(D)
+    else:
+        q, white = {"free2": (catalog("free", 2), ()),
+                    "free2_span": (catalog("free", 2), ()),
+                    "affine_d4": (catalog("affine_d", 4), ()),
+                    "partial": (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0),
+                                                  (3, 0, 1), (4, 1, 2)]), (0,)),
+                    "star2211": (catalog("star", 2, 2, 1, 1), ()),
+                    "e8": (catalog("dynkin_e", 8), ())}[name]
+        order = forest_arrow_order(double(q), white) if white else None
+        ctx = PathContext(q)
+        sys_ = preprojective_system(q, white, D, ctx=ctx, arrow_order=order)
+    if name.endswith("span"):
+        comp = LambdaComputation(ctx, None, ideal_gens=[r.element for r in sys_.rules],
+                                 engine="span")
+    else:
+        comp = LambdaComputation(ctx, sys_)
+    for d in range(D + 1):
+        assert comp.ambient_keys(d) == _reference_keys(comp, d), d
+
+
+def test_keys_and_rows_stop_at_the_certified_degree():
+    q = catalog("free", 2)
+    ctx = PathContext(q)
+    comp = LambdaComputation(ctx, preprojective_system(q, (), 4, ctx=ctx))
+    assert len(comp.relation_rows(4)) > 0
+    for d in (5, 6):
+        with pytest.raises(QuiverError, match=f"degree {d} beyond certified bound 4"):
+            comp.ambient_keys(d)
+        with pytest.raises(QuiverError, match="beyond certified bound"):
+            comp.relation_rows(d)
+
+
 def test_free_rank_matches_corner_series():
     for nm, args, D in [("affine_a", (3,), 10), ("affine_d", (4,), 8),
                         ("affine_e", (6,), 10)]:
@@ -213,6 +273,38 @@ def test_dtilde_torsion_generator():
         diff[k] = diff.get(k, 0) - v
     diff = {k: v for k, v in diff.items() if v}
     assert comp.solver(m).order_of(diff) == 1 if diff else True
+
+
+def _frobenius_by_power(c, p):
+    """[a] -> [a^p] mod p the long way: lift each necklace along its least
+    rotation, raise the sum to the p-th power in the path algebra, project
+    and reduce mod p."""
+    ctx = c.ctx
+    lift_terms = {}
+    for key, coeff in c.terms.items():
+        mono = (key.vertex, ()) if not key.word else (ctx.quiver.src(key.word[0]), key.word)
+        lift_terms[mono] = lift_terms.get(mono, 0) + coeff
+    powered = cyclic_project(ctx.element(lift_terms) ** p)
+    return CycElement(ctx, {k: v % p for k, v in powered.terms.items() if v % p})
+
+
+@pytest.mark.parametrize("name, args", [("free", (2,)), ("star", (2, 2, 1, 1)),
+                                        ("affine_a", (3,))])
+def test_frobenius_is_word_repetition(name, args):
+    """frobenius_cyc repeats each word p times; raising the lifted sum to
+    the p-th power gives the same classes mod p, on r^(p)/p and on seeded
+    random cyclic elements."""
+    ctx = PathContext(catalog(name, *args))
+    for p in (2, 3):
+        c = r_power_cyclic(ctx, p, 1)
+        assert frobenius_cyc(c, p) == _frobenius_by_power(c, p), p
+    rng = random.Random(11)
+    closed = [k for d in (1, 2, 3) for k in ctx.necklaces(d)]
+    closed += [CyclicClass(v, ()) for v in ctx.quiver.vertices]
+    for _ in range(30):
+        c = ctx.cyclic({k: rng.randint(-4, 4) for k in rng.sample(closed, 3)})
+        for p in (2, 3, 5):
+            assert frobenius_cyc(c, p) == _frobenius_by_power(c, p), (c, p)
 
 
 def test_frobenius_examples():
