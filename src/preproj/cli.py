@@ -253,6 +253,13 @@ def _degree(text):
     return d
 
 
+def _jobs(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {n}")
+    return n
+
+
 def _add_degree(p):
     p.add_argument("--degree", type=_degree, default=12,
                    help="degree bound D (default 12; out of reach for wild quivers: "
@@ -313,7 +320,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the acceptance suite")
     _add_format(p, choices=("text", "json"))
     p.add_argument("--only", help="single criterion name")
-    p.add_argument("--jobs", type=int, default=1, help="criteria run in parallel")
+    p.add_argument("--jobs", type=_jobs, default=1, help="criteria run in parallel")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                    help="seed of the randomized criteria")
     p.set_defaults(fn=cmd_verify)

@@ -10,13 +10,15 @@ first remainder it leaves, smaller than the pivot, becomes the next pivot.
 The result is a diagonal form; its divisibility chain (the invariant
 factors) is computed from the diagonal values by gcd/lcm pairing, with no
 further matrix operations.  The only column operation is "add c times column
-src to column dst", journaled as (dst, src, c), so lattice-membership
-questions (order of a class in a quotient) and integer kernels can be
-answered after the fact; smith_normal_form writes the journal and
-apply_col_ops is its only reader.  LatticeSolver holds one elimination and
-reads both the torsion summary and the order queries off it; an order needs
-only the diagonal form, chain or not.  There is no rational arithmetic: a
-linear system over Q is solved through an integer kernel (integer_kernel).
+src to column dst", journaled as (dst, src, c); the journal is a product
+V = V_1 ... V_k of elementary matrices, and v_rows turns it into the rows
+e_i V in one backward pass.  Lattice-membership questions (order of a class
+in a quotient) and integer kernels read those rows, so a query costs the
+rows it touches, not the whole journal.  LatticeSolver holds one elimination
+and reads both the torsion summary and the order queries off it; an order
+needs only the diagonal form, chain or not, and the rows of V are built on
+the first order query.  There is no rational arithmetic: a linear system
+over Q is solved through an integer kernel (integer_kernel).
 """
 
 from __future__ import annotations
@@ -50,24 +52,24 @@ class TorsionSummary:
 class SNFResult:
     invariant_factors: tuple          # divisibility chain of the nonzero diagonal
     diag_by_col: dict                 # pivot column -> diagonal value; need not be a chain
-    col_ops: list                     # journal of (dst, src, c), see apply_col_ops
+    col_ops: list                     # journal of (dst, src, c), see v_rows
 
 
-def apply_col_ops(vec: dict, ops):
-    """Apply a journal of column operations to a sparse row vector: v <- v V.
-
-    Each entry (dst, src, c) adds c times column src to column dst.
-    Explicit zero entries of vec are dropped.
-    """
-    v = {j: x for j, x in vec.items() if x}
-    for dst, src, c in ops:
-        if src in v:
-            s = v.get(dst, 0) + c * v[src]
+def v_rows(ops):
+    """Rows e_i V of the unimodular V = V_1 ... V_k journaled as ops, as a
+    dict {i: sparse row}; a row no op touches is e_i and is left out.  V_t adds c times
+    column src to column dst, so V_t R adds c times row dst of R to row src:
+    one backward pass over the journal builds V_1 (... (V_k I))."""
+    rows = {}
+    for dst, src, c in reversed(ops):
+        r = rows.setdefault(src, {src: 1})
+        for j, x in rows.get(dst, {dst: 1}).items():
+            s = r.get(j, 0) + c * x
             if s:
-                v[dst] = s
+                r[j] = s
             else:
-                v.pop(dst, None)
-    return v
+                del r[j]
+    return rows
 
 
 def smith_normal_form(rows, ncols):
@@ -77,7 +79,7 @@ def smith_normal_form(rows, ncols):
     copied (zero entries dropped), never modified.  The column operations are
     journaled in res.col_ops.  They make a unimodular V such that every row
     of M V lies in the span of the d_j e_j, where d_j = res.diag_by_col[j]
-    over the pivot columns j; apply_col_ops reads V one row vector at a time.
+    over the pivot columns j; v_rows reads V off the journal.
     That is enough to answer membership and order questions against the row
     lattice (see LatticeSolver).  res.invariant_factors is the divisibility
     chain of the d_j.
@@ -245,8 +247,8 @@ def integer_kernel(rows, ncols):
     sparse rows, as dense lists: the non-pivot columns of the unimodular V
     journaled by smith_normal_form (M V has zero columns exactly there)."""
     res = smith_normal_form(rows, ncols)
-    V = [apply_col_ops({i: 1}, res.col_ops) for i in range(ncols)]
-    return [[V[i].get(j, 0) for i in range(ncols)]
+    V = v_rows(res.col_ops)
+    return [[V.get(i, {i: 1}).get(j, 0) for i in range(ncols)]
             for j in range(ncols) if j not in res.diag_by_col]
 
 
@@ -269,11 +271,19 @@ class LatticeSolver:
         self.summary = TorsionSummary(free_rank=ambient_rank - len(factors),
                                       invariant_factors=tuple(d for d in factors if d > 1))
         self._diag = self.res.diag_by_col
+        self._rows = None
 
     def order_of(self, vec: dict):
-        v = apply_col_ops(vec, self.res.col_ops)
+        if self._rows is None:
+            self._rows = v_rows(self.res.col_ops)
+        v = {}
+        for i, x in vec.items():
+            for j, y in self._rows.get(i, {i: 1}).items():
+                v[j] = v.get(j, 0) + x * y
         k = 1
         for j, val in v.items():
+            if not val:
+                continue
             d = self._diag.get(j)
             if d is None:
                 return 0

@@ -62,7 +62,7 @@ class MonomialOrder:
 class RewriteRule:
     """element = lc * LM + tail, lc = +-1, every tail monomial strictly smaller."""
 
-    __slots__ = ("element", "lm", "lc", "lm_word")
+    __slots__ = ("element", "lm", "lc", "lm_word", "tail")
 
     def __init__(self, element: Element, order: MonomialOrder):
         lm, lc = order.leading(element)
@@ -76,6 +76,7 @@ class RewriteRule:
         self.lm = lm
         self.lc = lc
         self.lm_word = lm[1]
+        self.tail = [(m[1], c) for m, c in element.terms.items() if m != lm]
 
     def __repr__(self):
         return f"RewriteRule({self.element!r})"
@@ -94,7 +95,7 @@ class RewriteSystem:
         self.rules = list(rules)
         self.order = order
         self.complete_to_degree = complete_to_degree
-        self._by_first = {}
+        self._by_lead = {}
         self._aut = None
         for r in self.rules:
             self._index_rule(r)
@@ -102,20 +103,25 @@ class RewriteSystem:
     def _index_rule(self, r):
         if not r.lm_word:
             raise QuiverError("rules must have positive degree")
-        self._by_first.setdefault(r.lm_word[0], []).append(r)
+        self._by_lead[r.lm_word] = r
         self._aut = None
 
     def _drop_rule(self, r):
         self.rules.remove(r)
-        self._by_first[r.lm_word[0]].remove(r)
+        del self._by_lead[r.lm_word]
         self._aut = None
 
     def _find_reduction(self, word):
+        """(start, rule) of the leftmost leading word in word, or None.  The
+        automaton reports the occurrence that ends first; leading words are
+        never subwords of one another, so it is also the one that starts first."""
+        aut = self._automaton()
+        table, hit, node = aut.table, aut.hit, 0
         for k, a in enumerate(word):
-            for rule in self._by_first.get(a, ()):
-                w = rule.lm_word
-                if word[k:k + len(w)] == w:
-                    return k, rule
+            node = table[node].get(a, 0)
+            if hit[node]:
+                start = k + 1 - hit[node]
+                return start, self._by_lead[word[start:k + 1]]
         return None
 
     def reduce(self, x: Element) -> Element:
@@ -139,9 +145,7 @@ class RewriteSystem:
             factor = coeff * rule.lc  # lc = +-1, so this is coeff / lc
             prefix = word[:k]
             suffix = word[k + len(w):]
-            for (rv, rw), rc in rule.element.terms.items():
-                if (rv, rw) == rule.lm:
-                    continue
+            for rw, rc in rule.tail:
                 key = (v, prefix + rw + suffix)
                 s = work.get(key, 0) - factor * rc
                 if s:
@@ -213,46 +217,43 @@ def _normalize_lead(el: Element, order: MonomialOrder) -> Element:
 
 
 class _Automaton:
-    """Aho-Corasick over arrow ids: advance reads a letter and returns the new
-    state and the length of the forbidden word ending there, or 0.  No listed
-    word may be a proper subword of another (true of inter-reduced rules)."""
+    """Aho-Corasick over arrow ids with a full transition table: advance reads
+    a letter in one lookup (a letter missing from table[state] leads to the
+    root) and returns the new state and the length of the forbidden word
+    ending there, or 0.  No listed word may be a proper subword of another
+    (true of inter-reduced rules)."""
 
     def __init__(self, words):
-        self.goto = [{}]
-        self.fail = [0]
+        self.table = [{}]
         self.hit = [0]
         self.longest = max(map(len, words), default=0)
         for w in words:
             node = 0
             for a in w:
-                nxt = self.goto[node].get(a)
+                nxt = self.table[node].get(a)
                 if nxt is None:
-                    self.goto.append({})
-                    self.fail.append(0)
+                    self.table.append({})
                     self.hit.append(0)
-                    nxt = len(self.goto) - 1
-                    self.goto[node][a] = nxt
+                    nxt = len(self.table) - 1
+                    self.table[node][a] = nxt
                 node = nxt
             self.hit[node] = len(w)
-        todo = deque()
-        for a, v in self.goto[0].items():
-            self.fail[v] = 0
-            todo.append(v)
+        # breadth first, so a state's (shallower) fail state has its full row
+        # when the state is reached: copy that row, then add the trie edges
+        fail = [0] * len(self.table)
+        todo = deque([0])
         while todo:
             u = todo.popleft()
-            for a, v in self.goto[u].items():
-                f = self.fail[u]
-                while f and a not in self.goto[f]:
-                    f = self.fail[f]
-                w = self.goto[f].get(a, 0)
-                self.fail[v] = w if w != v else 0
-                self.hit[v] = self.hit[v] or self.hit[self.fail[v]]
+            f = fail[u]
+            for a, v in self.table[u].items():
+                fail[v] = self.table[f].get(a, 0) if u else 0
+                self.hit[v] = self.hit[v] or self.hit[fail[v]]
                 todo.append(v)
+            if u:
+                self.table[u] = {**self.table[f], **self.table[u]}
 
     def advance(self, node, a):
-        while node and a not in self.goto[node]:
-            node = self.fail[node]
-        nxt = self.goto[node].get(a, 0)
+        nxt = self.table[node].get(a, 0)
         return nxt, self.hit[nxt]
 
 

@@ -245,18 +245,29 @@ def usage_exit(capsys, *argv):
     ("hh0", "--file", "{tmp}/missing.json", "--degree", "2"),
     ("hilbert", "--file", "{tmp}/binary.json", "--degree", "2"),
     ("groebner", "--catalog", "dynkin_a", "2", "--degree", "4", "--expect", "{tmp}"),
+    ("verify", "--jobs", "0", "--only", "w_lattice"),
+    ("verify", "--jobs", "-2", "--only", "w_lattice"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
         "catalog_missing_parameter", "catalog_non_integer_parameter",
         "file_malformed_json", "file_without_arrows", "bracket_without_right",
         "loday_without_right", "unclosed_bracket", "open_necklace_word",
-        "file_is_a_directory", "file_missing", "file_not_text", "expect_is_a_directory"])
+        "file_is_a_directory", "file_missing", "file_not_text", "expect_is_a_directory",
+        "verify_jobs_zero", "verify_jobs_negative"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
+    """Exit 2 with an "error: " line and no traceback, whether main rejects
+    the input or argparse does (a usage line, then "preproj CMD: error: ")."""
     (tmp_path / "malformed.json").write_text('{"vertices": [0')
     (tmp_path / "no_arrows.json").write_text('{"vertices": [0, 1]}')
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
-    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        code, _, err = run(capsys, *argv)
+    except SystemExit as exc:
+        code, err = exc.code, capsys.readouterr().err
+        usage, err = err.split(f"preproj {argv[0]}: ", 1)
+        assert usage.startswith("usage: ")
     assert code == 2
     assert err.startswith("error: ")
 

@@ -5,8 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from preproj.intlinalg import (LatticeSolver, TorsionSummary, apply_col_ops,
-                               integer_kernel, quotient_structure, smith_normal_form)
+from preproj.intlinalg import (LatticeSolver, TorsionSummary, integer_kernel,
+                               quotient_structure, smith_normal_form, v_rows)
+
+
+def apply_col_ops(vec: dict, ops):
+    """Reference: replay a journal of column operations forward on a sparse
+    row vector, v <- v V.  Each entry (dst, src, c) adds c times column src
+    to column dst.  Explicit zero entries of vec are dropped."""
+    v = {j: x for j, x in vec.items() if x}
+    for dst, src, c in ops:
+        if src in v:
+            s = v.get(dst, 0) + c * v[src]
+            if s:
+                v[dst] = s
+            else:
+                v.pop(dst, None)
+    return v
 
 
 def snf_factors(rows):
@@ -375,3 +390,120 @@ def test_markowitz_unit_phase_against_oracles():
             vec[rng.randrange(nc)] = rng.randint(-3, 3)
             vec = {j: x for j, x in vec.items() if x}
             _assert_order_against_oracle(rows, nc, vec, solver.order_of(vec))
+
+
+# ---------------------------------------------------------------------------
+# the rows of V against the forward replay of the journal
+
+
+def _reference_order(res, vec):
+    """order_of by a forward replay of the whole journal."""
+    k = 1
+    for j, val in apply_col_ops(vec, res.col_ops).items():
+        d = res.diag_by_col.get(j)
+        if d is None:
+            return 0
+        need = d // math.gcd(d, val % d)
+        k = k * need // math.gcd(k, need)
+    return k
+
+
+def _reference_kernel(rows, ncols):
+    res = smith_normal_form(rows, ncols)
+    V = [apply_col_ops({i: 1}, res.col_ops) for i in range(ncols)]
+    return [[V[i].get(j, 0) for i in range(ncols)]
+            for j in range(ncols) if j not in res.diag_by_col]
+
+
+def _random_matrices(kind):
+    """Seeded (rows, ncols): dense with small entries, or sparse with mostly
+    unit entries (the shape of the relation matrices)."""
+    rng = random.Random(97 if kind == "dense" else 98)
+    out = []
+    for _ in range(30):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        if kind == "dense":
+            rows = [{j: rng.randint(-6, 6) for j in range(nc)} for _ in range(nr)]
+        else:
+            rows = [{j: rng.choice((1, -1, 1, -1, 2, -3)) for j in
+                     rng.sample(range(nc), rng.randint(1, min(3, nc)))} for _ in range(nr)]
+        out.append(([{j: v for j, v in r.items() if v} for r in rows], nc))
+    return out
+
+
+@pytest.fixture(scope="module")
+def free2_lattices():
+    """The degree-7 lattices of `free 2`: the normal-engine relations, and
+    the span-engine relations plus 2 Z^n (the F_2 lattice)."""
+    from preproj import (LambdaComputation, PathContext, catalog,
+                         preprojective_relation, preprojective_system)
+
+    q = catalog("free", 2)
+    ctx = PathContext(q)
+    normal = LambdaComputation(ctx, preprojective_system(q, (), 7, ctx=ctx), engine="normal")
+    span = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, ()),
+                             engine="span")
+    n = len(span.ambient_keys(7))
+    return {"normal_d7": [(normal.relation_rows(7), len(normal.ambient_keys(7)))],
+            "f2_d7": [(span.relation_rows(7) + [{j: 2} for j in range(n)], n)]}
+
+
+def _matrices(case, free2_lattices):
+    return free2_lattices[case] if case in free2_lattices else _random_matrices(case)
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "normal_d7", "f2_d7"])
+def test_v_rows_match_forward_replay(case, free2_lattices):
+    """Every row e_i V built by the backward pass equals the journal replayed
+    forward on e_i."""
+    for rows, n in _matrices(case, free2_lattices):
+        res = smith_normal_form(rows, n)
+        V = v_rows(res.col_ops)
+        assert all(0 <= i < n for i in V)
+        for i in range(n):
+            assert V.get(i, {i: 1}) == apply_col_ops({i: 1}, res.col_ops), (case, i)
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "normal_d7", "f2_d7"])
+def test_order_of_matches_forward_replay(case, free2_lattices):
+    """Seeded relation combinations and sparse vectors, with explicit zeros
+    and keys outside 0..n-1 mixed in: the same orders as the replay."""
+    rng = random.Random(101)
+    for rows, n in _matrices(case, free2_lattices):
+        solver = LatticeSolver(n, rows)
+        for _ in range(20 if n > 100 else 4):
+            vec = {}
+            for _ in range(rng.randint(0, 3)):
+                c = rng.randint(-3, 3)
+                for j, x in rng.choice(rows).items():
+                    vec[j] = vec.get(j, 0) + c * x
+            for _ in range(rng.randint(0, 2)):
+                vec[rng.randrange(n)] = rng.randint(-3, 3)
+            if rng.random() < 0.3:
+                vec[rng.choice((n, n + 5, -1))] = rng.choice((0, 1))
+            assert solver.order_of(vec) == _reference_order(solver.res, vec), (case, vec)
+
+
+def test_order_of_zero_entries_and_keys_outside():
+    """The rows of V for (1, 1, 1) cancel outside its pivot column, and zero
+    entries, in range or not, are no obstacle; a nonzero key outside 0..n-1
+    is outside the lattice's span."""
+    solver = LatticeSolver(3, [{0: 2, 1: 2, 2: 2}])
+    assert solver.res.col_ops
+    assert solver.order_of({0: 1, 1: 1, 2: 1}) == 2
+    assert solver.order_of({0: 2, 1: 2, 2: 2, 3: 0, -1: 0}) == 1
+    assert solver.order_of({0: 0, 1: 0}) == 1 and solver.order_of({}) == 1
+    assert solver.order_of({0: 1, 1: -1}) == 0
+    assert solver.order_of({3: 1}) == 0 and solver.order_of({0: 2, 1: 2, 2: 2, 7: 1}) == 0
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_integer_kernel_is_the_reference_basis(kind):
+    """The same basis, vector for vector, as the kernel read off the forward
+    replay: diamond_check's reduction path depends on it.  One-row matrices
+    are diamond_check's lead rows."""
+    rng = random.Random(103)
+    one_row = [([{j: rng.choice((1, -1, 2, -2, 3)) for j in range(n)}], n)
+               for n in range(1, 9)]
+    for rows, n in _random_matrices(kind) + one_row:
+        assert integer_kernel(rows, n) == _reference_kernel(rows, n), rows

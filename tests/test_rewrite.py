@@ -312,3 +312,116 @@ def test_diamond_check_partial_order_form():
     rep2 = diamond_check([x * x - y], 4, ctx=ctx, order_key=(maximal, less))
     assert not rep2.confluent
     assert rep2.witness in (x * y - y * x, y * x - x * y)
+
+
+# ---------------------------------------------------------------------------
+# the rule automaton against the scans it replaced
+
+
+class _FailWalkAutomaton:
+    """Reference: Aho-Corasick with goto and fail links, advance walking the
+    fail links until a goto edge matches."""
+
+    def __init__(self, words):
+        self.goto, self.fail, self.hit = [{}], [0], [0]
+        for w in words:
+            node = 0
+            for a in w:
+                if a not in self.goto[node]:
+                    self.goto.append({})
+                    self.fail.append(0)
+                    self.hit.append(0)
+                    self.goto[node][a] = len(self.goto) - 1
+                node = self.goto[node][a]
+            self.hit[node] = len(w)
+        todo = list(self.goto[0].values())
+        while todo:
+            u = todo.pop(0)
+            for a, v in self.goto[u].items():
+                f = self.fail[u]
+                while f and a not in self.goto[f]:
+                    f = self.fail[f]
+                w = self.goto[f].get(a, 0)
+                self.fail[v] = w if w != v else 0
+                self.hit[v] = self.hit[v] or self.hit[self.fail[v]]
+                todo.append(v)
+
+    def advance(self, node, a):
+        while node and a not in self.goto[node]:
+            node = self.fail[node]
+        nxt = self.goto[node].get(a, 0)
+        return nxt, self.hit[nxt]
+
+
+def _scan_reduction(rules, word):
+    """Reference: try every rule at every position, leftmost position first."""
+    for k in range(len(word)):
+        for rule in rules:
+            w = rule.lm_word
+            if word[k:k + len(w)] == w:
+                return k, rule
+    return None
+
+
+@pytest.fixture(scope="module")
+def lookup_systems():
+    """Completed systems at the identity_sweep degrees of E6, E7 and E8, the
+    wild tree star 2 2 1 1, and a weighted free algebra."""
+    from preproj.homology import preprojective_system
+
+    out = {f"{name}{p}_D{D}": preprojective_system(catalog(name, p), (), D)
+           for name, p, D in [("dynkin_e", 6, 12), ("dynkin_e", 7, 16), ("dynkin_e", 8, 28)]}
+    out["star2211_D16"] = preprojective_system(catalog("star", 2, 2, 1, 1), (), 16)
+    ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
+    x, y, z = ctx.letters()
+    out["free_weighted"] = complete([y * x - x * y - z, z * x - x * z + y * y],
+                                    MonomialOrder(ctx), 10)
+    return out
+
+
+@pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
+                                  "star2211_D16", "free_weighted"])
+def test_find_reduction_matches_scan(name, lookup_systems):
+    """Seeded words (composable walks, and random pieces glued round leading
+    words): the automaton finds the same position and rule as the scan."""
+    sys_ = lookup_systems[name]
+    q = sys_.ctx.quiver
+    leads = [r.lm_word for r in sys_.rules]
+    letters = sorted(a for a, _, _ in q.arrows)
+    rng = random.Random(107)
+    hits = 0
+    for _ in range(400):
+        if rng.random() < 0.5:
+            v, word = rng.choice(q.vertices), []
+            for _ in range(rng.randint(1, 30)):
+                outs = list(q.out_arrows(v))
+                if not outs:
+                    break
+                a = rng.choice(outs)
+                word.append(a)
+                v = q.dst(a)
+        else:
+            word = []
+            for _ in range(rng.randint(1, 4)):
+                word += rng.choice(leads) if rng.random() < 0.5 else \
+                    [rng.choice(letters) for _ in range(rng.randint(0, 4))]
+        word = tuple(word)
+        want = _scan_reduction(sys_.rules, word)
+        assert sys_._find_reduction(word) == want, (name, word)
+        hits += want is not None
+    assert hits > 100
+
+
+@pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
+                                  "star2211_D16", "free_weighted"])
+def test_automaton_table_matches_fail_walk(name, lookup_systems):
+    """advance through the full table equals the fail walk on every state and
+    every letter, one letter outside the alphabet included."""
+    sys_ = lookup_systems[name]
+    words = [r.lm_word for r in sys_.rules]
+    aut, ref = rewrite._Automaton(words), _FailWalkAutomaton(words)
+    assert len(aut.table) == len(ref.goto)
+    letters = sorted(a for a, _, _ in sys_.ctx.quiver.arrows) + [10 ** 6]
+    for s in range(len(ref.goto)):
+        for a in letters:
+            assert aut.advance(s, a) == ref.advance(s, a), (name, s, a)
