@@ -171,7 +171,12 @@ class LambdaComputation:
                 yield row
 
     def _span_rows(self, d, idx):
-        """Cyclic projections of g u over generators g and paths u closing them."""
+        """Cyclic projections of g u over generators g and paths u closing
+        them, as words straight into coordinates: each term (v, w) of g
+        gives the closed word w + u.  When the terms of each g have one
+        length, as in the preprojective relations, w + u determines w and u,
+        so no word repeats within a generator and a word cache would not pay."""
+        coord = {k.word: i for k, i in idx.items()}
         for g in self.ideal_gens:
             degs = g.degrees()
             srcs = {m[0] for m in g.terms}
@@ -180,10 +185,19 @@ class LambdaComputation:
                 raise QuiverError("span engine expects homogeneous generators")
             if len(srcs) != 1 or len(dsts) != 1:
                 raise QuiverError("span engine expects vertex-local generators")
-            if degs[0] <= d:
-                for u in self.ctx.walks(d - degs[0], dsts.pop(), srcs.pop()):
-                    x = g * self.ctx.path(u) if u else g
-                    yield {idx[key]: c for key, c in cyclic_project(x).terms.items()}
+            if degs[0] > d:
+                continue
+            for u in self.ctx.walks(d - degs[0], dsts.pop(), srcs.pop()):
+                row = {}
+                for (v, w), c in g.terms.items():
+                    word = w + u
+                    j = coord[canonical_rotation(word)] if word else idx[CyclicClass(v, ())]
+                    c += row.get(j, 0)
+                    if c:
+                        row[j] = c
+                    else:
+                        row.pop(j, None)
+                yield row
 
     # -- quotient structure ------------------------------------------------
 

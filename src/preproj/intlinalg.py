@@ -7,6 +7,9 @@ produces and cause no coefficient growth), cheapest Markowitz cost first to
 keep the fill-in and the journal short, then runs Euclid's algorithm on the
 small residue: a pivot reduces its column and row by floor division, and the
 first remainder it leaves, smaller than the pivot, becomes the next pivot.
+The residue's pivot search drops a row for good once it is zero, so an F_p
+lattice (relations plus p Z^n), whose unit phase leaves about one zero row
+per relation, costs a scan of its live rows per pivot, not of all of them.
 The result is a diagonal form; its divisibility chain (the invariant
 factors) is computed from the diagonal values by gcd/lcm pairing, with no
 further matrix operations.  The only column operation is "add c times column
@@ -182,26 +185,11 @@ def smith_normal_form(rows, ncols):
                     if v in (1, -1) and j not in done_cols:
                         heapq.heappush(unit_heap, (cost(i, j), next(seq), i, j))
 
-    # phase 2: Euclid on the residue.  The search takes the first entry no
-    # larger than the previous pivot instead of rescanning for the minimum:
-    # any nonzero pivot is correct, since a remainder it leaves behind becomes
-    # the next pivot, and each restart shrinks the pivot, so the loop ends.
+    # phase 2: Euclid on the residue, pivots found by _euclid_pivot.  Any
+    # nonzero pivot is correct, since a remainder it leaves behind becomes the
+    # next pivot, and each restart shrinks the pivot, so the loop ends.
     bound = 1
-    while True:
-        best = None
-        for i in active_rows:
-            for j, v in rows[i].items():
-                if j in done_cols:
-                    continue
-                a = abs(v)
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a <= bound:
-                        break
-            if best and best[0] <= bound:
-                break
-        if best is None:
-            break
+    while (best := _euclid_pivot(rows, active_rows, done_cols, bound)) is not None:
         _, pi, pj = best
         while (blocked := eliminate_with(pi, pj)) is not None:
             pi, pj = blocked
@@ -213,6 +201,39 @@ def smith_normal_form(rows, ncols):
     diag_by_col = {j: abs(rows[i][j]) for (i, j) in pivots}
     return SNFResult(invariant_factors=_divisibility_chain(diag_by_col.values()),
                      diag_by_col=diag_by_col, col_ops=journal)
+
+
+def _euclid_pivot(rows, active_rows, done_cols, bound):
+    """(|v|, i, j) for the first entry v with |v| <= bound that a scan of the
+    active rows meets, else for the smallest one; None when no entry is left.
+    Taking the first small entry, not the minimum, saves a rescan per pivot.
+
+    A row found empty leaves active_rows for good: row_addmul writes only to
+    rows in by_col[pj], col_addmul only to rows in by_col[src] and row_negate
+    only to the pivot row, so a zero row stays zero.  An F_p lattice
+    (relations plus p Z^n) leaves about one such row per relation row, and
+    rescanning them would make phase 2 quadratic.  Discarding from a set
+    never rehashes it, so the rest keep their order, the scan meets the entry
+    a full scan would, and the pivots and journal are those of a full scan."""
+    best = None
+    empty = []
+    for i in active_rows:
+        r = rows[i]
+        if not r:
+            empty.append(i)
+            continue
+        for j, v in r.items():
+            if j in done_cols:
+                continue
+            a = abs(v)
+            if best is None or a < best[0]:
+                best = (a, i, j)
+                if a <= bound:
+                    break
+        if best and best[0] <= bound:
+            break
+    active_rows.difference_update(empty)
+    return best
 
 
 def _divisibility_chain(values):

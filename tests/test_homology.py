@@ -3,14 +3,14 @@ import random
 import pytest
 
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
-                             free_context, render_cyclic)
+                             free_context, preprojective_relation, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               PoissonPresentation, _bracket_gen_mono,
                               _monomials_of_degree, forest_arrow_order,
                               frobenius_cyc, ghost, hp0_poisson, lambda_graded,
                               poisson_presentation, preprojective_element,
                               preprojective_system, r_power_class, r_power_cyclic)
-from preproj.intlinalg import LatticeSolver
+from preproj.intlinalg import LatticeSolver, smith_normal_form
 from preproj.quiver import Quiver, QuiverError, catalog, classify, double
 from preproj.rewrite import MonomialOrder, complete
 from preproj.series import hilbert_prep
@@ -135,6 +135,42 @@ def test_zero_commutator_filter_keeps_row_set(q, white, D):
     assert any(comp.relation_rows(d) for d in range(D + 1)) == bool(comp.system.rules)
 
 
+def _projected_span_rows(comp, d):
+    """The span engine's rows as products g u projected by cyclic_project,
+    zero rows dropped and duplicates kept once, in the order they are met."""
+    ctx, idx = comp.ctx, comp.key_index(d)
+    rows = {}
+    for g in comp.ideal_gens:
+        (v,) = {m[0] for m in g.terms}
+        (t,) = {ctx.mono_target(m) for m in g.terms}
+        (deg,) = g.degrees()
+        if deg > d:
+            continue
+        for u in ctx.walks(d - deg, t, v):
+            x = g * ctx.path(u) if u else g
+            row = {idx[k]: c for k, c in cyclic_project(x).terms.items()}
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return list(rows.values())
+
+
+@pytest.mark.parametrize("q, white, D", [
+    (catalog("free", 2), (), 7),
+    (catalog("star", 2, 2, 1, 1), (), 9),
+    (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 1), (4, 1, 2)]), (0,), 7),
+], ids=["free2", "star2211", "partial"])
+def test_span_rows_match_projected_products(q, white, D):
+    """The span engine builds its rows from words straight into coordinates:
+    the same rows, in the same order and with their entries in the same
+    order, as projecting each product g u."""
+    ctx = PathContext(q)
+    comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, white),
+                             engine="span")
+    for d in range(D + 1):
+        got = [list(r.items()) for r in comp.relation_rows(d)]
+        assert got == [list(r.items()) for r in _projected_span_rows(comp, d)], d
+
+
 def _reference_keys(comp, d):
     """The ambient keys as they were first enumerated: every closed walk
     (normal, for the normal engine) from every vertex, keyed by its least
@@ -219,6 +255,24 @@ def test_mod_p_dimension_crosscheck():
             s = rep.summaries[d]
             want = s.free_rank + sum(1 for f in s.invariant_factors if f % p == 0)
             assert n - rank == want, (p, d)
+
+
+@pytest.mark.parametrize("engine", ["normal", "span"])
+def test_fp_lattice_against_mod_p_rank(engine):
+    """The SNF of relations plus p Z^n has one factor p per dimension of
+    Lambda_7 tensor F_p, against the independent mod-p elimination."""
+    q = catalog("free", 2)
+    ctx = PathContext(q)
+    if engine == "normal":
+        comp = LambdaComputation(ctx, preprojective_system(q, (), 7, ctx=ctx))
+    else:
+        comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, ()),
+                                 engine="span")
+    rows = comp.relation_rows(7)
+    n = len(comp.ambient_keys(7))
+    for p in (2, 3):
+        res = smith_normal_form(rows + [{j: p} for j in range(n)], n)
+        assert res.invariant_factors.count(p) == n - _rank_mod_p(rows, p), (engine, p)
 
 
 def _rank_mod_p(rows, p):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from preproj import intlinalg
 from preproj.intlinalg import (LatticeSolver, TorsionSummary, integer_kernel,
                                quotient_structure, smith_normal_form, v_rows)
 
@@ -495,6 +496,44 @@ def test_order_of_zero_entries_and_keys_outside():
     assert solver.order_of({0: 0, 1: 0}) == 1 and solver.order_of({}) == 1
     assert solver.order_of({0: 1, 1: -1}) == 0
     assert solver.order_of({3: 1}) == 0 and solver.order_of({0: 2, 1: 2, 2: 2, 7: 1}) == 0
+
+
+def _full_scan_pivot(rows, active_rows, done_cols, bound):
+    """The phase-2 pivot search that walks every active row on every pivot,
+    zero rows included."""
+    best = None
+    for i in active_rows:
+        for j, v in rows[i].items():
+            if j in done_cols:
+                continue
+            a = abs(v)
+            if best is None or a < best[0]:
+                best = (a, i, j)
+                if a <= bound:
+                    break
+        if best and best[0] <= bound:
+            break
+    return best
+
+
+@pytest.mark.parametrize("case", ["sparse", "f2_d7"])
+def test_dropping_zero_rows_keeps_the_journal(case, free2_lattices, monkeypatch):
+    """Phase 2 drops rows once they are zero and still takes the pivots of
+    the full scan: the same journal, diagonal and invariant factors, on F_p
+    lattices (seeded sparse matrices plus p Z^n, p = 2, 3, and the F_2
+    lattice of `free 2` at degree 7)."""
+    if case == "sparse":
+        mats = [(rows + [{j: p} for j in range(n)], n)
+                for rows, n in _random_matrices("sparse") for p in (2, 3)]
+    else:
+        mats = free2_lattices[case]
+    got = [smith_normal_form(rows, n) for rows, n in mats]
+    monkeypatch.setattr(intlinalg, "_euclid_pivot", _full_scan_pivot)
+    for (rows, n), res in zip(mats, got):
+        want = smith_normal_form(rows, n)
+        assert res.col_ops == want.col_ops, rows
+        assert list(res.diag_by_col.items()) == list(want.diag_by_col.items()), rows
+        assert res.invariant_factors == want.invariant_factors, rows
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
