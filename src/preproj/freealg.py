@@ -478,9 +478,9 @@ def w_ab(a: int, b: int, rprime: Element, x: Element, y: Element) -> CycElement:
     """The relation class of bidegree (a, b): a cyclic element.
 
     Off the diagonal this is a sum over bituples of (gcd(a,b)/rep) times the
-    necklace of the alternating product of (-r') and z factors; on the
-    diagonal it is [(xy + r')^a] - [(xy)^a].  Coefficients must come out
-    integral; a failure is a bug, not a data error.
+    necklace of the alternating product of r' (negated when a > b) and z
+    factors; on the diagonal it is [(xy + r')^a] - [(xy)^a].  Coefficients
+    must come out integral; a failure is a bug, not a data error.
     """
     if a < 1 or b < 1:
         raise ValueError("w_ab needs a, b >= 1")
@@ -488,25 +488,16 @@ def w_ab(a: int, b: int, rprime: Element, x: Element, y: Element) -> CycElement:
     if a == b:
         return cyclic_project((x * y + rprime) ** a - (x * y) ** a)
     g = math.gcd(a, b)
+    r = -rprime if a > b else rprime
     total = ctx.zero()
-    if a > b:
-        for bt in _bituples(a, b):
-            coeff, rem = divmod(g, bt.rep)
-            if rem:
-                raise ArithmeticError("rep does not divide gcd; bug in enumeration")
-            prod = ctx.identity()
-            for al, bl in zip(bt.a_seq, bt.b_seq):
-                prod = prod * (-rprime) * z_ab(al, bl, x, y)
-            total = total + prod.scale(coeff)
-    else:
-        for bt in _bituples(b, a):
-            coeff, rem = divmod(g, bt.rep)
-            if rem:
-                raise ArithmeticError("rep does not divide gcd; bug in enumeration")
-            prod = ctx.identity()
-            for al, bl in zip(bt.a_seq, bt.b_seq):
-                prod = prod * rprime * z_ab(bl, al, x, y)
-            total = total + prod.scale(coeff)
+    for bt in _bituples(max(a, b), min(a, b)):
+        coeff, rem = divmod(g, bt.rep)
+        if rem:
+            raise ArithmeticError("rep does not divide gcd; bug in enumeration")
+        prod = ctx.identity()
+        for al, bl in zip(bt.a_seq, bt.b_seq):
+            prod = prod * r * (z_ab(al, bl, x, y) if a > b else z_ab(bl, al, x, y))
+        total = total + prod.scale(coeff)
     return cyclic_project(total)
 
 

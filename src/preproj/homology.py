@@ -17,6 +17,9 @@ Two interchangeable engines compute the graded pieces:
   are cyclic projections of g*u over ideal generators g and closing paths u.
   No completion needed; the automatic fallback when completion meets a
   non-unit leading coefficient, and selectable directly.
+
+Both engines read a closed word through one map per degree, least rotation
+(vertex at degree 0) -> coordinate, in _row; relation rows and coords share it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class _Degree:
     """What LambdaComputation knows about one degree; each part built once."""
 
     keys: list                           # ambient classes, in coordinate order
-    index: dict                          # ambient class -> coordinate
+    col: dict                            # least rotation (vertex at degree 0) -> coordinate
     rows: list | None = None             # relation rows, sparse {coordinate: value}
     solver: LatticeSolver | None = None
 
@@ -96,7 +99,8 @@ class LambdaComputation:
         st = self._degrees.get(d)
         if st is None:
             keys = self._enumerate_keys(d)
-            st = self._degrees[d] = _Degree(keys, {k: i for i, k in enumerate(keys)})
+            st = self._degrees[d] = _Degree(
+                keys, {k.word or k.vertex: i for i, k in enumerate(keys)})
         return st
 
     def _enumerate_keys(self, d):
@@ -112,26 +116,20 @@ class LambdaComputation:
     def ambient_keys(self, d):
         return self._degree(d).keys
 
-    def key_index(self, d):
-        return self._degree(d).index
-
     # -- relations --------------------------------------------------------
 
     def relation_rows(self, d):
         st = self._degree(d)
         if st.rows is None:
-            st.rows = self._build_rows(d, st.index)
+            rows = {}       # a row met twice is kept once, where it was first met
+            build = self._commutator_rows if self.engine == "normal" else self._span_rows
+            for row in build(d, st.col):
+                if row:
+                    rows[frozenset(row.items())] = row
+            st.rows = list(rows.values())
         return st.rows
 
-    def _build_rows(self, d, idx):
-        rows = {}       # a row met twice is kept once, where it was first met
-        build = self._commutator_rows if self.engine == "normal" else self._span_rows
-        for row in build(d, idx):
-            if row:
-                rows[frozenset(row.items())] = row
-        return list(rows.values())
-
-    def _commutator_rows(self, d, idx):
+    def _commutator_rows(self, d, col):
         """[m, a] over arrows a and normal m, reduced straight into coordinates."""
         ctx, sys_ = self.ctx, self.system
         # m is normal, so a leading word of m a is u a with u a suffix of m,
@@ -140,8 +138,6 @@ class LambdaComputation:
         for r in sys_.rules:
             ends.setdefault(r.lm_word[-1], []).append(r.lm_word[:-1])
             starts.setdefault(r.lm_word[0], []).append(r.lm_word[1:])
-        coord = {k.word: i for k, i in idx.items()}
-        col = {}        # closed normal word -> coordinate of its necklace
 
         def reduced(mono, reducible):
             x = Element(ctx, {mono: 1})
@@ -157,26 +153,15 @@ class LambdaComputation:
                 right = any(w[:len(v)] == v for v in vs)
                 if not (left or right):
                     continue    # m a and a m are normal rotations: [m, a] = 0
-                row = {}
-                for (_, word), c in (reduced((t, w + (a,)), left)
-                                     - reduced((s, (a,) + w), right)).terms.items():
-                    j = col.get(word)
-                    if j is None:
-                        j = col[word] = coord[canonical_rotation(word)]
-                    c += row.get(j, 0)
-                    if c:
-                        row[j] = c
-                    else:
-                        row.pop(j, None)
-                yield row
+                yield _row(col, (reduced((t, w + (a,)), left)
+                                 - reduced((s, (a,) + w), right)).terms.items())
 
-    def _span_rows(self, d, idx):
+    def _span_rows(self, d, col):
         """Cyclic projections of g u over generators g and paths u closing
         them, as words straight into coordinates: each term (v, w) of g
         gives the closed word w + u.  When the terms of each g have one
         length, as in the preprojective relations, w + u determines w and u,
         so no word repeats within a generator and a word cache would not pay."""
-        coord = {k.word: i for k, i in idx.items()}
         for g in self.ideal_gens:
             degs = g.degrees()
             srcs = {m[0] for m in g.terms}
@@ -188,16 +173,7 @@ class LambdaComputation:
             if degs[0] > d:
                 continue
             for u in self.ctx.walks(d - degs[0], dsts.pop(), srcs.pop()):
-                row = {}
-                for (v, w), c in g.terms.items():
-                    word = w + u
-                    j = coord[canonical_rotation(word)] if word else idx[CyclicClass(v, ())]
-                    c += row.get(j, 0)
-                    if c:
-                        row[j] = c
-                    else:
-                        row.pop(j, None)
-                yield row
+                yield _row(col, (((v, w + u), c) for (v, w), c in g.terms.items()))
 
     # -- quotient structure ------------------------------------------------
 
@@ -214,25 +190,11 @@ class LambdaComputation:
 
     def coords(self, cyc: CycElement, d) -> dict:
         """Coordinates of a free cyclic element's image in the ambient at degree d."""
-        part = cyc.homogeneous_part(d)
-        idx = self.key_index(d)
-        acc = {}
-        for key, c in part.terms.items():
-            if self.engine == "normal" and key.word:
-                el = self.ctx.path(key.word)
-                red = cyclic_project(self.system.reduce(el))
-                for k2, c2 in red.terms.items():
-                    acc[k2] = acc.get(k2, 0) + c * c2
-            else:
-                acc[key] = acc.get(key, 0) + c
-        row = {}
-        for key, c in acc.items():
-            if c == 0:
-                continue
-            if key not in idx:
-                raise QuiverError(f"class {key} missing from ambient at degree {d}")
-            row[idx[key]] = c
-        return row
+        x = Element(self.ctx, {(k.vertex, k.word): c
+                               for k, c in cyc.homogeneous_part(d).terms.items()})
+        if self.engine == "normal":
+            x = self.system.reduce(x)     # linear, so one call for every key
+        return _row(self._degree(d).col, x.terms.items())
 
     def to_class(self, cyc: CycElement, d, label="") -> HomologyClass:
         return HomologyClass(d, self.coords(cyc, d), label)
@@ -240,6 +202,24 @@ class LambdaComputation:
     def order_of(self, cls: HomologyClass) -> int:
         """Least k >= 1 with k*cls zero in Lambda, or 0 for infinite order."""
         return self.solver(cls.degree).order_of(cls.coords)
+
+
+def _row(col, terms):
+    """Sparse row {coordinate: value} of closed monomials ((v, word), c); a word
+    is rotated only when col misses it as given, and an empty word is its v."""
+    row = {}
+    for (v, word), c in terms:
+        j = col.get(word or v)
+        if j is None:
+            j = col.get(canonical_rotation(word))
+            if j is None:
+                raise QuiverError(f"necklace of {word or v} missing from the ambient")
+        c += row.get(j, 0)
+        if c:
+            row[j] = c
+        else:
+            row.pop(j, None)
+    return row
 
 
 # ---------------------------------------------------------------------------

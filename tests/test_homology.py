@@ -101,7 +101,7 @@ def _all_commutator_rows(comp, d):
     """Every [m, a] of the normal engine, built and projected, zero rows
     dropped and duplicates kept once, in the order they are met."""
     ctx, sys_ = comp.ctx, comp.system
-    idx = comp.key_index(d)
+    idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
     for (a, s, t) in ctx.quiver.arrows:
         if ctx.weights[a] >= d:
@@ -138,7 +138,8 @@ def test_zero_commutator_filter_keeps_row_set(q, white, D):
 def _projected_span_rows(comp, d):
     """The span engine's rows as products g u projected by cyclic_project,
     zero rows dropped and duplicates kept once, in the order they are met."""
-    ctx, idx = comp.ctx, comp.key_index(d)
+    ctx = comp.ctx
+    idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
     for g in comp.ideal_gens:
         (v,) = {m[0] for m in g.terms}
@@ -169,6 +170,59 @@ def test_span_rows_match_projected_products(q, white, D):
     for d in range(D + 1):
         got = [list(r.items()) for r in comp.relation_rows(d)]
         assert got == [list(r.items()) for r in _projected_span_rows(comp, d)], d
+
+
+def _per_key_coords(comp, cyc, d):
+    """coords as first written: on the normal engine each key is reduced and
+    projected on its own, the images are summed by class, and each class is
+    looked up in an index of the ambient keys."""
+    idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
+    acc = {}
+    for key, c in cyc.homogeneous_part(d).terms.items():
+        if comp.engine == "normal" and key.word:
+            red = cyclic_project(comp.system.reduce(comp.ctx.path(key.word)))
+            for k2, c2 in red.terms.items():
+                acc[k2] = acc.get(k2, 0) + c * c2
+        else:
+            acc[key] = acc.get(key, 0) + c
+    return {idx[k]: c for k, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("engine", ["normal", "span"])
+@pytest.mark.parametrize("name, args, D", [("free", (2,), 8), ("star", (2, 2, 1, 1), 12)])
+def test_coords_match_per_key_reduction(name, args, D, engine):
+    """coords reduces the whole homogeneous part once and reads its words
+    through the map of least rotations; that gives the coordinates of
+    reducing and projecting key by key.  A necklace the ambient lacks is an
+    error."""
+    q = catalog(name, *args)
+    ctx = PathContext(q)
+    if engine == "normal":
+        comp = LambdaComputation(ctx, preprojective_system(q, (), D, ctx=ctx))
+    else:
+        comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, ()),
+                                 engine="span")
+    idem = ctx.cyclic({CyclicClass(v, ()): 2 * v - 3 for v in q.vertices})
+    rng = random.Random(5)
+    cases = [(idem + r_power_cyclic(ctx, 2, 1), 0)]
+    for p, ell in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        if 2 * p ** ell <= D:
+            cases.append((idem + r_power_cyclic(ctx, p, ell), 2 * p ** ell))
+    for d in range(2, D + 1):
+        for k in rng.sample(comp.ambient_keys(d), min(4, len(comp.ambient_keys(d)))):
+            s = rng.randrange(1, len(k.word))
+            word = k.word[s:] + k.word[:s]     # least only when k is periodic
+            cases.append((cyclic_project(ctx.path(word).scale(rng.choice((2, -3, 7)))), d))
+    wants = [_per_key_coords(comp, cyc, d) for cyc, d in cases]
+    assert [comp.coords(cyc, d) for cyc, d in cases] == wants
+    assert sum(map(bool, wants)) > len(wants) // 2
+    missing = [ctx.cyclic({CyclicClass(len(q.vertices), ()): 1})]     # no such vertex
+    missing += [ctx.cyclic({CyclicClass(s, (a, a)): 1})               # not a walk
+                for (a, s, t) in ctx.quiver.arrows[:1] if s != t]
+    assert len(missing) == (2 if name == "star" else 1)
+    for cyc in missing:
+        with pytest.raises(QuiverError):
+            comp.coords(cyc, cyc.degrees()[0])
 
 
 def _reference_keys(comp, d):
