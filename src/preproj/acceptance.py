@@ -14,12 +14,13 @@ import time
 from functools import partial, reduce
 from importlib import resources
 
-from .freealg import CycElement, PathContext, cyclic_project, free_context, w_ab
+from .freealg import (CycElement, PathContext, cyclic_project, free_context,
+                      preprojective_relation, w_ab)
 from .homology import (LambdaComputation, forest_system, hp0_poisson,
                        lambda_graded, poisson_presentation,
                        preprojective_element, preprojective_system,
                        r_power_class, forest_arrow_order)
-from .intlinalg import LatticeSolver, quotient_structure
+from .intlinalg import quotient_structure
 from .necklace import (CornerPoisson, bracket, bracket_of_wedge, bv_defect,
                        cobracket, loday_bracket)
 from .quiver import Quiver, catalog, classify, double, forest_for_white
@@ -375,19 +376,8 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
     for nm, args in [("free", (2,)), ("affine_a", (3,))]:
         ctx = PathContext(catalog(nm, *args))
         r = preprojective_element(ctx)
-        comp = LambdaComputation(ctx, None, ideal_gens=[], engine="span")
-        span_rows = {}
-        solvers = {}
-        for d in range(2, 7):
-            rows = []
-            for i in ctx.quiver.vertices:
-                for u in ctx.walks(d - 2, i, i):
-                    e = r * (ctx.path(u) if u else ctx.idempotent(i))
-                    vec = comp.coords(cyclic_project(e), d)
-                    if vec:
-                        rows.append(vec)
-            span_rows[d] = rows
-            solvers[d] = LatticeSolver(len(comp.ambient_keys(d)), rows)
+        comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx),
+                                 engine="span")
         necks = _necklaces_to_total_degree(ctx, 4)
         for d in range(2, 5):
             for i in ctx.quiver.vertices:
@@ -403,7 +393,7 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
                         if br.is_zero():
                             continue
                         vec = comp.coords(br, dd)
-                        if solvers[dd].order_of(vec) != 1:
+                        if comp.solver(dd).order_of(vec) != 1:
                             good = False
     details.append(f"ideal descent: {good}")
     ok &= good

@@ -2,9 +2,12 @@
 reduction, Buchberger-style completion with unit leading coefficients, and a
 module-level confluence check (Diamond Lemma style) for ad-hoc orders.
 
-Completion over Z insists on +-1 leading coefficients; when an S-element
-reduces to something with a non-unit lead we raise NonUnitLead and callers
-fall back to degreewise integer linear algebra.
+A RewriteSystem keeps its rules in one table, leading word -> rule in the
+order the rules were added, and every rule is led by +1: an element led by
+-1 is negated when its rule is built.  Completion over Z insists on +-1
+leading coefficients; when an S-element reduces to something with a
+non-unit lead we raise NonUnitLead and callers fall back to degreewise
+integer linear algebra.
 """
 
 from __future__ import annotations
@@ -60,21 +63,19 @@ class MonomialOrder:
 
 
 class RewriteRule:
-    """element = lc * LM + tail, lc = +-1, every tail monomial strictly smaller."""
+    """element = LM + tail, every tail monomial strictly smaller; an element
+    led by -1 is negated, any other non-unit lead raises NonUnitLead."""
 
-    __slots__ = ("element", "lm", "lc", "lm_word", "tail")
+    __slots__ = ("element", "lm", "lm_word", "tail")
 
     def __init__(self, element: Element, order: MonomialOrder):
         lm, lc = order.leading(element)
-        if lc not in (1, -1):
+        if lc == -1:
+            element = -element
+        elif lc != 1:
             raise NonUnitLead(element)
-        kl = order.key(lm)
-        for m in element.terms:
-            if m != lm and order.key(m) >= kl:
-                raise ValueError("leading monomial is not the unique maximum")
         self.element = element
         self.lm = lm
-        self.lc = lc
         self.lm_word = lm[1]
         self.tail = [(m[1], c) for m, c in element.terms.items() if m != lm]
 
@@ -92,23 +93,21 @@ def render_rule(element: Element, order: MonomialOrder) -> str:
 class RewriteSystem:
     def __init__(self, ctx: PathContext, rules, order: MonomialOrder, complete_to_degree=0):
         self.ctx = ctx
-        self.rules = list(rules)
         self.order = order
         self.complete_to_degree = complete_to_degree
-        self._by_lead = {}
+        self._by_lead = {}      # leading word -> rule, in insertion order
+        self.rules = self._by_lead.values()
         self._aut = None
-        for r in self.rules:
-            self._index_rule(r)
+        for r in rules:
+            self._install(r)
 
-    def _index_rule(self, r):
-        if not r.lm_word:
+    def _install(self, rule, stale=()):
+        """Drop the stale rules and add rule; the automaton is rebuilt on next use."""
+        if not rule.lm_word:
             raise QuiverError("rules must have positive degree")
-        self._by_lead[r.lm_word] = r
-        self._aut = None
-
-    def _drop_rule(self, r):
-        self.rules.remove(r)
-        del self._by_lead[r.lm_word]
+        for r in stale:
+            del self._by_lead[r.lm_word]
+        self._by_lead[rule.lm_word] = rule
         self._aut = None
 
     def _find_reduction(self, word):
@@ -141,13 +140,11 @@ class RewriteSystem:
                     normal.pop(mono, None)
                 continue
             k, rule = hit
-            w = rule.lm_word
-            factor = coeff * rule.lc  # lc = +-1, so this is coeff / lc
             prefix = word[:k]
-            suffix = word[k + len(w):]
+            suffix = word[k + len(rule.lm_word):]
             for rw, rc in rule.tail:
                 key = (v, prefix + rw + suffix)
-                s = work.get(key, 0) - factor * rc
+                s = work.get(key, 0) - coeff * rc
                 if s:
                     work[key] = s
                 else:
@@ -156,7 +153,7 @@ class RewriteSystem:
 
     def _automaton(self):
         if self._aut is None:
-            self._aut = _Automaton([r.lm_word for r in self.rules])
+            self._aut = _Automaton(list(self._by_lead))
         return self._aut
 
     def normal_monomials(self, i, j, d):
@@ -175,20 +172,11 @@ class RewriteSystem:
         vidx = {v: k for k, v in enumerate(verts)}
         n = len(verts)
         counts = [[[0] * n for _ in range(n)] for _ in range(dmax + 1)]
-        for k in range(n):
-            counts[0][k][k] = 1
         for si, s in enumerate(verts):
             layers = {0: {(s, 0): 1}}
-            for wt in range(0, dmax + 1):
-                cur = layers.pop(wt, None)
-                if not cur:
-                    continue
-                if wt:
-                    for (v, _node), c in cur.items():
-                        counts[wt][si][vidx[v]] += c
-                if wt == dmax:
-                    continue
-                for (v, node), c in cur.items():
+            for wt in range(dmax + 1):
+                for (v, node), c in layers.pop(wt, {}).items():
+                    counts[wt][si][vidx[v]] += c
                     for a in q.out_arrows(v):
                         nw = wt + self.ctx.weights[a]
                         if nw > dmax:
@@ -205,15 +193,6 @@ class RewriteSystem:
         """Rules one per line, sorted by descending leading monomial."""
         rs = sorted(self.rules, key=lambda r: self.order.key(r.lm), reverse=True)
         return "\n".join(render_rule(r.element, self.order) for r in rs)
-
-
-def _normalize_lead(el: Element, order: MonomialOrder) -> Element:
-    _, lc = order.leading(el)
-    if lc == 1:
-        return el
-    if lc == -1:
-        return -el
-    raise NonUnitLead(el)
 
 
 class _Automaton:
@@ -265,10 +244,7 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     all overlap words of weight <= max_degree reduce to zero.
     """
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        # the zero ideal: every word is already normal
-        return RewriteSystem(order.ctx, [], order, complete_to_degree=max_degree)
-    ctx = gens[0].ctx
+    ctx = order.ctx
     sys_ = RewriteSystem(ctx, [], order, complete_to_degree=max_degree)
     pending = deque(sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
     pairs = []  # heap of (weight, counter, rule_i, rule_j, split)
@@ -276,17 +252,13 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
 
     def queue_overlaps(rule):
         nonlocal counter
-        for other in list(sys_.rules):
-            for s, w in _overlaps(rule.lm_word, other.lm_word):
-                wt = ctx.weight(w)
-                if wt <= max_degree:
-                    heapq.heappush(pairs, (wt, counter, rule, other, s))
-                    counter += 1
-            if other is not rule:
-                for s, w in _overlaps(other.lm_word, rule.lm_word):
+        for other in sys_.rules:
+            orders = [(rule, other)] if other is rule else [(rule, other), (other, rule)]
+            for ri, rj in orders:
+                for s, w in _overlaps(ri.lm_word, rj.lm_word):
                     wt = ctx.weight(w)
                     if wt <= max_degree:
-                        heapq.heappush(pairs, (wt, counter, other, rule, s))
+                        heapq.heappush(pairs, (wt, counter, ri, rj, s))
                         counter += 1
 
     while pending or pairs:
@@ -294,18 +266,15 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
             cand = sys_.reduce(pending.popleft())
             if cand.is_zero():
                 continue
-            cand = _normalize_lead(cand, order)
             rule = RewriteRule(cand, order)
             stale = [r for r in sys_.rules if _contains(r.lm_word, rule.lm_word)]
-            for r in stale:
-                sys_._drop_rule(r)
-                pending.append(r.element)
-            sys_.rules.append(rule)
-            sys_._index_rule(rule)
+            sys_._install(rule, stale)
+            pending.extend(r.element for r in stale)
             queue_overlaps(rule)
             continue
         _, _, ri, rj, s = heapq.heappop(pairs)
-        if ri not in sys_.rules or rj not in sys_.rules:
+        live = sys_._by_lead.get
+        if live(ri.lm_word) is not ri or live(rj.lm_word) is not rj:
             continue
         k = len(ri.lm_word) - s
         suffix = rj.lm_word[k:]
@@ -366,8 +335,9 @@ class ConfluenceReport:
 def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> ConfluenceReport:
     """Degreewise confluence of the reductions defined by rule_elements.
 
-    The default order is weighted graded lex.  A partial order may be passed
-    as order_key=(maximal_picker, strictly_less); frame instances must then
+    order_key is a sort key on monomials, by default MonomialOrder(ctx).key
+    (weighted graded lex).  A partial order may be passed instead as
+    order_key=(maximal_picker, strictly_less); frame instances must then
     each have a unique maximal monomial.  Checks, degree by degree, that any
     integer combination of same-lead instances falling below the lead reduces
     to zero through instances with strictly smaller leads.  A combination
@@ -378,10 +348,8 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
         return ConfluenceReport(True)
     ctx = ctx or rule_elements[0].ctx
     if order_key is None:
-        mo = MonomialOrder(ctx)
-        maximal = lambda monos: max(monos, key=mo.key)
-        less = lambda a, b: mo.key(a) < mo.key(b)
-    elif isinstance(order_key, tuple):
+        order_key = MonomialOrder(ctx).key
+    if isinstance(order_key, tuple):
         maximal, less = order_key
     else:
         maximal = lambda monos: max(monos, key=order_key)
@@ -418,8 +386,7 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
 
 
 def _frame_instances(rule_elements, ctx, d):
-    out = []
-    seen = set()
+    out = {}    # an Element hashes by its terms: each instance once, first met first
     for el in rule_elements:
         degs = el.degrees()
         if len(degs) != 1:
@@ -435,11 +402,8 @@ def _frame_instances(rule_elements, ctx, d):
                     inst = lhs * ctx.path(v) if v else lhs
                     if inst.is_zero():
                         continue
-                    key = frozenset(inst.terms.items())
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(inst)
-    return out
+                    out.setdefault(inst)
+    return list(out)
 
 
 def _xgcd(a, b):

@@ -247,6 +247,10 @@ def usage_exit(capsys, *argv):
     ("groebner", "--catalog", "dynkin_a", "2", "--degree", "4", "--expect", "{tmp}"),
     ("verify", "--jobs", "0", "--only", "w_lattice"),
     ("verify", "--jobs", "-2", "--only", "w_lattice"),
+    ("hilbert", "--catalog", "dynkin_a", "2"),
+    ("hh0", "--catalog", "free", "2"),
+    ("groebner", "--star", "2", "2", "2"),
+    ("hp0", "--type", "E6"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
@@ -254,7 +258,8 @@ def usage_exit(capsys, *argv):
         "file_malformed_json", "file_without_arrows", "bracket_without_right",
         "loday_without_right", "unclosed_bracket", "open_necklace_word",
         "file_is_a_directory", "file_missing", "file_not_text", "expect_is_a_directory",
-        "verify_jobs_zero", "verify_jobs_negative"])
+        "verify_jobs_zero", "verify_jobs_negative", "hilbert_without_degree",
+        "hh0_without_degree", "groebner_without_degree", "hp0_without_degree"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     """Exit 2 with an "error: " line and no traceback, whether main rejects
     the input or argparse does (a usage line, then "preproj CMD: error: ")."""

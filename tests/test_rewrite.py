@@ -5,8 +5,8 @@ import pytest
 from preproj import rewrite
 from preproj.freealg import PathContext, free_context, preprojective_relation
 from preproj.quiver import catalog, double
-from preproj.rewrite import (MonomialOrder, NonUnitLead, RewriteRule,
-                             RewriteSystem, complete, diamond_check)
+from preproj.rewrite import (MonomialOrder, NonUnitLead, RewriteRule, complete,
+                             diamond_check)
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ def test_unique_normal_form_randomized_order(xy_rprime):
                 if (rv, rw) == r.lm:
                     continue
                 repl = repl + ctx.element({(v, pre + rw + post): -rc})
-            el = el + ctx.element({mono: -c}) + repl.scale(c * r.lc)
+            el = el + ctx.element({mono: -c}) + repl.scale(c)
 
     rng = random.Random(17)
     for _ in range(60):
@@ -93,17 +93,20 @@ def test_unique_normal_form_randomized_order(xy_rprime):
 
 
 def test_complete_e_type_sets():
+    """The shipped listings, from the generators and from their negatives:
+    every rule is led by +1 whatever the sign it was found with."""
     from importlib import resources
 
     for tag, exps, bound in [("e6", (3, 3, 3), 12), ("e7", (4, 4, 2), 12),
                              ("e8", (6, 3, 2), 14)]:
         ctx = free_context(["x", "y", "z"])
         x, y, z = ctx.letters()
-        sys_ = complete([x ** exps[0], y ** exps[1], z ** exps[2], x + y + z],
-                        MonomialOrder(ctx), bound)
+        gens = [x ** exps[0], y ** exps[1], z ** exps[2], x + y + z]
         want = resources.files("preproj.data").joinpath(f"{tag}_groebner.txt").read_text()
         body = "\n".join(l for l in want.splitlines() if not l.startswith("#")).strip()
-        assert sys_.export_text().strip() == body
+        for sign in (1, -1):
+            sys_ = complete([g.scale(sign) for g in gens], MonomialOrder(ctx), bound)
+            assert sys_.export_text().strip() == body, (tag, sign)
 
 
 def test_non_unit_lead_raises():
@@ -116,11 +119,19 @@ def test_non_unit_lead_raises():
         RewriteRule(x.scale(2) - ctx.identity(), MonomialOrder(ctx))
 
 
+def test_rule_led_by_minus_one_is_negated():
+    ctx = free_context(["x", "y"], weights=[1, 2])
+    x, y = ctx.letters()
+    rule = RewriteRule(y - x * x, MonomialOrder(ctx))
+    assert rule.element == x * x - y
+    assert rule.lm == (0, (0, 0))
+    assert rule.tail == [((1,), -1)]
+
+
 def test_normal_monomials_free():
     ctx = free_context(["x", "y"])
     x, y = ctx.letters()
-    sys_ = complete([x * 0 + y * 0 + x - x + y - y + x * y * x * y * x * y * x * y], MonomialOrder(ctx), 3) \
-        if False else RewriteSystem(ctx, [], MonomialOrder(ctx), complete_to_degree=4)
+    sys_ = complete([], MonomialOrder(ctx), 4)
     words = sys_.normal_monomials(0, 0, 3)
     assert len(words) == 8
 
@@ -168,10 +179,16 @@ def test_normal_monomials_star_e6_basis_counts():
         assert got == basis_count(w), (w, got, basis_count(w))
 
 
-def test_normal_count_matrix_matches_enumeration():
-    q = catalog("affine_a", 3)
-    ctx = PathContext(q)
-    sys_ = complete(preprojective_relation(ctx), MonomialOrder(ctx), 6)
+@pytest.mark.parametrize("name", ["affine_a3", "free_weighted", "zero_ideal"])
+def test_normal_count_matrix_matches_enumeration(name, lookup_systems):
+    """Layer 0, the last layer and weights above one included."""
+    if name == "free_weighted":
+        sys_ = lookup_systems[name]
+    else:
+        ctx = PathContext(catalog("affine_a", 3))
+        gens = preprojective_relation(ctx) if name == "affine_a3" else []
+        sys_ = complete(gens, MonomialOrder(ctx), 6)
+    ctx = sys_.ctx
     counts = sys_.normal_count_matrix(6)
     verts = list(ctx.quiver.vertices)
     for d in range(7):
