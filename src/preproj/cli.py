@@ -196,8 +196,7 @@ def _mod(x, m):
 
 
 def cmd_hp0(args):
-    kind = args.type.upper()
-    kind = kind if kind in ("E6", "E7", "E8") else kind[:1]
+    kind = args.type
     if kind in ("A", "D") and args.branch is None:
         raise UsageError(f"type {kind} needs --branch n")
     try:
@@ -312,7 +311,9 @@ def build_parser():
     p = sub.add_parser("hp0", help="zeroth Poisson homology dimensions")
     _add_degree(p)
     _add_format(p)
-    p.add_argument("--type", required=True, help="A, D, E6, E7, or E8")
+    p.add_argument("--type", required=True, type=str.upper,
+                   choices=["A", "D", "E6", "E7", "E8"],
+                   help="A, D, E6, E7 or E8, in any case")
     p.add_argument("--branch", type=int, help="rank n for types A and D")
     p.add_argument("--modulus", type=int, default=0, help="prime p, or 0 for Q")
     p.set_defaults(fn=cmd_hp0)

@@ -563,7 +563,9 @@ def render_cyclic(x: CycElement) -> str:
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(\[[^\]]*\]|[^\s+-]+(?:\s+[^\s+-]+)*)")
 
 
-def _parse_word(ctx, text):
+def _parse_mono(ctx, text):
+    """The monomial of a word of arrow names; QuiverError unless it is a
+    composable path."""
     byname = ctx.quiver.name_to_arrow()
     word = []
     for tok in text.split():
@@ -574,7 +576,8 @@ def _parse_word(ctx, text):
         word += [byname[nm]] * k
     if not word:
         raise QuiverError("empty path; write e_i for the idempotent at vertex i")
-    return tuple(word)
+    (mono,) = ctx.path(word).terms
+    return mono
 
 
 def _idempotent_vertex(ctx, text):
@@ -612,15 +615,13 @@ def parse_element(ctx: PathContext, text: str):
             if inner.startswith("e_"):
                 key = CyclicClass(_idempotent_vertex(ctx, inner), ())
             else:
-                word = _parse_word(ctx, inner)
-                key = CyclicClass.of(ctx, (ctx.quiver.src(word[0]), word))
+                key = CyclicClass.of(ctx, _parse_mono(ctx, inner))
             acc_cy[key] = acc_cy.get(key, 0) + coeff
         elif body.startswith("e_"):
             v = _idempotent_vertex(ctx, body)
             acc_el[(v, ())] = acc_el.get((v, ()), 0) + coeff
         else:
-            word = _parse_word(ctx, body)
-            key = (ctx.quiver.src(word[0]), word)
+            key = _parse_mono(ctx, body)
             acc_el[key] = acc_el.get(key, 0) + coeff
     if cyclic:
         if acc_el:

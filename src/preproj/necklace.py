@@ -3,6 +3,10 @@ to the path algebra (Loday bracket, double bracket, delta_ell), and the
 induced Poisson bracket on the corner algebra i0 Pi i0 of an extended Dynkin
 quiver.
 
+Letters are paired only in _pairings.  The bracket and the Loday bracket
+multiply out the terms of the double bracket (_double); delta_ell,
+delta_ell_sum and the cobracket read off the splits of one word (_splits).
+
 Sign conventions: omega(a, a*) = +1 for an original arrow a.  delta_ell is
 taken with the sign that satisfies the BV identity
 
@@ -13,6 +17,8 @@ delta_ell in the source material carries the opposite (inconsistent) sign.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .freealg import (CycElement, CyclicClass, Element, PathContext, _Combination,
                       _signed_sum, cyclic_project, render_cyclic)
@@ -30,68 +36,90 @@ def omega(ctx: PathContext, a: int, b: int) -> int:
     return 1 if a < b else -1
 
 
-def _open_word(ctx, word, i):
-    """(a_i)_t a_{i+1} ... a_{i-1}: the word opened after position i."""
-    return word[i + 1:] + word[:i]
+def _add(terms, key, c):
+    """terms[key] += c, dropping the key when it reaches zero."""
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
 
-def _as_path_element(ctx, word, at_vertex):
-    if not word:
-        return ctx.idempotent(at_vertex)
-    return ctx.path(word)
+@functools.lru_cache(maxsize=4096)
+def _letter_index(word):
+    """{letter: tuple of its positions in word}; calls share the dict."""
+    return {b: tuple(j for j, c in enumerate(word) if c == b) for b in set(word)}
+
+
+def _pairings(ctx, u, v):
+    """(i, j, omega(u[i], v[j])) for every position pair with v[j] = u[i]*,
+    in increasing (i, j), looked up in the letter index of v."""
+    if not (u and v):
+        return
+    if not ctx.quiver.starred:
+        raise QuiverError("the pairing lives on a doubled quiver")
+    at, star = _letter_index(v), ctx.quiver.star
+    for i, a in enumerate(u):
+        for j in at.get(star[a], ()):
+            yield i, j, 1 if a < star[a] else -1
+
+
+def _double(ctx, p, q):
+    """{{p, q}} of two monomials: (omega, left, right) for each pairing of a
+    letter a of p with a* in q, where left = q[:j] p[i+1:] and right =
+    p[:i] q[j+1:].  For closed p, left right (the monomial
+    (left[0], left[1] + right[1])) is q with p opened at a put in for a*."""
+    (vp, wp), (vq, wq) = p, q
+    for i, j, om in _pairings(ctx, wp, wq):
+        left, right = wq[:j] + wp[i + 1:], wp[:i] + wq[j + 1:]
+        yield (om, (vq, left) if left else (ctx.quiver.dst(wp[i]), ()),
+               (vp, right) if right else (ctx.quiver.src(wp[i]), ()))
+
+
+def _splits(ctx, mono):
+    """(omega, [between], outer) for each pairing i < j inside one word:
+    between = word[i+1:j] closes at (a_i)_t, and outer = word[:i] word[j+1:]
+    starts where the word does (the prefix ends where the suffix starts)."""
+    v, word = mono
+    for i, j, om in _pairings(ctx, word[:-1], word):  # no j after the last i
+        if i < j:
+            between = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), word[i + 1:j]))
+            yield om, between, (v, word[:i] + word[j + 1:])
 
 
 def partial_derivative(a: int, w: CycElement) -> Element:
     """d/da of a cyclic element: sum of opened words over occurrences of a."""
-    ctx = w.ctx
-    out = ctx.zero()
+    terms = {}
     for key, c in w.terms.items():
         word = key.word
         for i, letter in enumerate(word):
             if letter == a:
-                opened = _open_word(ctx, word, i)
-                out = out + _as_path_element(ctx, opened, ctx.quiver.dst(a)).scale(c)
-    return out
+                _add(terms, (w.ctx.quiver.dst(a), word[i + 1:] + word[:i]), c)
+    return Element(w.ctx, terms)
 
 
 def double_derivative(a: int, p: Element):
     """D_a: split at each occurrence of a; returns [(coeff, left, right)]."""
     ctx = p.ctx
-    out = []
-    for (v, word), c in p.terms.items():
-        for i, letter in enumerate(word):
-            if letter == a:
-                left = _as_path_element(ctx, word[:i], v)
-                right = _as_path_element(ctx, word[i + 1:], ctx.quiver.dst(a))
-                out.append((c, left, right))
-    return out
+    return [(c, Element(ctx, {(v, word[:i]): 1}),
+             Element(ctx, {(ctx.quiver.dst(a), word[i + 1:]): 1}))
+            for (v, word), c in p.terms.items()
+            for i, letter in enumerate(word) if letter == a]
 
 
 def bracket(u: CycElement, v: CycElement) -> CycElement:
-    """Necklace Lie bracket on cyclic elements."""
+    """Necklace Lie bracket on cyclic elements: the class of {{u, v}}
+    multiplied out."""
     ctx = u.ctx
     if ctx.quiver is not v.ctx.quiver:
         raise QuiverError("brackets need a shared quiver")
-    out = {}
+    terms = {}
     for ku, cu in u.terms.items():
-        wu = ku.word
         for kv, cv in v.terms.items():
-            wv = kv.word
-            for i, ai in enumerate(wu):
-                for j, bj in enumerate(wv):
-                    om = omega(ctx, ai, bj)
-                    if not om:
-                        continue
-                    # opened u runs from (a_i)_t to (a_i)_s and opened v
-                    # back, so joined is closed at (a_i)_t
-                    joined = _open_word(ctx, wu, i) + _open_word(ctx, wv, j)
-                    key = CyclicClass.of(ctx, (ctx.quiver.dst(ai), joined))
-                    s = out.get(key, 0) + om * cu * cv
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return CycElement(ctx, out)
+            for om, (s, left), (_, right) in _double(ctx, (ku.vertex, ku.word),
+                                                     (kv.vertex, kv.word)):
+                _add(terms, CyclicClass.of(ctx, (s, left + right)), om * cu * cv)
+    return CycElement(ctx, terms)
 
 
 class WedgePair(_Combination):
@@ -116,20 +144,9 @@ class WedgePair(_Combination):
         return self.ctx.weight(key[0].word) + self.ctx.weight(key[1].word)
 
     def add(self, k1, k2, c):
-        if c == 0:
-            return
         r1, r2 = self._rank(self.ctx, k1), self._rank(self.ctx, k2)
-        if r1 == r2 and k1 == k2:
-            return
-        if r2 < r1:
-            k1, k2 = k2, k1
-            c = -c
-        key = (k1, k2)
-        s = self.terms.get(key, 0) + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        if r1 != r2:
+            _add(self.terms, (k1, k2) if r1 < r2 else (k2, k1), c if r1 < r2 else -c)
 
     def __repr__(self):
         def cyc(k):
@@ -141,52 +158,36 @@ class WedgePair(_Combination):
 
 
 def cobracket(u: CycElement) -> WedgePair:
-    """Necklace cobracket: split the cycle at every omega-paired position pair."""
+    """Necklace cobracket: [outer] ^ [between] over the splits of delta_ell,
+    with the outer leg closed up."""
     ctx = u.ctx
     out = WedgePair(ctx)
     for key, c in u.terms.items():
-        word = key.word
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                om = omega(ctx, word[i], word[j])
-                if not om:
-                    continue
-                part1 = word[j + 1:] + word[:i]   # (a_j)_t ... a_{i-1}
-                part2 = word[i + 1:j]             # (a_i)_t ... a_{j-1}
-                k1 = CyclicClass.of(ctx, (ctx.quiver.dst(word[j]), part1))
-                k2 = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), part2))
-                out.add(k1, k2, om * c)
+        for om, between, outer in _splits(ctx, (key.vertex, key.word)):
+            out.add(CyclicClass.of(ctx, outer), between, om * c)
     return out
 
 
 def bracket_of_wedge(w: WedgePair) -> CycElement:
     """br applied termwise to a wedge sum (well defined by antisymmetry)."""
     ctx = w.ctx
-    acc = CycElement(ctx, {})
+    terms = {}
     for (k1, k2), c in w.terms.items():
-        acc = acc + bracket(CycElement(ctx, {k1: 1}), CycElement(ctx, {k2: 1})).scale(c)
-    return acc
+        for key, b in bracket(CycElement(ctx, {k1: c}), CycElement(ctx, {k2: 1})).terms.items():
+            _add(terms, key, b)
+    return CycElement(ctx, terms)
 
 
 def loday_bracket(u: CycElement, p: Element) -> Element:
-    """{[u], p}: insert the opened u into p at every omega-pairing."""
+    """{[u], p}: insert the opened u into p at every omega-pairing, which is
+    {{u, p}} multiplied out."""
     ctx = u.ctx
-    out = ctx.zero()
+    terms = {}
     for ku, cu in u.terms.items():
-        wu = ku.word
-        for (v, wp), cp in p.terms.items():
-            for j, bj in enumerate(wp):
-                for i, ai in enumerate(wu):
-                    om = omega(ctx, ai, bj)
-                    if not om:
-                        continue
-                    word = wp[:j] + _open_word(ctx, wu, i) + wp[j + 1:]
-                    coeff = om * cu * cp
-                    if word:
-                        out = out + ctx.path(word).scale(coeff)
-                    else:
-                        out = out + ctx.idempotent(ctx.quiver.dst(ai)).scale(coeff)
-    return out
+        for mono, cp in p.terms.items():
+            for om, (s, left), (_, right) in _double(ctx, (ku.vertex, ku.word), mono):
+                _add(terms, (s, left + right), om * cu * cp)
+    return Element(ctx, terms)
 
 
 def delta_ell(p: Element):
@@ -196,58 +197,26 @@ def delta_ell(p: Element):
     (i, j)-term is +omega(a_i, a_j) [between(i, j)] x (prefix idempotent suffix).
     """
     ctx = p.ctx
-    out = []
-    for (v, word), c in p.terms.items():
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                om = omega(ctx, word[i], word[j])
-                if not om:
-                    continue
-                between = word[i + 1:j]
-                kcyc = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), between))
-                # prefix ends at (a_i)_s and suffix starts at (a_j)_t, which
-                # equals (a_i)_s whenever omega pairs them, so this composes
-                outer = word[:i] + word[j + 1:]
-                pe = _as_path_element(ctx, outer, ctx.quiver.src(word[i]))
-                out.append((om * c, kcyc, pe))
-    return out
+    return [(om * c, between, Element(ctx, {outer: 1}))
+            for mono, c in p.terms.items() for om, between, outer in _splits(ctx, mono)]
 
 
 def delta_ell_sum(p: Element) -> dict:
     """delta_ell collected as {(cyclic key, path mono): coeff}."""
     acc = {}
-    for c, k, pe in delta_ell(p):
-        for mono, cm in pe.terms.items():
-            key = (k, mono)
-            s = acc.get(key, 0) + c * cm
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+    for mono, c in p.terms.items():
+        for om, between, outer in _splits(p.ctx, mono):
+            _add(acc, (between, outer), om * c)
     return acc
 
 
 def double_bracket(p: Element, q: Element):
     """Van den Bergh's double bracket {{p, q}} as {(left mono, right mono): coeff}."""
-    ctx = p.ctx
     out = {}
-    for (vp, wp), cp in p.terms.items():
-        for (vq, wq), cq in q.terms.items():
-            for i, ai in enumerate(wp):
-                for j, bj in enumerate(wq):
-                    om = omega(ctx, ai, bj)
-                    if not om:
-                        continue
-                    left_w = wq[:j] + wp[i + 1:]
-                    right_w = wp[:i] + wq[j + 1:]
-                    left = (vq, left_w) if left_w else (ctx.quiver.dst(ai), ())
-                    right = (vp, right_w) if right_w else (ctx.quiver.src(ai), ())
-                    key = (left, right)
-                    s = out.get(key, 0) + om * cp * cq
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+    for mp, cp in p.terms.items():
+        for mq, cq in q.terms.items():
+            for om, left, right in _double(p.ctx, mp, mq):
+                _add(out, (left, right), om * cp * cq)
     return out
 
 
@@ -256,24 +225,14 @@ def bv_defect(a: Element, b: Element) -> dict:
     empty dict iff the BV identity holds on (a, b)."""
     ctx = a.ctx
     acc = delta_ell_sum(a * b)
-
-    def sub(key, c):
-        s = acc.get(key, 0) - c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
-    for c, k, pe in delta_ell(a):
-        for mono, cm in (Element(ctx, dict(pe.terms)) * b).terms.items():
-            sub((k, mono), c * cm)
-    for c, k, pe in delta_ell(b):
-        for mono, cm in (a * Element(ctx, dict(pe.terms))).terms.items():
-            sub((k, mono), c * cm)
+    legs = [(c, k, pe * b) for c, k, pe in delta_ell(a)] \
+        + [(c, k, a * pe) for c, k, pe in delta_ell(b)]
+    for c, k, prod in legs:
+        for mono, cm in prod.terms.items():
+            _add(acc, (k, mono), -c * cm)
     for (left, right), c in double_bracket(a, b).items():
-        if ctx.mono_target(left) != left[0]:
-            continue  # open paths die under pr
-        sub((CyclicClass.of(ctx, left), right), c)
+        if ctx.mono_target(left) == left[0]:  # open paths die under pr
+            _add(acc, (CyclicClass.of(ctx, left), right), -c)
     return acc
 
 

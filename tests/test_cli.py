@@ -210,6 +210,15 @@ def test_hp0_type_a_cli(capsys):
     assert doc[0]["dim"] == 1
 
 
+def test_hp0_type_in_any_case(capsys):
+    _, upper, _ = run(capsys, "hp0", "--type", "E6", "--degree", "12")
+    code, lower, _ = run(capsys, "hp0", "--type", "e6", "--degree", "12")
+    assert code == 0 and lower == upper
+    code, err = usage_exit(capsys, "hp0", "--type", "F4", "--degree", "12")
+    assert code == 2
+    assert "'A', 'D', 'E6', 'E7', 'E8'" in err
+
+
 def test_groebner_preprojective_listing(capsys):
     code, out, _ = run(capsys, "groebner", "--catalog", "affine_a", "3",
                        "--degree", "6")
@@ -251,6 +260,14 @@ def usage_exit(capsys, *argv):
     ("hh0", "--catalog", "free", "2"),
     ("groebner", "--star", "2", "2", "2"),
     ("hp0", "--type", "E6"),
+    ("hp0", "--type", "Apple", "--branch", "3", "--degree", "4"),
+    ("hp0", "--type", "D9x", "--branch", "4", "--degree", "4"),
+    ("hp0", "--type", "e6x", "--degree", "4"),
+    ("necklace", "--catalog", "dynkin_a", "3", "--left", "a0 a0", "--right", "[a0 a0*]"),
+    ("necklace", "--catalog", "dynkin_a", "3", "--left", "[a0 a1* a1 a0*]",
+     "--right", "[a0 a0*]"),
+    ("necklace", "--catalog", "dynkin_a", "3", "--op", "loday", "--left", "[a0 a0*]",
+     "--right", "a0 a0"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
@@ -259,7 +276,9 @@ def usage_exit(capsys, *argv):
         "loday_without_right", "unclosed_bracket", "open_necklace_word",
         "file_is_a_directory", "file_missing", "file_not_text", "expect_is_a_directory",
         "verify_jobs_zero", "verify_jobs_negative", "hilbert_without_degree",
-        "hh0_without_degree", "groebner_without_degree", "hp0_without_degree"])
+        "hh0_without_degree", "groebner_without_degree", "hp0_without_degree",
+        "hp0_type_unknown", "hp0_type_with_trailing_text", "hp0_type_e6_with_trailing_text",
+        "necklace_word_not_a_path", "necklace_class_not_a_path", "loday_word_not_a_path"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     """Exit 2 with an "error: " line and no traceback, whether main rejects
     the input or argparse does (a usage line, then "preproj CMD: error: ")."""

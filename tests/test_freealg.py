@@ -215,6 +215,13 @@ def test_parse_necklace_keys_by_canonical_rotation():
         parse_element(ctx, "[a0 a1]")
 
 
+@pytest.mark.parametrize("text", ["a0 a0", "[a0 a1* a1 a0*]", "2*a1 a0 - a0 a1"])
+def test_parse_element_rejects_words_that_are_not_paths(text):
+    ctx = PathContext(catalog("dynkin_a", 3))
+    with pytest.raises(QuiverError, match="word is not a composable path"):
+        parse_element(ctx, text)
+
+
 def test_render_spec_format(loop_pair):
     ctx = loop_pair
     x, y = ctx.arrow(0), ctx.arrow(1)

@@ -234,10 +234,153 @@ def test_bracket_degree(pair):
     assert br.degrees() in ([], [4])  # |u| + |v| - 2
 
 
-def test_omega_requires_double():
+@pytest.mark.parametrize("op", ["omega", "bracket", "cobracket", "loday_bracket",
+                                "double_bracket", "delta_ell"])
+def test_omega_requires_double(op):
     from preproj.freealg import free_context
     from preproj.quiver import QuiverError
 
     ctx = free_context(["x", "y"])
+    u = ctx.cyclic({CyclicClass(0, (0, 1)): 1})
+    p = ctx.path((0, 1))
+    call = {"omega": lambda: omega(ctx, 0, 1), "bracket": lambda: bracket(u, u),
+            "cobracket": lambda: cobracket(u), "loday_bracket": lambda: loday_bracket(u, p),
+            "double_bracket": lambda: double_bracket(p, p),
+            "delta_ell": lambda: delta_ell(p)}[op]
     with pytest.raises(QuiverError):
-        omega(ctx, 0, 1)
+        call()
+
+
+def test_undoubled_context_without_pairs_gives_zero():
+    """Without two letters to pair, an undoubled context gives zero, as it
+    always has: the pairing is asked for only when a pair exists."""
+    from preproj.freealg import free_context
+
+    ctx = free_context(["x", "y"])
+    e, x = ctx.cyclic({CyclicClass(0, ()): 1}), ctx.cyclic({CyclicClass(0, (0,)): 1})
+    assert bracket(e, x).is_zero() and cobracket(x).is_zero()
+    assert delta_ell(ctx.path((0,))) == [] and double_bracket(ctx.identity(), ctx.path((0,))) == {}
+
+
+# Reference: every (i, j) letter pair goes through omega, one operation at a
+# time, each with its own accumulator.
+
+def _ref_acc(out, key, c):
+    out[key] = out.get(key, 0) + c
+    if not out[key]:
+        del out[key]
+
+
+def _ref_bracket(u, v):
+    ctx, out = u.ctx, {}
+    for ku, cu in u.terms.items():
+        wu = ku.word
+        for kv, cv in v.terms.items():
+            wv = kv.word
+            for i, ai in enumerate(wu):
+                for j, bj in enumerate(wv):
+                    om = omega(ctx, ai, bj)
+                    if om:
+                        joined = wu[i + 1:] + wu[:i] + wv[j + 1:] + wv[:j]
+                        key = CyclicClass.of(ctx, (ctx.quiver.dst(ai), joined))
+                        _ref_acc(out, key, om * cu * cv)
+    return out
+
+
+def _ref_cobracket(u):
+    """{(k1, k2): c} with k1 < k2 by (degree, word, vertex), as WedgePair
+    stores its terms."""
+    ctx, out = u.ctx, {}
+    for key, c in u.terms.items():
+        word = key.word
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                om = omega(ctx, word[i], word[j])
+                if om:
+                    k1 = CyclicClass.of(ctx, (ctx.quiver.dst(word[j]),
+                                              word[j + 1:] + word[:i]))
+                    k2 = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), word[i + 1:j]))
+                    r1, r2 = ((ctx.weight(k.word), k.word, k.vertex) for k in (k1, k2))
+                    if r1 != r2:
+                        _ref_acc(out, (k1, k2) if r1 < r2 else (k2, k1),
+                                 om * c if r1 < r2 else -om * c)
+    return out
+
+
+def _ref_loday(u, p):
+    ctx, out = u.ctx, {}
+    for ku, cu in u.terms.items():
+        wu = ku.word
+        for (v, wp), cp in p.terms.items():
+            for j, bj in enumerate(wp):
+                for i, ai in enumerate(wu):
+                    om = omega(ctx, ai, bj)
+                    if om:
+                        word = wp[:j] + wu[i + 1:] + wu[:i] + wp[j + 1:]
+                        el = ctx.path(word) if word else ctx.idempotent(ctx.quiver.dst(ai))
+                        for mono, c in el.terms.items():
+                            _ref_acc(out, mono, om * cu * cp * c)
+    return out
+
+
+def _ref_double_bracket(p, q):
+    ctx, out = p.ctx, {}
+    for (vp, wp), cp in p.terms.items():
+        for (vq, wq), cq in q.terms.items():
+            for i, ai in enumerate(wp):
+                for j, bj in enumerate(wq):
+                    om = omega(ctx, ai, bj)
+                    if om:
+                        left_w, right_w = wq[:j] + wp[i + 1:], wp[:i] + wq[j + 1:]
+                        left = (vq, left_w) if left_w else (ctx.quiver.dst(ai), ())
+                        right = (vp, right_w) if right_w else (ctx.quiver.src(ai), ())
+                        _ref_acc(out, (left, right), om * cp * cq)
+    return out
+
+
+def _ref_delta_ell_sum(p):
+    ctx, out = p.ctx, {}
+    for (v, word), c in p.terms.items():
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                om = omega(ctx, word[i], word[j])
+                if om:
+                    kcyc = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), word[i + 1:j]))
+                    outer = word[:i] + word[j + 1:]
+                    el = ctx.path(outer) if outer else ctx.idempotent(ctx.quiver.src(word[i]))
+                    for mono, cm in el.terms.items():
+                        _ref_acc(out, (kcyc, mono), om * c * cm)
+    return out
+
+
+@pytest.mark.parametrize("name,args", [("free", (1,)), ("free", (2,)),
+                                       ("affine_a", (3,)), ("affine_d", (4,))],
+                         ids=["free1", "free2", "affine_a3", "affine_d4"])
+def test_operations_match_all_pairs_reference(name, args):
+    """Multi-term elements with coefficients other than +-1, degree-0 classes
+    and idempotents among the terms, words of length <= 6."""
+    rng = random.Random(f"{name} {args}")
+    ctx = PathContext(catalog(name, *args))
+    verts = list(ctx.quiver.vertices)
+    monos = [(v, ()) for v in verts] + [(ctx.quiver.src(w[0]), w)
+                                        for d in range(1, 7) for w in ctx.walks(d)]
+    classes = [CyclicClass(v, ()) for v in verts] + [k for d in range(1, 7)
+                                                    for k in ctx.necklaces(d)]
+    coeffs = [1, -1, 2, -3, 5, 7]
+
+    def sample(pool, make):
+        return make({rng.choice(pool): rng.choice(coeffs) for _ in range(rng.randint(1, 4))})
+
+    nonzero = [0] * 5
+    for _ in range(60):
+        u, v = sample(classes, ctx.cyclic), sample(classes, ctx.cyclic)
+        p, q = sample(monos, ctx.element), sample(monos, ctx.element)
+        pairs = [(bracket(u, v).terms, _ref_bracket(u, v)),
+                 (cobracket(u).terms, _ref_cobracket(u)),
+                 (loday_bracket(u, p).terms, _ref_loday(u, p)),
+                 (double_bracket(p, q), _ref_double_bracket(p, q)),
+                 (delta_ell_sum(p), _ref_delta_ell_sum(p))]
+        for k, (got, want) in enumerate(pairs):
+            assert got == want, (k, u, v, p, q)
+            nonzero[k] += bool(want)
+    assert min(nonzero) >= 10, nonzero
