@@ -178,14 +178,17 @@ def free_context(names, weights=None) -> PathContext:
 
 
 def canonical_rotation(word):
-    """Lexicographically minimal rotation of an arrow tuple."""
+    """Lexicographically minimal rotation of an arrow tuple.  It starts with
+    the least letter, so only the rotations that do are built."""
     if len(word) <= 1:
         return word
+    m = min(word)
     best = word
     for k in range(1, len(word)):
-        rot = word[k:] + word[:k]
-        if rot < best:
-            best = rot
+        if word[k] == m:
+            rot = word[k:] + word[:k]
+            if rot < best:
+                best = rot
     return best
 
 
@@ -602,7 +605,8 @@ def parse_element(ctx: PathContext, text: str):
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
+        # after the first term, each term begins with its + or - sign
+        if not m or m.end() == pos or (pos and not m.group(1)):
             raise QuiverError(f"cannot parse element near {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = sign * (int(m.group(2)) if m.group(2) else 1)

@@ -235,7 +235,7 @@ def forest_arrow_order(qd: Quiver, white):
     return [a for a in ids if a not in fa] + [a for a in ids if a in fa]
 
 
-def forest_system(q: Quiver, white, degree_bound=12, ctx=None) -> RewriteSystem:
+def forest_system(q: Quiver, white, degree_bound, ctx=None) -> RewriteSystem:
     """The Prop-bpp rewrite system: preprojective relations led by a a* over
     the forest arrows; completion certifies it adds nothing."""
     if ctx is None:
@@ -244,7 +244,7 @@ def forest_system(q: Quiver, white, degree_bound=12, ctx=None) -> RewriteSystem:
                                 arrow_order=forest_arrow_order(ctx.quiver, white))
 
 
-def preprojective_system(q: Quiver, white=(), degree_bound=12, ctx=None,
+def preprojective_system(q: Quiver, white, degree_bound, ctx=None,
                          arrow_order=None) -> RewriteSystem:
     """Completed rewrite system for Pi_{Q,J} up to degree_bound."""
     if ctx is None:
@@ -254,7 +254,7 @@ def preprojective_system(q: Quiver, white=(), degree_bound=12, ctx=None,
     return complete(rels, order, degree_bound)
 
 
-def lambda_graded(q: Quiver, white=(), D=12, engine="auto", ctx=None,
+def lambda_graded(q: Quiver, white, D, engine="auto", ctx=None,
                   arrow_order=None):
     """GradedTorsionReport for Lambda_{Q,J} through degree D.
 

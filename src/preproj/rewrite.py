@@ -195,6 +195,13 @@ class RewriteSystem:
         return "\n".join(render_rule(r.element, self.order) for r in rs)
 
 
+def _listing_body(text):
+    """The body of a listing in the export_text format: its lines other than
+    comment (#) lines and blank lines, stripped."""
+    return "\n".join(l for l in text.splitlines()
+                     if l.strip() and not l.startswith("#")).strip()
+
+
 class _Automaton:
     """Aho-Corasick over arrow ids with a full transition table: advance reads
     a letter in one lookup (a letter missing from table[state] leads to the

@@ -172,7 +172,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.n}x{self.n}, D={self.D})"
 
 
-def cartan_t_matrix(q: Quiver, white=(), D=12) -> TruncatedSeries:
+def cartan_t_matrix(q: Quiver, white, D) -> TruncatedSeries:
     """1 - t*C + t^2 * 1_black, C the adjacency matrix of the double."""
     C = q.adjacency()
     n = len(C)
@@ -185,7 +185,7 @@ def cartan_t_matrix(q: Quiver, white=(), D=12) -> TruncatedSeries:
     return TruncatedSeries([_eye(n), _mat_scale(C, -1), black_diag] + [_zero(n)] * (D - 2), D)
 
 
-def hilbert_prep(q: Quiver, white=(), D=12) -> TruncatedSeries:
+def hilbert_prep(q: Quiver, white, D) -> TruncatedSeries:
     """Matrix Hilbert series (1 - tC + t^2 1_black)^{-1} of Pi_{Q,J}.
 
     Valid when some vertex is white or Q is not Dynkin; refused for Dynkin
@@ -232,7 +232,7 @@ def _one_minus_tm_pow(m, e, D):
     return TruncatedSeries.scalar(coeffs, D)
 
 
-def hT(family: str, rank: int, p: int, D=32) -> TruncatedSeries:
+def hT(family: str, rank: int, p: int, D) -> TruncatedSeries:
     """Closed-form Hilbert series of the torsion of Lambda for extended Dynkin
     types, per characteristic p; zero outside the listed cases."""
     coeffs = [0] * (D + 1)
@@ -259,7 +259,7 @@ def hT(family: str, rank: int, p: int, D=32) -> TruncatedSeries:
     return TruncatedSeries.scalar(coeffs, D)
 
 
-def hT_of(q: Quiver, p: int, D=32) -> TruncatedSeries:
+def hT_of(q: Quiver, p: int, D) -> TruncatedSeries:
     cls = classify(q)
     if not cls.is_extended_dynkin():
         raise SeriesError("hT is defined for extended Dynkin quivers")
@@ -307,7 +307,7 @@ def chebyshev_like_coeffs(q: Quiver, i0: int, D: int):
     return [inv.coeffs[d][k][k] for d in range(D + 1)]
 
 
-def egid_check(q: Quiver, D=12) -> bool:
+def egid_check(q: Quiver, D) -> bool:
     """The product identity relating the (i0,i0) inverse-Cartan entries, i0
     the extending vertex, and the determinant of the t-Cartan matrix, for
     extended Dynkin q."""

@@ -86,6 +86,26 @@ def test_groebner_expect_match(capsys):
     assert "matches expected listing" in err
 
 
+def test_groebner_expect_skips_blank_lines(tmp_path, capsys):
+    """A blank line in a listing is not a rule, for `groebner --expect` and
+    for the groebner_e_types criterion alike."""
+    from importlib import resources
+
+    from preproj.rewrite import _listing_body
+
+    text = resources.files("preproj.data").joinpath("e6_groebner.txt").read_text()
+    lines = text.splitlines()
+    k = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+    gapped = "\n".join(lines[:k] + [""] + lines[k:]) + "\n"
+    assert _listing_body(gapped) == _listing_body(text)
+    path = tmp_path / "e6_gapped.txt"
+    path.write_text(gapped)
+    code, _, err = run(capsys, "groebner", "--star", "2", "2", "2",
+                       "--degree", "12", "--expect", str(path))
+    assert code == 0
+    assert "matches expected listing" in err
+
+
 def test_groebner_expect_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("x\n")
@@ -268,6 +288,8 @@ def usage_exit(capsys, *argv):
      "--right", "[a0 a0*]"),
     ("necklace", "--catalog", "dynkin_a", "3", "--op", "loday", "--left", "[a0 a0*]",
      "--right", "a0 a0"),
+    ("necklace", "--catalog", "free", "1", "--op", "bracket", "--left", "[x] [x*]",
+     "--right", "[x*]"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
@@ -278,7 +300,8 @@ def usage_exit(capsys, *argv):
         "verify_jobs_zero", "verify_jobs_negative", "hilbert_without_degree",
         "hh0_without_degree", "groebner_without_degree", "hp0_without_degree",
         "hp0_type_unknown", "hp0_type_with_trailing_text", "hp0_type_e6_with_trailing_text",
-        "necklace_word_not_a_path", "necklace_class_not_a_path", "loday_word_not_a_path"])
+        "necklace_word_not_a_path", "necklace_class_not_a_path", "loday_word_not_a_path",
+        "necklace_terms_without_sign"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     """Exit 2 with an "error: " line and no traceback, whether main rejects
     the input or argparse does (a usage line, then "preproj CMD: error: ")."""

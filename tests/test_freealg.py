@@ -95,7 +95,7 @@ def test_preprojective_relation_a2():
         preprojective_relation(ctx, white=[0, 2])
 
 
-@pytest.mark.parametrize("text", ["[x", "x]", "[]", "e_x", "e_3"])
+@pytest.mark.parametrize("text", ["[x", "x]", "[]", "e_x", "e_3", "[x] x", "[x] [x*]"])
 def test_parse_element_rejects_malformed_text(loop_pair, text):
     with pytest.raises(QuiverError):
         parse_element(loop_pair, text)
@@ -187,6 +187,16 @@ def test_rotation_classes(loop_pair):
     x, y = ctx.arrow(0), ctx.arrow(1)
     assert cyclic_project(x * y) == cyclic_project(y * x)
     assert canonical_rotation((1, 0, 1, 0)) == (0, 1, 0, 1)
+
+
+def test_canonical_rotation_is_the_least_rotation():
+    """Against the minimum over all rotations: every word of length <= 7 on
+    three letters, and seeded words of length up to 20 on 16 letters."""
+    rng = random.Random(5)
+    words = [w for n in range(8) for w in _all_words(3, n)]
+    words += [tuple(rng.randrange(16) for _ in range(rng.randint(2, 20))) for _ in range(500)]
+    for w in words:
+        assert canonical_rotation(w) == min((w[k:] + w[:k] for k in range(len(w))), default=w)
 
 
 def test_render_parse_roundtrip(two_pairs):

@@ -130,7 +130,7 @@ def test_hT_table():
     assert [d for d, c in enumerate(hT("E", 7, 2, 20).scalar_coeffs()) if c] == [4, 8, 16]
     assert [d for d, c in enumerate(hT("E", 8, 3, 20).scalar_coeffs()) if c] == [6, 18]
     with pytest.raises(SeriesError):
-        hT_of(catalog("free", 2), 2)
+        hT_of(catalog("free", 2), 2, 16)
 
 
 def _rewrite_series(q, white, D):
