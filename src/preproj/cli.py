@@ -15,8 +15,8 @@ import sys
 from . import acceptance
 from .freealg import (CycElement, PathContext, cyclic_project,
                       parse_element, render_cyclic, render_element)
-from .homology import (_is_prime, lambda_graded, hp0_poisson, poisson_presentation,
-                       preprojective_system, r_power_cyclic)
+from .homology import (lambda_graded, hp0_poisson, poisson_presentation,
+                       preprojective_system, r_power_cyclic, r_powers)
 from .necklace import bracket, cobracket, loday_bracket
 from .quiver import Quiver, QuiverError, catalog, classify
 from .rewrite import NonUnitLead, _listing_body
@@ -92,8 +92,7 @@ def cmd_hh0(args):
     rep, comp = lambda_graded(q, white, D)
     generators = {}
     if args.show_generators and not white:
-        for p, ell in _prime_powers(D // 2):
-            d = 2 * p ** ell
+        for d, (p, ell) in r_powers(D).items():
             cyc = r_power_cyclic(comp.ctx, p, ell)
             o = comp.order_of(comp.to_class(cyc, d))
             if o not in (0, 1):
@@ -111,15 +110,6 @@ def cmd_hh0(args):
         for line in generators[d]:
             print(line)
     return 0
-
-
-def _prime_powers(n):
-    """(p, l) with p prime, l >= 1 and p^l <= n."""
-    for p in filter(_is_prime, range(2, n + 1)):
-        ell = 1
-        while p ** ell <= n:
-            yield p, ell
-            ell += 1
 
 
 def cmd_groebner(args):
@@ -197,6 +187,8 @@ def cmd_hp0(args):
     kind = args.type
     if kind in ("A", "D") and args.branch is None:
         raise UsageError(f"type {kind} needs --branch n")
+    if kind not in ("A", "D") and args.branch is not None:
+        raise UsageError(f"type {kind} takes no --branch")
     try:
         pres = poisson_presentation(kind, args.branch or 0)
         dims = hp0_poisson(pres, args.modulus, args.degree)

@@ -307,6 +307,13 @@ def r_power_class(comp: LambdaComputation, p: int, ell: int) -> HomologyClass:
     return comp.to_class(cyc, d, label=f"r^({p}^{ell})")
 
 
+def r_powers(D):
+    """{2 p^l: (p, l)} for p prime and l >= 1 with 2 p^l <= D, by degree: the
+    degrees through D where the classes r^(p^l) live."""
+    return dict(sorted((2 * p ** ell, (p, ell)) for p in range(2, D // 2 + 1)
+                       if _is_prime(p) for ell in range(1, D) if 2 * p ** ell <= D))
+
+
 def frobenius_cyc(c: CycElement, p: int) -> CycElement:
     """[w] -> [w^p] on cyclic words with mod-p coefficients.
 
@@ -387,59 +394,28 @@ def _poly_reduce(pres: PoissonPresentation, poly: dict) -> dict:
     return out
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e, c in a.items():
-        for f, d in b.items():
-            key = tuple(x + y for x, y in zip(e, f))
-            out[key] = out.get(key, 0) + c * d
-            if out[key] == 0:
-                del out[key]
-    return out
-
-
 def _monomials_of_degree(pres: PoissonPresentation, d):
-    n = len(pres.gens)
-    out = []
-
-    def rec(i, expo, rem):
-        if i == n:
-            if rem == 0:
-                e = tuple(expo)
-                if _exp_sub(e, pres.lead) is None:
-                    out.append(e)
-            return
-        step = pres.degrees[i]
-        for k in range(rem // step + 1):
-            expo.append(k)
-            rec(i + 1, expo, rem - k * step)
-            expo.pop()
-
-    rec(0, [], d)
-    return out
+    """Exponent tuples of degree d that the leading exponent does not divide,
+    in lexicographic order."""
+    expos = [((), d)]                   # (exponents so far, degree left)
+    for step in pres.degrees:
+        expos = [(e + (k,), rem - k * step) for e, rem in expos for k in range(rem // step + 1)]
+    return [e for e, rem in expos if rem == 0 and _exp_sub(e, pres.lead) is None]
 
 
 def _bracket_gen_mono(pres: PoissonPresentation, gi: int, mono: tuple) -> dict:
     """{gen_i, mono} via the Leibniz rule, reduced."""
     out = {}
-    for gj in range(len(pres.gens)):
-        k = mono[gj]
-        if k == 0:
+    for gj, k in enumerate(mono):
+        if k == 0 or gi == gj:
             continue
-        pair = (min(gi, gj), max(gi, gj))
-        if gi == gj:
-            continue
-        br = pres.brackets.get(pair, {})
-        if not br:
-            continue
-        sign = 1 if gi < gj else -1
-        dm = list(mono)
-        dm[gj] -= 1
-        partial = _poly_mul({tuple(dm): k * sign}, br)
-        for e, c in partial.items():
-            out[e] = out.get(e, 0) + c
-            if out[e] == 0:
-                del out[e]
+        kc = k if gi < gj else -k
+        dm = mono[:gj] + (k - 1,) + mono[gj + 1:]
+        for e, c in pres.brackets.get((min(gi, gj), max(gi, gj)), {}).items():
+            key = tuple(x + y for x, y in zip(dm, e))
+            out[key] = out.get(key, 0) + kc * c
+            if out[key] == 0:
+                del out[key]
     return _poly_reduce(pres, out)
 
 
@@ -451,9 +427,6 @@ def hp0_poisson(pres: PoissonPresentation, modulus: int, D: int):
     dims = {}
     for d in range(D + 1):
         basis = monomials(d)
-        if not basis:
-            dims[d] = 0
-            continue
         idx = {e: k for k, e in enumerate(basis)}
         rows = []
         for gi in range(len(pres.gens)):
@@ -485,63 +458,49 @@ def _is_prime(n):
     return True
 
 
-def poisson_presentation(kind: str, n: int = 0) -> PoissonPresentation:
-    """The Poisson structures on the corner algebras of extended Dynkin types.
+def _jacobian(relation: dict) -> dict:
+    """The Jacobian brackets of F = relation in (X, Y, Z): {X,Y} = -dF/dZ,
+    {Y,Z} = -dF/dX, {Z,X} = -dF/dY, so F is a Casimir and (F) a Poisson ideal."""
+    def d(k, sign):
+        return {e[:k] + (e[k] - 1,) + e[k + 1:]: sign * e[k] * c
+                for e, c in relation.items() if e[k]}
 
-    kind 'A': Z[X,Y,Z]/(XY - Z^n), {X,Y} = nZ^(n-1), {X,Z} = X, {Y,Z} = -Y.
-    kind 'D': type ~D_n table.  kind 'E6'/'E7'/'E8': the three E tables.
+    return {(0, 1): d(2, -1), (0, 2): d(1, 1), (1, 2): d(0, -1)}
+
+
+def poisson_presentation(kind: str, n: int = 0) -> PoissonPresentation:
+    """The Poisson structures on the corner algebras of extended Dynkin types:
+    Z[X,Y,Z]/(F) with the Jacobian brackets {X,Y} = -dF/dZ, {Y,Z} = -dF/dX,
+    {Z,X} = -dF/dY, where F is
+
+    kind 'A':  XY - Z^n                      (n >= 1; |X| = |Y| = n, |Z| = 2)
+    kind 'D':  Z^2 + XY^2 - X^(n/2) Y        (n >= 4 even)
+               Z^2 + XY^2 - X^((n-1)/2) Z    (n >= 5 odd; |X| = 4,
+                                              |Y| = 2(n-2), |Z| = 2(n-1))
+    kind 'E6': Z^2 + Y^3 + X^2 Z             (|X|, |Y|, |Z| = 6, 8, 12)
+    kind 'E7': Z^2 - X^3 Y + Y^3             (8, 12, 18)
+    kind 'E8': Z^2 + X^5 + Y^3               (12, 20, 30)
+
     Generators are ordered (X, Y, Z); exponent tuples follow that order.
     """
     if kind == "A":
         if n < 1:
             raise ValueError("type A needs n >= 1")
-        rel = {(1, 1, 0): 1, (0, 0, n): -1}
-        br = {
-            (0, 1): {(0, 0, n - 1): n},
-            (0, 2): {(1, 0, 0): 1},
-            (1, 2): {(0, 1, 0): -1},
-        }
-        return PoissonPresentation(("X", "Y", "Z"), (n, n, 2), rel, br)
-    if kind == "D":
+        rel, degrees = {(1, 1, 0): 1, (0, 0, n): -1}, (n, n, 2)
+    elif kind == "D":
         if n < 4:
             raise ValueError("type D needs n >= 4")
-        even = n % 2 == 0
-        rel = {(0, 0, 2): 1, (1, 2, 0): 1}
-        if even:
-            rel[(n // 2, 1, 0)] = -1
-        else:
-            rel[((n - 1) // 2, 0, 1)] = -1
-        br01 = {(0, 0, 1): 2}
-        if not even:
-            br01[((n - 1) // 2, 0, 0)] = -1
-        br02 = {(1, 1, 0): 2}
-        if even:
-            br02[(n // 2, 0, 0)] = -1
-        br12 = {(0, 2, 0): 1}
-        if even:
-            br12[((n - 2) // 2, 1, 0)] = -(n // 2)
-        else:
-            br12[((n - 3) // 2, 0, 1)] = -((n - 1) // 2)
+        rel = {(0, 0, 2): 1, (1, 2, 0): 1,
+               (n // 2, 1, 0) if n % 2 == 0 else ((n - 1) // 2, 0, 1): -1}
         # X is the length-4 short cycle (the length-2 one dies against the
         # local relation at the extending vertex), so |X| = 4
-        return PoissonPresentation(("X", "Y", "Z"), (4, 2 * (n - 2), 2 * (n - 1)),
-                                   rel, {(0, 1): br01, (0, 2): br02, (1, 2): br12})
-    if kind == "E6":
-        rel = {(0, 0, 2): 1, (0, 3, 0): 1, (2, 0, 1): 1}
-        br = {(0, 1): {(0, 0, 1): -2, (2, 0, 0): -1},
-              (0, 2): {(0, 2, 0): 3},
-              (1, 2): {(1, 0, 1): -2}}
-        return PoissonPresentation(("X", "Y", "Z"), (6, 8, 12), rel, br)
-    if kind == "E7":
-        rel = {(0, 0, 2): 1, (3, 1, 0): -1, (0, 3, 0): 1}
-        br = {(0, 1): {(0, 0, 1): -2},
-              (0, 2): {(0, 2, 0): 3, (3, 0, 0): -1},
-              (1, 2): {(2, 1, 0): 3}}
-        return PoissonPresentation(("X", "Y", "Z"), (8, 12, 18), rel, br)
-    if kind == "E8":
-        rel = {(0, 0, 2): 1, (5, 0, 0): 1, (0, 3, 0): 1}
-        br = {(0, 1): {(0, 0, 1): -2},
-              (0, 2): {(0, 2, 0): 3},
-              (1, 2): {(4, 0, 0): -5}}
-        return PoissonPresentation(("X", "Y", "Z"), (12, 20, 30), rel, br)
-    raise ValueError(f"unknown presentation kind {kind!r}")
+        degrees = (4, 2 * (n - 2), 2 * (n - 1))
+    elif kind == "E6":
+        rel, degrees = {(0, 0, 2): 1, (0, 3, 0): 1, (2, 0, 1): 1}, (6, 8, 12)
+    elif kind == "E7":
+        rel, degrees = {(0, 0, 2): 1, (3, 1, 0): -1, (0, 3, 0): 1}, (8, 12, 18)
+    elif kind == "E8":
+        rel, degrees = {(0, 0, 2): 1, (5, 0, 0): 1, (0, 3, 0): 1}, (12, 20, 30)
+    else:
+        raise ValueError(f"unknown presentation kind {kind!r}")
+    return PoissonPresentation(("X", "Y", "Z"), degrees, rel, _jacobian(rel))

@@ -94,3 +94,24 @@ def test_hilbert_match_counts_no_sample_without_unit_leads(monkeypatch):
     monkeypatch.setattr(acceptance, "preprojective_system", crash)
     with pytest.raises(ValueError):
         acceptance._hilbert_match(catalog("free", 2), (), 4, [], "free 2")
+
+
+@pytest.mark.parametrize("mutate,mismatch", [
+    (lambda pres: pres.brackets.update({(0, 1): {e: -c for e, c in pres.brackets[0, 1].items()}}),
+     "{X,Y} MISMATCH"),
+    (lambda pres: pres.relation.update({e: -c for e, c in list(pres.relation.items())[:1]}),
+     "F MISMATCH"),
+], ids=["negated_bracket", "wrong_relation"])
+def test_poisson_presentations_check_what_hp0_reads(monkeypatch, mutate, mismatch):
+    """A wrong bracket or relation in poisson_presentation fails every corner."""
+    real = acceptance.poisson_presentation
+
+    def mutated(kind, n=0):
+        pres = real(kind, n)
+        mutate(pres)
+        return pres
+
+    monkeypatch.setattr(acceptance, "poisson_presentation", mutated)
+    ok, details = acceptance.crit_poisson_presentations()
+    assert not ok
+    assert details.count(mismatch) == 5, details

@@ -283,6 +283,7 @@ def usage_exit(capsys, *argv):
     ("hp0", "--type", "Apple", "--branch", "3", "--degree", "4"),
     ("hp0", "--type", "D9x", "--branch", "4", "--degree", "4"),
     ("hp0", "--type", "e6x", "--degree", "4"),
+    ("hp0", "--type", "E6", "--branch", "4", "--degree", "8"),
     ("necklace", "--catalog", "dynkin_a", "3", "--left", "a0 a0", "--right", "[a0 a0*]"),
     ("necklace", "--catalog", "dynkin_a", "3", "--left", "[a0 a1* a1 a0*]",
      "--right", "[a0 a0*]"),
@@ -300,6 +301,7 @@ def usage_exit(capsys, *argv):
         "verify_jobs_zero", "verify_jobs_negative", "hilbert_without_degree",
         "hh0_without_degree", "groebner_without_degree", "hp0_without_degree",
         "hp0_type_unknown", "hp0_type_with_trailing_text", "hp0_type_e6_with_trailing_text",
+        "hp0_e6_with_branch",
         "necklace_word_not_a_path", "necklace_class_not_a_path", "loday_word_not_a_path",
         "necklace_terms_without_sign"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):

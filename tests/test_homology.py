@@ -6,7 +6,7 @@ from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_projec
                              free_context, preprojective_relation, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               PoissonPresentation, _bracket_gen_mono,
-                              _monomials_of_degree, forest_arrow_order,
+                              _monomials_of_degree, _poly_reduce, forest_arrow_order,
                               frobenius_cyc, ghost, hp0_poisson, lambda_graded,
                               poisson_presentation, preprojective_element,
                               preprojective_system, r_power_class, r_power_cyclic)
@@ -524,6 +524,44 @@ def test_hp0_mod_p_against_elimination(kind, n):
                 rows.append({idx[e]: c for e, c in _bracket_gen_mono(pres, gi, mono).items()})
         for p in (2, 3, 5):
             assert dims[p][d] == len(basis) - _rank_mod_p(rows, p), (p, d)
+
+
+def _bracket_gen_poly(pres, gi, poly):
+    """{gen_i, poly} mod the relation, through hp0's own Leibniz rule."""
+    out = {}
+    for e, c in poly.items():
+        for f, b in _bracket_gen_mono(pres, gi, e).items():
+            out[f] = out.get(f, 0) + c * b
+    return _poly_reduce(pres, out)
+
+
+@pytest.mark.parametrize("kind,n", [("A", n) for n in range(1, 7)]
+                         + [("D", n) for n in range(4, 10)]
+                         + [("E6", 0), ("E7", 0), ("E8", 0)])
+def test_presentation_is_poisson_mod_relation(kind, n):
+    """Each bracket table is a Poisson bracket on Z[X,Y,Z]/(F): {gen_i, F} and
+    {X,{Y,Z}} + {Y,{Z,X}} + {Z,{X,Y}} reduce to 0 mod F."""
+    pres = poisson_presentation(kind, n)
+    for gi in range(3):
+        assert _bracket_gen_poly(pres, gi, pres.relation) == {}, gi
+    zx = {e: -c for e, c in pres.brackets[0, 2].items()}
+    jacobi = {}
+    for gi, br in [(0, pres.brackets[1, 2]), (1, zx), (2, pres.brackets[0, 1])]:
+        for e, c in _bracket_gen_poly(pres, gi, br).items():
+            jacobi[e] = jacobi.get(e, 0) + c
+    assert _poly_reduce(pres, jacobi) == {}
+
+
+@pytest.mark.parametrize("kind,n,p,D,want", [
+    ("D", 4, 3, 16, {0: 1, 4: 2, 8: 1, 16: 2}),
+    ("E6", 0, 3, 18, {0: 1, 6: 1, 8: 1, 12: 1, 14: 1, 16: 1}),
+    ("E7", 0, 2, 36, {0: 1, 8: 1, 12: 1, 16: 1, 18: 1, 20: 1, 24: 1, 26: 1, 30: 1,
+                      32: 1, 34: 1}),
+])
+def test_hp0_pinned_dimensions(kind, n, p, D, want):
+    """The nonzero dimensions of HP_0 over F_p through degree D."""
+    dims = hp0_poisson(poisson_presentation(kind, n), p, D)
+    assert {d: v for d, v in dims.items() if v} == want
 
 
 def test_engines_agree_affine_d4():
