@@ -252,7 +252,7 @@ def _jobs(text):
 def _add_degree(p):
     p.add_argument("--degree", type=_degree, required=True,
                    help="degree bound D (cost grows fast for wild quivers: "
-                        "hh0 of free 2 takes about 3.5 s at D = 9 and 15.5 s at D = 10)")
+                        "hh0 of free 2 takes about 2.5 s at D = 9 and 10 s at D = 10)")
 
 
 def _add_format(p, choices=("text", "json", "csv")):

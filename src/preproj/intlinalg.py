@@ -4,9 +4,12 @@ quotients, lattice membership and order queries.
 Matrices are lists of sparse row dicts {column: value}.  Elimination clears
 unit pivots first (they dominate in the commutator matrices this package
 produces and cause no coefficient growth), cheapest Markowitz cost first to
-keep the fill-in and the journal short, then runs Euclid's algorithm on the
-small residue: a pivot reduces its column and row by floor division, and the
-first remainder it leaves, smaller than the pivot, becomes the next pivot.
+keep the fill-in and the journal short.  The candidates wait in one stack per
+cost, taken last in, first out, beside a small heap of the costs that have a
+stack, so a push or a pop is O(1) but when it makes or empties a stack.
+Elimination then runs Euclid's algorithm on the small residue: a pivot
+reduces its column and row by floor division, and the first remainder it
+leaves, smaller than the pivot, becomes the next pivot.
 The residue's pivot search drops a row for good once it is zero, so an F_p
 lattice (relations plus p Z^n), whose unit phase leaves about one zero row
 per relation, costs a scan of its live rows per pivot, not of all of them.
@@ -27,7 +30,6 @@ over Q is solved through an integer kernel (integer_kernel).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,24 +157,45 @@ def smith_normal_form(rows, ncols):
 
     # phase 1: unit pivots (no coefficient growth), least Markowitz cost
     # (row nnz - 1) * (column nnz - 1) first: it bounds the fill-in of the
-    # step.  Equal costs go last in, first out (seq counts down), so a matrix
-    # whose costs all tie, such as a single row, is eliminated in the order
-    # it was found.  Keys go stale as rows change: a popped entry whose cost
+    # step.  Candidates wait in buckets, one stack of (i, j) per cost, and
+    # `costs` is a heap of the costs that have a bucket, so a push or a pop
+    # is O(1) but for the rare new or emptied bucket.  Equal costs go last in,
+    # first out, so a matrix whose costs all tie, such as a single row, is
+    # eliminated in the order it was found.  The tie-break is part of the
+    # answer: it picks the pivots, hence the journal and the kernel basis that
+    # integer_kernel returns, and diamond_check's reduction steps depend on
+    # that basis.  Entries go stale as rows change: a popped entry whose cost
     # has grown is pushed back with its current cost.
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(by_col[j]) - 1)
 
-    seq = itertools.count(0, -1)
-    unit_heap = [(cost(i, j), next(seq), i, j)
-                 for i, r in enumerate(rows) for j, v in r.items() if v in (1, -1)]
-    heapq.heapify(unit_heap)
-    while unit_heap:
-        c, _, pi, pj = heapq.heappop(unit_heap)
+    buckets = {}
+    costs = []
+
+    def push(i, j):
+        c = cost(i, j)
+        stack = buckets.get(c)
+        if stack is None:
+            buckets[c] = stack = []
+            heapq.heappush(costs, c)
+        stack.append((i, j))
+
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            if v in (1, -1):
+                push(i, j)
+
+    while costs:
+        c = costs[0]
+        stack = buckets[c]
+        pi, pj = stack.pop()
+        if not stack:
+            del buckets[c]
+            heapq.heappop(costs)
         if pi not in active_rows or pj in done_cols or rows[pi].get(pj, 0) not in (1, -1):
             continue
-        now = cost(pi, pj)
-        if now > c:
-            heapq.heappush(unit_heap, (now, next(seq), pi, pj))
+        if cost(pi, pj) > c:
+            push(pi, pj)
             continue
         affected = set(by_col[pj]) & active_rows
         eliminate_with(pi, pj)
@@ -183,7 +206,7 @@ def smith_normal_form(rows, ncols):
             if i in active_rows:
                 for j, v in rows[i].items():
                     if v in (1, -1) and j not in done_cols:
-                        heapq.heappush(unit_heap, (cost(i, j), next(seq), i, j))
+                        push(i, j)
 
     # phase 2: Euclid on the residue, pivots found by _euclid_pivot.  Any
     # nonzero pivot is correct, since a remainder it leaves behind becomes the

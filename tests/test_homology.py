@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -484,10 +485,62 @@ def test_hp0_abelian():
         hp0_poisson(pres, 4, 4)
 
 
-def test_hp0_type_a():
-    pres = poisson_presentation("A", 3)
-    dims = hp0_poisson(pres, 0, 8)
-    assert all(v >= 0 for v in dims.values())
+def _rank_over_q(rows):
+    reduced = {}
+    for row in rows:
+        r = {j: Fraction(v) for j, v in row.items() if v}
+        while r:
+            j = min(r)
+            if j not in reduced:
+                reduced[j] = r
+                break
+            lead = reduced[j]
+            f = r[j] / lead[j]
+            r = {k: r.get(k, 0) - f * lead.get(k, 0) for k in set(r) | set(lead)}
+            r = {k: v for k, v in r.items() if v}
+    return len(reduced)
+
+
+def _milnor_dims(relation, degrees, D):
+    """Hilbert function of the Milnor algebra Q[X,Y,Z]/(F_X, F_Y, F_Z) of
+    F = relation, degree by degree through D: the monomials of degree d less
+    the rank of the products m F_k of degree d."""
+    def monomials(d):
+        expos = [((), d)]
+        for w in degrees:
+            expos = [(e + (k,), rem - k * w) for e, rem in expos for k in range(rem // w + 1)]
+        return [e for e, rem in expos if rem == 0]
+
+    deg_f = sum(a * w for a, w in zip(next(iter(relation)), degrees))
+    partials = [{e[:k] + (e[k] - 1,) + e[k + 1:]: e[k] * c for e, c in relation.items() if e[k]}
+                for k in range(len(degrees))]
+    dims = {}
+    for d in range(D + 1):
+        basis = monomials(d)
+        idx = {e: i for i, e in enumerate(basis)}
+        rows = [{idx[tuple(a + b for a, b in zip(m, e))]: c for e, c in fk.items()}
+                for fk, w in zip(partials, degrees) if d >= deg_f - w
+                for m in monomials(d - (deg_f - w))]
+        dims[d] = len(basis) - _rank_over_q(rows)
+    return dims
+
+
+@pytest.mark.parametrize("kind,n,milnor", [("A", n, n - 1) for n in range(1, 7)]
+                         + [("D", n, n) for n in range(4, 10)]
+                         + [("E6", 0, 6), ("E7", 0, 7), ("E8", 0, 8)])
+def test_hp0_is_the_milnor_algebra(kind, n, milnor):
+    """Over Q, HP_0 of Q[X,Y,Z]/(F) with the Jacobian bracket is the Milnor
+    algebra Q[X,Y,Z]/(F_X, F_Y, F_Z) degree by degree (Alev-Lambre), whose
+    total is the Milnor number.  The Milnor algebra is computed from the
+    relation alone, past its socle degree sum(|F| - 2|x_k|)."""
+    pres = poisson_presentation(kind, n)
+    deg_f = pres.degree(next(iter(pres.relation)))
+    D = sum(deg_f - 2 * w for w in pres.degrees) + max(pres.degrees)
+    want = _milnor_dims(pres.relation, pres.degrees, D)
+    assert hp0_poisson(pres, 0, D) == want
+    assert sum(want.values()) == milnor
+    if kind == "E6":
+        assert {d for d, v in want.items() if v} == {0, 6, 8, 12, 14, 20}
 
 
 def test_hp0_e6_char3():

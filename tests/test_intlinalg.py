@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -546,3 +547,59 @@ def test_integer_kernel_is_the_reference_basis(kind):
                for n in range(1, 9)]
     for rows, n in _random_matrices(kind) + one_row:
         assert integer_kernel(rows, n) == _reference_kernel(rows, n), rows
+
+
+# ---------------------------------------------------------------------------
+# the unit phase's pivot order, pinned
+
+# sha256 of repr((col_ops, list(diag_by_col.items()), invariant_factors)) for
+# each matrix of a case in turn, computed with a heap of (cost, seq) keys, seq
+# counting down: the cost buckets, last in first out within a cost, must take
+# the same pivots and write the same journal
+PINNED_SNF_DIGESTS = {
+    "dense": "b74e1d5db5aa0d49baf3846c1af55351fb0add128ae5ddafd9f934bdbb7f055f",
+    "sparse": "0f64f075f167f2ffc885f456c37e859f07e59c739fc002d2b97cbd106c1a128a",
+    "f2_d7": "bbb62781d2ce04411e89a223f3e66265d902ae59030f680028e86a2cb4a377f1",
+    "normal_d7": "648d23d25e923db1ec3f2531232743c9ea78013c670e43f10ed2cd92cf350177",
+    "normal_d8": "17c1ae99f86ff131aedce5ee129187d22f5fe8ba1df0407e35882af6cacedbea",
+    "star_2211_d14": "eb4e9b9cbe4de3142261cec2f734d116a641947e0b8c6def6007302d42c65fc3",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_matrices(free2_lattices):
+    """The seeded random matrices, the F_2 lattice of `free 2` at degree 7,
+    the `free 2` normal-engine matrices at degrees 7 and 8, and the
+    matrices of the wild tree `star 2 2 1 1` at degrees 0..14 under an arrow
+    order whose completion is finite."""
+    from preproj import (LambdaComputation, PathContext, catalog,
+                         preprojective_system)
+
+    q = catalog("free", 2)
+    ctx = PathContext(q)
+    normal = LambdaComputation(ctx, preprojective_system(q, (), 8, ctx=ctx), engine="normal")
+    out = {kind: _random_matrices(kind) for kind in ("dense", "sparse")}
+    out["f2_d7"] = free2_lattices["f2_d7"]
+    for d in (7, 8):
+        out[f"normal_d{d}"] = [(normal.relation_rows(d), len(normal.ambient_keys(d)))]
+    q = catalog("star", 2, 2, 1, 1)
+    ctx = PathContext(q)
+    order = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
+    tree = LambdaComputation(ctx, preprojective_system(q, (), 14, ctx=ctx, arrow_order=order),
+                             engine="normal")
+    out["star_2211_d14"] = [(tree.relation_rows(d), len(tree.ambient_keys(d)))
+                            for d in range(15)]
+    return out
+
+
+@pytest.mark.parametrize("case", list(PINNED_SNF_DIGESTS))
+def test_unit_phase_pivot_order_is_pinned(case, pinned_matrices):
+    """The pivots, journal, diagonal and invariant factors of every matrix of
+    the case hash to the pinned digest; a first-in-first-out tie-break within
+    a cost changes them."""
+    h = hashlib.sha256()
+    for rows, n in pinned_matrices[case]:
+        res = smith_normal_form(rows, n)
+        h.update(repr((res.col_ops, list(res.diag_by_col.items()),
+                       res.invariant_factors)).encode())
+    assert h.hexdigest() == PINNED_SNF_DIGESTS[case]
