@@ -15,7 +15,7 @@ from importlib import resources
 
 from .freealg import (PathContext, cyclic_project, free_context, parse_element,
                       preprojective_relation, w_ab)
-from .homology import (LambdaComputation, forest_system, hp0_poisson,
+from .homology import (LambdaComputation, hp0_poisson,
                        lambda_graded, poisson_presentation,
                        preprojective_element, preprojective_system,
                        r_power_class, r_powers, forest_arrow_order)
@@ -246,14 +246,12 @@ def crit_partial_preprojective(seed=DEFAULT_SEED):
         while not white:
             white = {v for v in q.vertices if rng.random() < 0.5}
         qd = double(q)
-        forest = forest_for_white(qd, white)
-        sys_ = forest_system(q, white, D)
-        lm_ok = sorted(r.lm_word for r in sys_.rules) == \
-            sorted((a, qd.star[a]) for a in forest.arrows)
-        rep, comp = lambda_graded(q, white, D,
+        forbidden = {(a, qd.star[a]) for a in forest_for_white(qd, white).arrows}
+        rep, comp = lambda_graded(q, white, D, engine="normal",
                                   arrow_order=forest_arrow_order(qd, white))
+        # comp.system is forest_system(q, white, D): the same relations and order
+        lm_ok = sorted(r.lm_word for r in comp.system.rules) == sorted(forbidden)
         tor_ok = all(rep.summaries[d].is_free() for d in range(D + 1))
-        forbidden = {(a, qd.star[a]) for a in forest.arrows}
         rank_ok = all(rep.summaries[d].free_rank ==
                       _cyclically_normal_count(comp.ctx, forbidden, d)
                       for d in range(1, D + 1))

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification/diff failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -57,9 +58,9 @@ def _emit(rows, header, args):
     if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows], indent=1))
     elif fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(x) for x in r))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
     else:
         widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
                   for i, h in enumerate(header)]
@@ -88,10 +89,12 @@ def cmd_hilbert(args):
 
 def cmd_hh0(args):
     q, white = _load_quiver(args)
+    if args.show_generators and white:
+        raise UsageError("--show-generators takes no white vertex")
     D = args.degree
     rep, comp = lambda_graded(q, white, D)
     generators = {}
-    if args.show_generators and not white:
+    if args.show_generators:
         for d, (p, ell) in r_powers(D).items():
             cyc = r_power_cyclic(comp.ctx, p, ell)
             o = comp.order_of(comp.to_class(cyc, d))
@@ -101,19 +104,27 @@ def cmd_hh0(args):
     if args.format == "json":
         print(rep.to_json(generators=generators or None))
         return 0
+    header = ["degree", "free_rank", "torsion"]
     rows = []
     for d in range(D + 1):
         s = rep.summaries[d]
-        rows.append((d, s.free_rank, " ".join(str(f) for f in s.invariant_factors)))
-    _emit(rows, ["degree", "free_rank", "torsion"], args)
-    for d in sorted(generators):
-        for line in generators[d]:
-            print(line)
+        rows.append([d, s.free_rank, " ".join(str(f) for f in s.invariant_factors)])
+    if args.format == "csv" and args.show_generators:
+        header.append("generators")     # a column, so every row has one length
+        for row in rows:
+            row.append("; ".join(generators.get(row[0], ())))
+    _emit(rows, header, args)
+    if args.format == "text":
+        for d in sorted(generators):
+            for line in generators[d]:
+                print(line)
     return 0
 
 
 def cmd_groebner(args):
     expect = _read(args.expect) if args.expect else None
+    if args.star and (args.catalog or args.file or args.white is not None):
+        raise UsageError("--star takes no --catalog, --file or --white")
     try:
         if args.star:
             sys_ = acceptance.star_ideal_system([d + 1 for d in args.star], args.degree)
@@ -153,6 +164,8 @@ def cmd_necklace(args):
     ctx = PathContext(q)
     left = parse_element(ctx, args.left)
     if args.op == "cobracket":
+        if args.right is not None:
+            raise UsageError("--op cobracket takes no --right")
         if not isinstance(left, CycElement):
             left = cyclic_project(left)
         print(_mod(cobracket(left), m))

@@ -241,9 +241,6 @@ class _Combination:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
-
     def degrees(self):
         return sorted({self._degree(k) for k in self.terms})
 
@@ -392,13 +389,11 @@ def preprojective_relation(ctx: PathContext, white=()):
         if i in white:
             continue
         terms = {}
-        for a in original:
-            s, t = q.src(a), q.dst(a)
-            if s == i:
-                terms[(i, (a, q.star[a]))] = terms.get((i, (a, q.star[a])), 0) + 1
-            if t == i:
-                key = (i, (q.star[a], a))
-                terms[key] = terms.get(key, 0) - 1
+        for a in original:     # each arrow gives its own keys
+            if q.src(a) == i:
+                terms[(i, (a, q.star[a]))] = 1
+            if q.dst(a) == i:
+                terms[(i, (q.star[a], a))] = -1
         el = ctx.element(terms)
         if not el.is_zero():
             rels.append(el)
@@ -449,22 +444,6 @@ def rep_of(seq):
     raise AssertionError("unreachable")
 
 
-def _bituples(total_a, total_b):
-    """All (a.,b.) with entries >= 0, a_l > b_l, sum(a_i+1) = total_a and
-    sum(b_i+1) = total_b, up to simultaneous cyclic rotation."""
-    out = []
-    seen = set()
-    k_max = total_b  # each b_l + 1 >= 1
-    for k in range(1, k_max + 1):
-        for pairs in _compositions_of_pairs(total_a, total_b, k):
-            key = min(tuple(pairs[i:] + pairs[:i]) for i in range(k))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Bituple.of(tuple(p[0] for p in key), tuple(p[1] for p in key)))
-    return out
-
-
 def _compositions_of_pairs(total_a, total_b, k):
     """Sequences of k pairs (a_l, b_l), a_l > b_l >= 0, with the stated sums."""
     if k == 0:
@@ -482,8 +461,10 @@ def w_ab(a: int, b: int, rprime: Element, x: Element, y: Element) -> CycElement:
 
     Off the diagonal this is a sum over bituples of (gcd(a,b)/rep) times the
     necklace of the alternating product of r' (negated when a > b) and z
-    factors; on the diagonal it is [(xy + r')^a] - [(xy)^a].  Coefficients
-    must come out integral; a failure is a bug, not a data error.
+    factors; on the diagonal it is [(xy + r')^a] - [(xy)^a].  A bituple class
+    with k factors and rep repeats is k/rep of the ordered compositions, so
+    the sum over compositions is scaled by gcd(a,b) and divided by k.
+    Coefficients must come out integral; a failure is a bug, not a data error.
     """
     if a < 1 or b < 1:
         raise ValueError("w_ab needs a, b >= 1")
@@ -492,16 +473,16 @@ def w_ab(a: int, b: int, rprime: Element, x: Element, y: Element) -> CycElement:
         return cyclic_project((x * y + rprime) ** a - (x * y) ** a)
     g = math.gcd(a, b)
     r = -rprime if a > b else rprime
-    total = ctx.zero()
-    for bt in _bituples(max(a, b), min(a, b)):
-        coeff, rem = divmod(g, bt.rep)
-        if rem:
-            raise ArithmeticError("rep does not divide gcd; bug in enumeration")
-        prod = ctx.identity()
-        for al, bl in zip(bt.a_seq, bt.b_seq):
-            prod = prod * r * (z_ab(al, bl, x, y) if a > b else z_ab(bl, al, x, y))
-        total = total + prod.scale(coeff)
-    return cyclic_project(total)
+    out = ctx.cyclic({})
+    for k in range(1, min(a, b) + 1):
+        total = ctx.zero()
+        for pairs in _compositions_of_pairs(max(a, b), min(a, b), k):
+            prod = ctx.identity()
+            for al, bl in pairs:
+                prod = prod * r * (z_ab(al, bl, x, y) if a > b else z_ab(bl, al, x, y))
+            total = total + prod
+        out = out + cyclic_project(total).scale(g).divide_exact(k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,25 +531,33 @@ def _signed_sum(items):
 
 
 def render_element(x: Element) -> str:
-    ctx = x.ctx
-    items = sorted(((m[0], m[1], c) for m, c in x.terms.items()),
-                   key=lambda it: (ctx.weight(it[1]), it[1], it[0]))
-    return _render_terms(ctx, items, bracket=False)
+    return _render_sorted(x, lambda mono: mono, bracket=False)
 
 
 def render_cyclic(x: CycElement) -> str:
+    return _render_sorted(x, lambda key: (key.vertex, key.word), bracket=True)
+
+
+def _render_sorted(x, view, bracket):
+    """The terms of x, each key read as (vertex, word) by view, in order of
+    weight, then word, then vertex."""
     ctx = x.ctx
-    items = sorted(((k.vertex, k.word, c) for k, c in x.terms.items()),
+    items = sorted(((*view(k), c) for k, c in x.terms.items()),
                    key=lambda it: (ctx.weight(it[1]), it[1], it[0]))
-    return _render_terms(ctx, items, bracket=True)
+    return _render_terms(ctx, items, bracket)
 
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(\[[^\]]*\]|[^\s+-]+(?:\s+[^\s+-]+)*)")
 
 
 def _parse_mono(ctx, text):
-    """The monomial of a word of arrow names; QuiverError unless it is a
-    composable path."""
+    """The monomial of e_i or of a word of arrow names; QuiverError unless it
+    is the idempotent of a vertex or a composable path."""
+    if text.startswith("e_"):
+        v = text[2:]
+        if not v.isdigit() or int(v) not in ctx.quiver.vertices:
+            raise QuiverError(f"{text!r} is not the idempotent of a vertex")
+        return int(v), ()
     byname = ctx.quiver.name_to_arrow()
     word = []
     for tok in text.split():
@@ -583,25 +572,17 @@ def _parse_mono(ctx, text):
     return mono
 
 
-def _idempotent_vertex(ctx, text):
-    """i for the idempotent written e_i."""
-    v = text[2:]
-    if not v.isdigit() or int(v) not in ctx.quiver.vertices:
-        raise QuiverError(f"{text!r} is not the idempotent of a vertex")
-    return int(v)
-
-
 def parse_element(ctx: PathContext, text: str):
     """Inverse of render_element / render_cyclic.
 
-    Returns an Element when no square brackets appear, else a CycElement.
+    Returns an Element when no square brackets appear, else a CycElement:
+    in cyclic text every term, bracketed or not, is taken to its class.
     """
     text = text.strip()
     if text == "0":
         return ctx.zero()
     cyclic = "[" in text
-    acc_el = {}
-    acc_cy = {}
+    acc = {}
     pos = 0
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
@@ -615,22 +596,9 @@ def parse_element(ctx: PathContext, text: str):
         if body.startswith("[") != body.endswith("]"):
             raise QuiverError(f"unbalanced brackets in {body!r}")
         if body.startswith("["):
-            inner = body[1:-1].strip()
-            if inner.startswith("e_"):
-                key = CyclicClass(_idempotent_vertex(ctx, inner), ())
-            else:
-                key = CyclicClass.of(ctx, _parse_mono(ctx, inner))
-            acc_cy[key] = acc_cy.get(key, 0) + coeff
-        elif body.startswith("e_"):
-            v = _idempotent_vertex(ctx, body)
-            acc_el[(v, ())] = acc_el.get((v, ()), 0) + coeff
-        else:
-            key = _parse_mono(ctx, body)
-            acc_el[key] = acc_el.get(key, 0) + coeff
-    if cyclic:
-        if acc_el:
-            for (v, word), c in acc_el.items():
-                key = CyclicClass.of(ctx, (v, word))
-                acc_cy[key] = acc_cy.get(key, 0) + c
-        return ctx.cyclic(acc_cy)
-    return ctx.element(acc_el)
+            body = body[1:-1].strip()
+        key = _parse_mono(ctx, body)
+        if cyclic:
+            key = CyclicClass.of(ctx, key)
+        acc[key] = acc.get(key, 0) + coeff
+    return ctx.cyclic(acc) if cyclic else ctx.element(acc)

@@ -39,7 +39,6 @@ from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, complete
 class HomologyClass:
     degree: int
     coords: dict            # ambient-key index -> integer coordinate
-    label: str = ""
 
     def is_zero(self):
         return not self.coords
@@ -196,8 +195,8 @@ class LambdaComputation:
             x = self.system.reduce(x)     # linear, so one call for every key
         return _row(self._degree(d).col, x.terms.items())
 
-    def to_class(self, cyc: CycElement, d, label="") -> HomologyClass:
-        return HomologyClass(d, self.coords(cyc, d), label)
+    def to_class(self, cyc: CycElement, d) -> HomologyClass:
+        return HomologyClass(d, self.coords(cyc, d))
 
     def order_of(self, cls: HomologyClass) -> int:
         """Least k >= 1 with k*cls zero in Lambda, or 0 for infinite order."""
@@ -304,7 +303,7 @@ def r_power_cyclic(ctx: PathContext, p: int, ell: int) -> CycElement:
 def r_power_class(comp: LambdaComputation, p: int, ell: int) -> HomologyClass:
     d = 2 * p ** ell
     cyc = r_power_cyclic(comp.ctx, p, ell)
-    return comp.to_class(cyc, d, label=f"r^({p}^{ell})")
+    return comp.to_class(cyc, d)
 
 
 def r_powers(D):

@@ -419,10 +419,6 @@ class Forest:
     """Forest in the double with src bijective onto the black vertices."""
 
     arrows: tuple
-    root_assignment: dict
-
-    def __iter__(self):
-        return iter(self.arrows)
 
 
 def forest_for_white(qd: Quiver, white) -> Forest:
@@ -455,4 +451,4 @@ def forest_for_white(qd: Quiver, white) -> Forest:
     missing = [v for v in qd.vertices if v not in reached]
     if missing:
         raise QuiverError(f"vertices {missing} cannot reach the white set")
-    return Forest(tuple(sorted(assignment.values())), assignment)
+    return Forest(tuple(sorted(assignment.values())))

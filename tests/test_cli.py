@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -180,6 +182,32 @@ def test_hh0_json_generators(capsys):
     assert any("r^(2^1)" in g for g in row4["generators"])
 
 
+def test_hh0_csv_generators_are_a_column(capsys):
+    """--show-generators in CSV adds a generators column: every row keeps
+    one length, and the degree-4 row names r^(2^1)."""
+    code, out, _ = run(capsys, "hh0", "--catalog", "free", "2", "--degree", "4",
+                       "--show-generators", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["degree", "free_rank", "torsion", "generators"]
+    assert len(rows) == 6 and {len(r) for r in rows} == {4}
+    assert rows[5][:3] == ["4", "54", "2"]
+    assert rows[5][3].startswith("r^(2^1) of order 2: ")
+    assert [r[3] for r in rows[1:5]] == ["", "", "", ""]
+
+
+def test_hilbert_csv_matrix_is_one_field(tmp_path, capsys):
+    """A matrix with commas in it is quoted, so each CSV row has two fields."""
+    f = tmp_path / "q.json"
+    f.write_text(Quiver([0, 1], [(0, 0, 1)]).to_json())
+    code, out, _ = run(capsys, "hilbert", "--file", str(f), "--white", "1",
+                       "--degree", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(r) for r in rows} == {2}
+    assert json.loads(rows[1][1]) == [[1, 0], [0, 1]]
+
+
 def test_necklace_cobracket_and_loday(capsys):
     code, out, _ = run(capsys, "necklace", "--catalog", "free", "2",
                        "--op", "cobracket", "--left", "[x1 x1* x2]")
@@ -319,6 +347,23 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
         assert usage.startswith("usage: ")
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("groebner", "--star", "2", "2", "2", "--degree", "4", "--catalog", "free", "2"),
+    ("groebner", "--star", "2", "2", "2", "--degree", "4", "--file", "{tmp}/q.json"),
+    ("groebner", "--star", "2", "2", "2", "--degree", "4", "--white", "0"),
+    ("necklace", "--catalog", "free", "1", "--op", "cobracket", "--left", "[x x*]",
+     "--right", "[x]"),
+    ("hh0", "--catalog", "free", "2", "--white", "0", "--degree", "4", "--show-generators"),
+], ids=["star_with_catalog", "star_with_file", "star_with_white", "cobracket_with_right",
+        "generators_with_white"])
+def test_flags_that_would_go_unread_are_usage_errors(tmp_path, capsys, argv):
+    """A flag the chosen mode does not read exits 2 instead of being dropped."""
+    (tmp_path / "q.json").write_text(Quiver([0, 1], [(0, 0, 1)]).to_json())
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "takes no" in err
 
 
 def test_negative_degree_is_a_usage_error(capsys):

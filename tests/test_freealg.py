@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -147,6 +148,18 @@ def test_w_ab_integrality(formal):
             w_ab(a, b, r, x, y)
 
 
+def test_w_ab_digest(formal):
+    """Every W_{a,b} term for a, b <= 6, pinned by a digest of the sorted
+    (vertex, word, coefficient) triples."""
+    ctx, x, y, r = formal
+    h = hashlib.sha256()
+    for a in range(1, 7):
+        for b in range(1, 7):
+            terms = sorted((k.vertex, k.word, c) for k, c in w_ab(a, b, r, x, y).terms.items())
+            h.update(repr((a, b, terms)).encode())
+    assert h.hexdigest() == "b37705b152a78df083a274602fd4c2a7c401de776552b8c996f2fbe5e9151ddb"
+
+
 def test_cyclic_project_examples(loop_pair):
     ctx = loop_pair
     x, y = ctx.arrow(0), ctx.arrow(1)
@@ -223,6 +236,18 @@ def test_parse_necklace_keys_by_canonical_rotation():
     assert parse_element(ctx, "[a2 a0 a1]") == parse_element(ctx, "[a0 a1 a2]")
     with pytest.raises(QuiverError):
         parse_element(ctx, "[a0 a1]")
+
+
+def test_cyclic_text_projects_unbracketed_terms(loop_pair):
+    """In text with brackets every term is a class: e_0 and [e_0] add up, and
+    x x* meets its rotation [x* x]; an open path there is an error."""
+    ctx = loop_pair
+    assert parse_element(ctx, "[e_0] + e_0") == parse_element(ctx, "2*[e_0]") \
+        == ctx.cyclic({CyclicClass(0, ()): 2})
+    assert parse_element(ctx, "[x* x] - x x*").is_zero()
+    actx = PathContext(double(catalog("affine_a", 3)))
+    with pytest.raises(QuiverError, match="only closed paths"):
+        parse_element(actx, "[a0 a1 a2] + a0 a1")
 
 
 @pytest.mark.parametrize("text", ["a0 a0", "[a0 a1* a1 a0*]", "2*a1 a0 - a0 a1"])
