@@ -262,10 +262,8 @@ def _jobs(text):
     return n
 
 
-def _add_degree(p):
-    p.add_argument("--degree", type=_degree, required=True,
-                   help="degree bound D (cost grows fast for wild quivers: "
-                        "hh0 of free 2 takes about 2.5 s at D = 9 and 10 s at D = 10)")
+def _add_degree(p, note=""):
+    p.add_argument("--degree", type=_degree, required=True, help="degree bound D" + note)
 
 
 def _add_format(p, choices=("text", "json", "csv")):
@@ -288,7 +286,8 @@ def build_parser():
 
     p = sub.add_parser("hh0", help="graded torsion report for Lambda")
     _add_quiver_args(p)
-    _add_degree(p)
+    _add_degree(p, " (cost grows fast for wild quivers: free 2 takes about "
+                   "2.5 s at D = 9 and 10 s at D = 10)")
     _add_format(p)
     p.add_argument("--show-generators", action="store_true")
     p.set_defaults(fn=cmd_hh0)

@@ -2,8 +2,11 @@
 Hilbert-series identities for (partial) preprojective algebras.
 
 A TruncatedSeries holds coefficients 0..D; scalars are 1x1 matrices.  It is
-the module's only series arithmetic.  All arithmetic is exact over Z;
-inversion requires the constant term to be the identity up to sign.
+the module's only series type.  Scalar products, inverses, determinants and
+Euler products run on plain integer lists through two kernels, `_conv` and
+`_inv`; matrix products and inverses (n > 1) run on nested lists.  All
+arithmetic is exact over Z; inversion requires the constant term to be the
+identity up to sign.
 """
 
 from __future__ import annotations
@@ -41,6 +44,36 @@ def _eye(n):
 
 def _zero(n):
     return [[0] * n for _ in range(n)]
+
+
+def _conv(a, b, D):
+    """The product of integer lists a and b, coefficients 0..D."""
+    out = [0] * (D + 1)
+    nb = [(j, y) for j, y in enumerate(b[:D + 1]) if y]
+    for i, x in enumerate(a[:D + 1]):
+        if x:
+            for j, y in nb:
+                if i + j > D:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _inv(a, D):
+    """The inverse of an integer list a, coefficients 0..D; a[0] must be +-1."""
+    s = a[0]
+    if s not in (1, -1):
+        raise SeriesError("constant term must be the identity up to sign")
+    na = [(k, x) for k, x in enumerate(a[1:D + 1], 1) if x]
+    out = [s] + [0] * D
+    for d in range(1, D + 1):
+        acc = 0
+        for k, x in na:
+            if k > d:
+                break
+            acc += x * out[d - k]
+        out[d] = -s * acc
+    return out
 
 
 class TruncatedSeries:
@@ -110,6 +143,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         D = min(self.D, other.D)
+        if self.is_scalar():
+            return TruncatedSeries.scalar(_conv(self.scalar_coeffs(), other.scalar_coeffs(), D), D)
         out = []
         for d in range(D + 1):
             acc = _zero(self.n)
@@ -123,6 +158,8 @@ class TruncatedSeries:
 
     def inverse(self):
         """Series inverse; constant term must be +-identity."""
+        if self.is_scalar():
+            return TruncatedSeries.scalar(_inv(self.scalar_coeffs(), self.D), self.D)
         c0 = self.coeffs[0]
         sign = c0[0][0]
         if sign not in (1, -1) or c0 != _mat_scale(_eye(self.n), sign):
@@ -136,7 +173,9 @@ class TruncatedSeries:
         return TruncatedSeries(inv, self.D)
 
     def substitute_power(self, m):
-        """t -> t^m."""
+        """t -> t^m, for m >= 1."""
+        if m < 1:
+            raise SeriesError(f"substitute t -> t^m needs m >= 1, not {m}")
         out = [_zero(self.n) for _ in range(self.D + 1)]
         out[::m] = self.coeffs[: self.D // m + 1]
         return TruncatedSeries(out, self.D)
@@ -149,16 +188,18 @@ class TruncatedSeries:
         identity (the t-Cartan matrices, 1 - h(V) + h(L) with V and L in
         positive degree).  Any other pivot raises SeriesError.
         """
-        A = [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
-        det = TruncatedSeries.one(self.D)
+        D, n = self.D, self.n
+        A = [[[c[i][j] for c in self.coeffs] for j in range(n)] for i in range(n)]
+        det = [1] + [0] * D
         for k, row in enumerate(A):
-            pinv = row[k].inverse()
-            det = det * row[k]
+            pinv = _inv(row[k], D)
+            det = _conv(det, row[k], D)
             for below in A[k + 1:]:
-                f = below[k] * pinv
-                for j in range(k + 1, self.n):
-                    below[j] = below[j] - f * row[j]
-        return det
+                if any(below[k]):
+                    f = _conv(below[k], pinv, D)
+                    for j in range(k + 1, n):
+                        below[j] = [x - y for x, y in zip(below[j], _conv(f, row[j], D))]
+        return TruncatedSeries.scalar(det, D)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -211,11 +252,11 @@ def sym_plus_series(hh0: TruncatedSeries) -> TruncatedSeries:
 
 def _power_product(e, D):
     """prod_{m=1..D} (1 - t^m)^{-e[m]} for signed integer exponents e[m]."""
-    out = TruncatedSeries.one(D)
+    out = [1] + [0] * D
     for m, em in enumerate(e[1:D + 1], 1):
         if em:
-            out = out * _one_minus_tm_pow(m, -em, D)
-    return out
+            out = _conv(out, _one_minus_tm_pow(m, -em, D).scalar_coeffs(), D)
+    return TruncatedSeries.scalar(out, D)
 
 
 def _one_minus_tm_pow(m, e, D):
@@ -293,11 +334,13 @@ def _euler_product(B: TruncatedSeries, D) -> TruncatedSeries:
     t -> t^m is a ring endomorphism of Z[[t]]/t^(D+1), so det(B(t^m)) is
     det(B)(t^m) and one determinant serves every factor.
     """
-    inv = B.determinant().inverse()
-    out = TruncatedSeries.one(D)
+    inv = _inv(B.determinant().scalar_coeffs(), D)
+    out = [1] + [0] * D
     for m in range(1, D + 1):
-        out = out * inv.substitute_power(m)
-    return out
+        factor = [0] * (D + 1)
+        factor[::m] = inv[: D // m + 1]
+        out = _conv(out, factor, D)
+    return TruncatedSeries.scalar(out, D)
 
 
 def chebyshev_like_coeffs(q: Quiver, i0: int, D: int):

@@ -395,6 +395,15 @@ def test_flags_live_on_their_subcommands():
     assert "--suite" not in where
 
 
+def test_degree_cost_note_only_on_hh0():
+    from preproj.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.choices)
+    noted = {name for name, p in sub.choices.items() for a in p._actions
+             if "--degree" in a.option_strings and "free 2" in a.help}
+    assert noted == {"hh0"}
+
+
 def test_hh0_generators_every_prime_power(capsys):
     code, out, _ = run(capsys, "hh0", "--catalog", "dynkin_e", "8", "--degree", "16",
                        "--show-generators")

@@ -24,16 +24,58 @@ def test_affine_a_determinant():
     assert det.scalar_coeffs() == [1, 0, 0, -2, 0, 0, 1, 0, 0, 0]
 
 
+def _poly_mul(a, b, D):
+    """The product of coefficient lists a and b up to t^D, by the double loop."""
+    out = [0] * (D + 1)
+    for i in range(D + 1):
+        for j in range(D + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _random_scalar(rng, D, c0=None):
+    """Signed coefficients, about a third of them zero."""
+    coeffs = [rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(D + 1)]
+    if c0 is not None:
+        coeffs[0] = c0
+    return coeffs
+
+
 def _leibniz(M):
-    """det M by the permutation expansion."""
-    det = TruncatedSeries.scalar([0] * (M.D + 1), M.D)
+    """det M by the permutation expansion, with products from _poly_mul."""
+    det = [0] * (M.D + 1)
     for perm in itertools.permutations(range(M.n)):
         inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(M.n), 2))
-        term = TruncatedSeries.one(M.D)
+        term = [1] + [0] * M.D
         for i, j in enumerate(perm):
-            term = term * M.entry(i, j)
-        det = det + (-1) ** inversions * term
-    return det
+            term = _poly_mul(term, [c[i][j] for c in M.coeffs], M.D)
+        det = [x + (-1) ** inversions * y for x, y in zip(det, term)]
+    return TruncatedSeries.scalar(det, M.D)
+
+
+def test_scalar_product_against_double_loop():
+    rng = random.Random(11)
+    shapes = [(0, 0), (0, 5), (5, 0)] + [(rng.randrange(10), rng.randrange(10))
+                                          for _ in range(200)]
+    for Da, Db in shapes:
+        a, b = _random_scalar(rng, Da), _random_scalar(rng, Db)
+        D = min(Da, Db)
+        prod = TruncatedSeries.scalar(a, Da) * TruncatedSeries.scalar(b, Db)
+        assert prod.D == D
+        assert prod.scalar_coeffs() == _poly_mul(a, b, D), (a, b)
+
+
+def test_scalar_inverse_round_trip():
+    rng = random.Random(12)
+    for D in [0, 1] + [rng.randrange(2, 16) for _ in range(100)]:
+        a = _random_scalar(rng, D, c0=rng.choice((1, -1)))
+        A = TruncatedSeries.scalar(a, D)
+        inv = A.inverse()
+        assert _poly_mul(a, inv.scalar_coeffs(), D) == [1] + [0] * D, a
+        assert inv.inverse() == A
+    for c0 in (0, 2, -3):
+        with pytest.raises(SeriesError):
+            TruncatedSeries.scalar([c0, 1, 1], 2).inverse()
 
 
 def test_determinant_against_permutation_expansion():
@@ -50,12 +92,26 @@ def test_determinant_against_permutation_expansion():
             assert M.determinant() == _leibniz(M)
 
 
-@pytest.mark.parametrize("c0", [[[2, 0], [0, 1]], [[0, 1], [1, 0]]],
-                         ids=["constant_term_2", "constant_term_0"])
+@pytest.mark.parametrize("c0", [[[2, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 1]]],
+                         ids=["constant_term_2", "constant_term_0", "second_pivot_0"])
 def test_determinant_needs_unit_pivots(c0):
     M = TruncatedSeries([c0, [[1, 1], [1, 1]]], 3)
     with pytest.raises(SeriesError):
         M.determinant()
+
+
+@pytest.mark.parametrize("D", [0, 4])
+@pytest.mark.parametrize("m", [0, -1])
+def test_substitute_power_needs_positive_m(m, D):
+    with pytest.raises(SeriesError):
+        TruncatedSeries.scalar(range(D + 1), D).substitute_power(m)
+
+
+def test_substitute_power():
+    s = TruncatedSeries.scalar([1, 2, 3, 4, 5], 4)
+    assert s.substitute_power(1) == s
+    assert s.substitute_power(2).scalar_coeffs() == [1, 0, 2, 0, 3]
+    assert s.substitute_power(5).scalar_coeffs() == [1, 0, 0, 0, 0]
 
 
 def test_one_minus_tm_pow_against_products():
