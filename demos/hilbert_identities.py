@@ -28,7 +28,7 @@ q6 = catalog("affine_e", 6)
 i0 = classify(q6).extending_vertex
 h6 = hilbert_prep(q6, (), 16)
 k = {v: i for i, v in enumerate(q6.vertices)}[i0]
-print("~E6 corner dims:", [h6.coeffs[d][k][k] for d in range(17)])
+print("~E6 corner dims:", h6.entry(k, k).scalar_coeffs())
 
 # --- the product identity --------------------------------------------------
 # prod_m (1 - t^m)^{-(a_m - a_{m-2})} = (1 - t^2)^{-1} prod_m det(...)^{-1}

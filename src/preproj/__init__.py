@@ -8,10 +8,10 @@ necklace Lie bialgebra with its induced Poisson structures.
 
 from .quiver import (Quiver, QuiverClass, Forest, QuiverError, catalog, classify,
                      double, find_extended_dynkin_subquiver, forest_for_white)
-from .freealg import (Bituple, CycElement, CyclicClass, Element, PathContext,
+from .freealg import (CycElement, CyclicClass, Element, PathContext,
                       cyclic_project, free_context, parse_element,
                       preprojective_relation, render_cyclic, render_element,
-                      rep_of, w_ab, z_ab)
+                      w_ab, z_ab)
 from .rewrite import (ConfluenceReport, MonomialOrder, NonUnitLead, RewriteRule,
                       RewriteSystem, complete, diamond_check, render_rule)
 from .intlinalg import (LatticeSolver, SNFResult, TorsionSummary, quotient_structure,

@@ -158,9 +158,9 @@ def _hilbert_match(q, white, D, details, label):
         details.append(f"{label}: non-unit leading coefficient, not counted; fails")
         return False
     counts = sys_.normal_count_matrix(D)
-    pred = hilbert_prep(q, white, D)
+    pred = hilbert_prep(q, white, D).coeffs
     for d in range(D + 1):
-        if pred.coeffs[d] != counts[d]:
+        if pred[d] != counts[d]:
             details.append(f"{label}: degree {d} differs")
             return False
     details.append(f"{label}: ok to {D}")

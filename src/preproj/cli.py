@@ -29,14 +29,16 @@ class UsageError(Exception):
 
 
 def _load_quiver(args):
-    if getattr(args, "catalog", None):
+    if args.catalog and args.file:
+        raise UsageError("--catalog takes no --file")
+    if args.catalog:
         name, *params = args.catalog
         try:
             params = [int(x) for x in params]
         except ValueError:
             raise UsageError(f"catalog parameters must be integers, got {params}") from None
         return catalog(name, *params), set(getattr(args, "white", None) or ())
-    if getattr(args, "file", None):
+    if args.file:
         q, white = Quiver.from_json(_read(args.file))
         if getattr(args, "white", None):
             white = set(args.white)
@@ -76,14 +78,10 @@ def cmd_hilbert(args):
     cls = classify(q)
     if not white and cls.is_extended_dynkin() and not args.matrix:
         k = {v: i for i, v in enumerate(q.vertices)}[cls.extending_vertex]
-        coeffs = [h.coeffs[d][k][k] for d in range(D + 1)]
-        _emit([(d, c) for d, c in enumerate(coeffs)], ["degree", "dim"], args)
+        _emit(list(enumerate(h.entry(k, k).scalar_coeffs())), ["degree", "dim"], args)
     else:
-        rows = []
-        for d in range(D + 1):
-            rows.append((d, json.dumps(h.coeffs[d]) if args.format == "csv"
-                         else h.coeffs[d]))
-        _emit(rows, ["degree", "matrix"], args)
+        _emit([(d, json.dumps(c) if args.format == "csv" else c)
+               for d, c in enumerate(h.coeffs)], ["degree", "matrix"], args)
     return 0
 
 
@@ -125,6 +123,8 @@ def cmd_groebner(args):
     expect = _read(args.expect) if args.expect else None
     if args.star and (args.catalog or args.file or args.white is not None):
         raise UsageError("--star takes no --catalog, --file or --white")
+    if args.star and min(args.star) < 1:
+        raise UsageError("--star needs positive branch lengths")
     try:
         if args.star:
             sys_ = acceptance.star_ideal_system([d + 1 for d in args.star], args.degree)
@@ -162,30 +162,27 @@ def cmd_necklace(args):
     q, _ = _load_quiver(args)
     m = _ring_modulus(args.ring)
     ctx = PathContext(q)
-    left = parse_element(ctx, args.left)
+    left = _as_class(parse_element(ctx, args.left))
     if args.op == "cobracket":
         if args.right is not None:
             raise UsageError("--op cobracket takes no --right")
-        if not isinstance(left, CycElement):
-            left = cyclic_project(left)
         print(_mod(cobracket(left), m))
         return 0
     if args.right is None:
         raise UsageError(f"--op {args.op} needs --right")
     right = parse_element(ctx, args.right)
     if args.op == "bracket":
-        if not isinstance(left, CycElement):
-            left = cyclic_project(left)
-        if not isinstance(right, CycElement):
-            right = cyclic_project(right)
-        print(render_cyclic(_mod(bracket(left, right), m)))
+        print(render_cyclic(_mod(bracket(left, _as_class(right)), m)))
     else:  # loday
-        if not isinstance(left, CycElement):
-            left = cyclic_project(left)
         if isinstance(right, CycElement):
             raise UsageError("loday bracket needs a path element on the right")
         print(render_element(_mod(loday_bracket(left, right), m)))
     return 0
+
+
+def _as_class(x):
+    """A necklace element as it is; a path element as its class in A/[A,A]."""
+    return x if isinstance(x, CycElement) else cyclic_project(x)
 
 
 def _mod(x, m):

@@ -409,41 +409,6 @@ def z_ab(a: int, b: int, x: Element, y: Element) -> Element:
     return (y * x) ** a * y ** (b - a)
 
 
-@dataclass(frozen=True)
-class Bituple:
-    """Pair of equal-length tuples with its period data (rep * period = length)."""
-
-    a_seq: tuple
-    b_seq: tuple
-    period: int
-    rep: int
-
-    @staticmethod
-    def of(a_seq, b_seq):
-        a_seq, b_seq = tuple(a_seq), tuple(b_seq)
-        if len(a_seq) != len(b_seq) or not a_seq:
-            raise ValueError("need two nonempty tuples of equal length")
-        period, rep = rep_of(tuple(zip(a_seq, b_seq)))
-        return Bituple(a_seq, b_seq, period, rep)
-
-
-def rep_of(seq):
-    """(period, rep) of a nonempty sequence under cyclic shifts.
-
-    Accepts any sequence; a Bituple is read as its sequence of index pairs.
-    """
-    if isinstance(seq, Bituple):
-        return seq.period, seq.rep
-    seq = tuple(seq)
-    k = len(seq)
-    if k == 0:
-        raise ValueError("empty sequence has no period")
-    for per in range(1, k + 1):
-        if k % per == 0 and all(seq[i] == seq[(i + per) % k] for i in range(k)):
-            return per, k // per
-    raise AssertionError("unreachable")
-
-
 def _compositions_of_pairs(total_a, total_b, k):
     """Sequences of k pairs (a_l, b_l), a_l > b_l >= 0, with the stated sums."""
     if k == 0:

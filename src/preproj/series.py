@@ -1,12 +1,12 @@
 """Truncated power series with exact integer matrix coefficients, and the
 Hilbert-series identities for (partial) preprojective algebras.
 
-A TruncatedSeries holds coefficients 0..D; scalars are 1x1 matrices.  It is
-the module's only series type.  Scalar products, inverses, determinants and
-Euler products run on plain integer lists through two kernels, `_conv` and
-`_inv`; matrix products and inverses (n > 1) run on nested lists.  All
-arithmetic is exact over Z; inversion requires the constant term to be the
-identity up to sign.
+A TruncatedSeries holds coefficients 0..D by entry: rows[i][j] is the
+integer list of its (i, j) coefficients, and a scalar is the 1x1 case.  It
+is the module's only series type.  Every product, inverse, determinant and
+Euler product, whatever the size, runs on these lists through two kernels,
+`_conv` and `_inv`.  All arithmetic is exact over Z; inversion requires the
+constant term to be the identity up to sign.
 """
 
 from __future__ import annotations
@@ -18,32 +18,17 @@ class SeriesError(ValueError):
     pass
 
 
-def _mat_mul(A, B):
-    n, m = len(A), len(B[0])
-    k = len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    row[j] += a * Bt[j]
+def _fit(a, D):
+    """The integer list a cut or padded with zeros to coefficients 0..D."""
+    a = a[:D + 1]
+    return a + [0] * (D + 1 - len(a))
+
+
+def _sub_power(a, m, D):
+    """The integer list a under t -> t^m, coefficients 0..D."""
+    out = [0] * (D + 1)
+    out[::m] = a[:D // m + 1]
     return out
-
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-def _mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-def _zero(n):
-    return [[0] * n for _ in range(n)]
 
 
 def _conv(a, b, D):
@@ -59,126 +44,134 @@ def _conv(a, b, D):
     return out
 
 
-def _inv(a, D):
-    """The inverse of an integer list a, coefficients 0..D; a[0] must be +-1."""
-    s = a[0]
-    if s not in (1, -1):
+def _inv(A, D):
+    """The inverse of an n x n matrix A of integer lists, coefficients 0..D.
+
+    The constant term must be s times the identity, s = +-1.  Then
+    H_0 = s and H_d = -s * sum_{k>=1} A_k H_{d-k}, zero entries of A skipped.
+    """
+    s = A[0][0][0]
+    if s not in (1, -1) or any(e[0] != s * (i == j)
+                               for i, row in enumerate(A) for j, e in enumerate(row)):
         raise SeriesError("constant term must be the identity up to sign")
-    na = [(k, x) for k, x in enumerate(a[1:D + 1], 1) if x]
-    out = [s] + [0] * D
+    n = len(A)
+    H = [[[s * (i == j)] + [0] * D for j in range(n)] for i in range(n)]
+    # per entry (i, j): its list, and the nonzero (k, H_tj, A[i][t][k]), k >= 1, by k
+    plan = []
+    for i, row in enumerate(A):
+        terms = sorted((k, t, x) for t, e in enumerate(row)
+                       for k, x in enumerate(e[1:D + 1], 1) if x)
+        plan += [(H[i][j], [(k, H[t][j], x) for k, t, x in terms]) for j in range(n)]
     for d in range(1, D + 1):
-        acc = 0
-        for k, x in na:
-            if k > d:
-                break
-            acc += x * out[d - k]
-        out[d] = -s * acc
-    return out
+        for h, terms in plan:
+            acc = 0
+            for k, ht, x in terms:
+                if k > d:
+                    break
+                acc += x * ht[d - k]
+            h[d] = -s * acc
+    return H
 
 
 class TruncatedSeries:
     """Matrix power series truncated at degree D (inclusive)."""
 
     def __init__(self, coeffs, D=None):
-        coeffs = [self._as_matrix(c) for c in coeffs]
+        coeffs = [[[c]] if isinstance(c, int) else c for c in coeffs]
         if D is None:
             D = len(coeffs) - 1
         n = len(coeffs[0]) if coeffs else 1
-        while len(coeffs) <= D:
-            coeffs.append(_zero(n))
-        self.coeffs = coeffs[: D + 1]
+        self.rows = [[_fit([c[i][j] for c in coeffs], D) for j in range(n)] for i in range(n)]
         self.D = D
         self.n = n
 
-    @staticmethod
-    def _as_matrix(c):
-        if isinstance(c, int):
-            return [[c]]
-        return [list(row) for row in c]
+    @classmethod
+    def _of(cls, rows, D):
+        """The series whose entry lists, each of length D + 1, are rows."""
+        out = cls.__new__(cls)
+        out.rows, out.D, out.n = rows, D, len(rows)
+        return out
 
     @staticmethod
     def scalar(values, D=None):
-        return TruncatedSeries([[[v]] for v in values], D)
+        values = list(values)
+        D = len(values) - 1 if D is None else D
+        return TruncatedSeries._of([[_fit(values, D)]], D)
 
     @staticmethod
     def one(D, n=1):
-        return TruncatedSeries([_eye(n)] + [_zero(n) for _ in range(D)], D)
+        return TruncatedSeries._of([[_fit([int(i == j)], D) for j in range(n)]
+                                    for i in range(n)], D)
 
-    def is_scalar(self):
-        return self.n == 1
+    @property
+    def coeffs(self):
+        """The per-degree n x n coefficient matrices, built on each read."""
+        return [[[e[d] for e in row] for row in self.rows] for d in range(self.D + 1)]
 
     def scalar_coeffs(self):
-        if not self.is_scalar():
+        if self.n != 1:
             raise SeriesError("matrix series; pick an entry first")
-        return [c[0][0] for c in self.coeffs]
+        return list(self.rows[0][0])
 
     def entry(self, i, j):
-        return TruncatedSeries([[[c[i][j]]] for c in self.coeffs], self.D)
+        return TruncatedSeries._of([[self.rows[i][j]]], self.D)
 
     def __getitem__(self, d):
-        return self.coeffs[d][0][0] if self.is_scalar() else self.coeffs[d]
+        return self.rows[0][0][d] if self.n == 1 else [[e[d] for e in row] for row in self.rows]
 
     def truncate(self, D):
-        return TruncatedSeries(self.coeffs[: D + 1], D)
+        return TruncatedSeries._of([[_fit(e, D) for e in row] for row in self.rows], D)
 
     def __add__(self, other):
         other = self._coerce(other)
         D = min(self.D, other.D)
-        return TruncatedSeries([_mat_add(self.coeffs[d], other.coeffs[d]) for d in range(D + 1)], D)
+        return TruncatedSeries._of([[[x + y for x, y in zip(a[:D + 1], b)]
+                                     for a, b in zip(ra, rb)]
+                                    for ra, rb in zip(self.rows, other.rows)], D)
 
     def __sub__(self, other):
         return self + -self._coerce(other)
 
     def __neg__(self):
-        return TruncatedSeries([_mat_scale(c, -1) for c in self.coeffs], self.D)
+        return -1 * self
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
             if other.n != self.n:
                 raise SeriesError("dimension mismatch")
             return other
-        c0 = _mat_scale(_eye(self.n), other)
-        return TruncatedSeries([c0] + [_zero(self.n)] * self.D, self.D)
+        return other * TruncatedSeries.one(self.D, self.n)
 
     def __mul__(self, other):
+        """sum_t A_it * B_tj entry by entry, zero entries skipped."""
         other = self._coerce(other)
         D = min(self.D, other.D)
-        if self.is_scalar():
-            return TruncatedSeries.scalar(_conv(self.scalar_coeffs(), other.scalar_coeffs(), D), D)
         out = []
-        for d in range(D + 1):
-            acc = _zero(self.n)
-            for k in range(d + 1):
-                acc = _mat_add(acc, _mat_mul(self.coeffs[k], other.coeffs[d - k]))
-            out.append(acc)
-        return TruncatedSeries(out, D)
+        for ra in self.rows:
+            row = []
+            for col in zip(*other.rows):
+                acc = [0] * (D + 1)
+                for a, b in zip(ra, col):
+                    if any(a) and any(b):
+                        acc = [x + y for x, y in zip(acc, _conv(a, b, D))]
+                row.append(acc)
+            out.append(row)
+        return TruncatedSeries._of(out, D)
 
     def __rmul__(self, c):
-        return TruncatedSeries([_mat_scale(m, c) for m in self.coeffs], self.D)
+        return TruncatedSeries._of([[[c * x for x in e] for e in row] for row in self.rows],
+                                   self.D)
 
     def inverse(self):
         """Series inverse; constant term must be +-identity."""
-        if self.is_scalar():
-            return TruncatedSeries.scalar(_inv(self.scalar_coeffs(), self.D), self.D)
-        c0 = self.coeffs[0]
-        sign = c0[0][0]
-        if sign not in (1, -1) or c0 != _mat_scale(_eye(self.n), sign):
-            raise SeriesError("constant term must be the identity up to sign")
-        inv = [c0] + [None] * self.D
-        for d in range(1, self.D + 1):
-            acc = _zero(self.n)
-            for k in range(1, d + 1):
-                acc = _mat_add(acc, _mat_mul(self.coeffs[k], inv[d - k]))
-            inv[d] = _mat_scale(acc, -sign)
-        return TruncatedSeries(inv, self.D)
+        return TruncatedSeries._of(_inv(self.rows, self.D), self.D)
 
     def substitute_power(self, m):
         """t -> t^m, for m >= 1."""
         if m < 1:
             raise SeriesError(f"substitute t -> t^m needs m >= 1, not {m}")
-        out = [_zero(self.n) for _ in range(self.D + 1)]
-        out[::m] = self.coeffs[: self.D // m + 1]
-        return TruncatedSeries(out, self.D)
+        return TruncatedSeries._of([[_sub_power(e, m, self.D) for e in row]
+                                    for row in self.rows], self.D)
 
     def determinant(self):
         """det as a scalar series, by elimination over Z[[t]]/t^(D+1).
@@ -189,41 +182,39 @@ class TruncatedSeries:
         positive degree).  Any other pivot raises SeriesError.
         """
         D, n = self.D, self.n
-        A = [[[c[i][j] for c in self.coeffs] for j in range(n)] for i in range(n)]
+        A = [list(row) for row in self.rows]
         det = [1] + [0] * D
         for k, row in enumerate(A):
-            pinv = _inv(row[k], D)
+            pinv = _inv([[row[k]]], D)[0][0]
             det = _conv(det, row[k], D)
             for below in A[k + 1:]:
                 if any(below[k]):
                     f = _conv(below[k], pinv, D)
                     for j in range(k + 1, n):
                         below[j] = [x - y for x, y in zip(below[j], _conv(f, row[j], D))]
-        return TruncatedSeries.scalar(det, D)
+        return TruncatedSeries._of([[det]], D)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         D = min(self.D, other.D)
-        return all(self.coeffs[d] == other.coeffs[d] for d in range(D + 1))
+        return self.n == other.n and all(
+            a[:D + 1] == b[:D + 1]
+            for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
 
     def __repr__(self):
-        if self.is_scalar():
-            return "TruncatedSeries(" + ", ".join(str(c) for c in self.scalar_coeffs()) + ")"
+        if self.n == 1:
+            return "TruncatedSeries(" + ", ".join(str(c) for c in self.rows[0][0]) + ")"
         return f"TruncatedSeries({self.n}x{self.n}, D={self.D})"
 
 
 def cartan_t_matrix(q: Quiver, white, D) -> TruncatedSeries:
     """1 - t*C + t^2 * 1_black, C the adjacency matrix of the double."""
-    C = q.adjacency()
-    n = len(C)
     white = q.white_set(white)
-    idx = {v: k for k, v in enumerate(q.vertices)}
-    black_diag = _zero(n)
-    for v in q.vertices:
-        if v not in white:
-            black_diag[idx[v]][idx[v]] = 1
-    return TruncatedSeries([_eye(n), _mat_scale(C, -1), black_diag] + [_zero(n)] * (D - 2), D)
+    rows = [[_fit([int(i == j), -c, int(i == j and v not in white)], D)
+             for j, c in enumerate(Ci)]
+            for i, (v, Ci) in enumerate(zip(q.vertices, q.adjacency()))]
+    return TruncatedSeries._of(rows, D)
 
 
 def hilbert_prep(q: Quiver, white, D) -> TruncatedSeries:
@@ -315,8 +306,9 @@ def ncci_check(hV: TruncatedSeries, hL: TruncatedSeries, hA: TruncatedSeries, D=
     D = min(hV.D, hL.D, hA.D) if D is None else D
     one = TruncatedSeries.one(D, hV.n)
     pred = (one - hV.truncate(D) + hL.truncate(D)).inverse()
+    got, want = pred.coeffs, hA.coeffs
     for d in range(D + 1):
-        if pred.coeffs[d] != hA.coeffs[d]:
+        if got[d] != want[d]:
             return False, d
     return True, None
 
@@ -334,12 +326,10 @@ def _euler_product(B: TruncatedSeries, D) -> TruncatedSeries:
     t -> t^m is a ring endomorphism of Z[[t]]/t^(D+1), so det(B(t^m)) is
     det(B)(t^m) and one determinant serves every factor.
     """
-    inv = _inv(B.determinant().scalar_coeffs(), D)
+    inv = B.determinant().inverse().scalar_coeffs()
     out = [1] + [0] * D
     for m in range(1, D + 1):
-        factor = [0] * (D + 1)
-        factor[::m] = inv[: D // m + 1]
-        out = _conv(out, factor, D)
+        out = _conv(out, _sub_power(inv, m, D), D)
     return TruncatedSeries.scalar(out, D)
 
 
@@ -347,7 +337,7 @@ def chebyshev_like_coeffs(q: Quiver, i0: int, D: int):
     """a_m = ((1 - tC + t^2)^{-1})_{i0 i0}: ranks of (i0 Pi i0)_m."""
     inv = cartan_t_matrix(q, (), D).inverse()
     k = {v: i for i, v in enumerate(q.vertices)}[i0]
-    return [inv.coeffs[d][k][k] for d in range(D + 1)]
+    return inv.entry(k, k).scalar_coeffs()
 
 
 def egid_check(q: Quiver, D) -> bool:

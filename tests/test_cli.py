@@ -235,12 +235,25 @@ NECKLACE_CASES = [
       "Zmod:2": "[x1]^[x1*] + [x2]^[x2*]"}),
     (("--catalog", "free", "1", "--op", "loday", "--left", "-[x x]", "--right", "x* x*"),
      {"Z": "-2*x x* - 2*x* x", "Zmod:5": "3*x x* + 3*x* x", "Zmod:2": "0"}),
+    # a path element with no brackets is taken to its class
+    (("--catalog", "free", "1", "--left", "x x", "--right", "[x* x*]"),
+     {"Z": "4*[x x*]", "Zmod:5": "4*[x x*]", "Zmod:2": "0"}),
+    (("--catalog", "free", "1", "--left", "[x x x*]", "--right", "x* x* x"),
+     {"Z": "[x^2 x*^2] + 2*[x x* x x*]", "Zmod:5": "[x^2 x*^2] + 2*[x x* x x*]",
+      "Zmod:2": "[x^2 x*^2]"}),
+    (("--catalog", "free", "2", "--op", "cobracket", "--left", "x1 x1* x2 x2*"),
+     {"Z": "-[e_0]^[x1 x1*] - [e_0]^[x2 x2*]",
+      "Zmod:5": "4*[e_0]^[x1 x1*] + 4*[e_0]^[x2 x2*]",
+      "Zmod:2": "[e_0]^[x1 x1*] + [e_0]^[x2 x2*]"}),
+    (("--catalog", "free", "1", "--op", "loday", "--left", "x x", "--right", "x* x*"),
+     {"Z": "2*x x* + 2*x* x", "Zmod:5": "2*x x* + 2*x* x", "Zmod:2": "0"}),
 ]
 
 
 @pytest.mark.parametrize("argv,want", NECKLACE_CASES,
                          ids=["bracket", "bracket_deg4", "cobracket", "cobracket_mixed",
-                              "loday"])
+                              "loday", "bracket_path_left", "bracket_path_right",
+                              "cobracket_path", "loday_path_left"])
 def test_necklace_ring_reads_off_the_integer_answer(capsys, argv, want):
     for ring, text in want.items():
         code, out, _ = run(capsys, "necklace", "--ring", ring, *argv)
@@ -319,6 +332,10 @@ def usage_exit(capsys, *argv):
      "--right", "a0 a0"),
     ("necklace", "--catalog", "free", "1", "--op", "bracket", "--left", "[x] [x*]",
      "--right", "[x*]"),
+    ("necklace", "--catalog", "free", "1", "--op", "loday", "--left", "[x]",
+     "--right", "[x*]"),
+    ("groebner", "--star", "-5", "--degree", "4"),
+    ("groebner", "--star", "-1", "--degree", "4"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
         "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
@@ -331,7 +348,8 @@ def usage_exit(capsys, *argv):
         "hp0_type_unknown", "hp0_type_with_trailing_text", "hp0_type_e6_with_trailing_text",
         "hp0_e6_with_branch",
         "necklace_word_not_a_path", "necklace_class_not_a_path", "loday_word_not_a_path",
-        "necklace_terms_without_sign"])
+        "necklace_terms_without_sign", "loday_class_on_the_right",
+        "star_negative_branch", "star_branch_minus_one"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     """Exit 2 with an "error: " line and no traceback, whether main rejects
     the input or argparse does (a usage line, then "preproj CMD: error: ")."""
@@ -356,8 +374,9 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv):
     ("necklace", "--catalog", "free", "1", "--op", "cobracket", "--left", "[x x*]",
      "--right", "[x]"),
     ("hh0", "--catalog", "free", "2", "--white", "0", "--degree", "4", "--show-generators"),
+    ("hh0", "--catalog", "free", "2", "--file", "{tmp}/q.json", "--degree", "3"),
 ], ids=["star_with_catalog", "star_with_file", "star_with_white", "cobracket_with_right",
-        "generators_with_white"])
+        "generators_with_white", "catalog_with_file"])
 def test_flags_that_would_go_unread_are_usage_errors(tmp_path, capsys, argv):
     """A flag the chosen mode does not read exits 2 instead of being dropped."""
     (tmp_path / "q.json").write_text(Quiver([0, 1], [(0, 0, 1)]).to_json())

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from preproj.freealg import (Bituple, CycElement, CyclicClass, PathContext,
+from preproj.freealg import (CycElement, CyclicClass, PathContext,
                              RingError, canonical_rotation, cyclic_project,
                              free_context, parse_element, preprojective_relation,
-                             render_cyclic, render_element, rep_of, w_ab, z_ab)
+                             render_cyclic, render_element, w_ab, z_ab)
 from preproj.quiver import Quiver, QuiverError, catalog, double
 
 
@@ -110,17 +110,6 @@ def test_z_ab(loop_pair):
     assert z_ab(0, 0, x, y) == ctx.identity()
     with pytest.raises(ValueError):
         z_ab(-1, 0, x, y)
-
-
-def test_rep_of():
-    assert Bituple.of((0, 0, 0), (0, 0, 0)).period == 1
-    assert Bituple.of((0, 0, 0), (0, 0, 0)).rep == 3
-    bt = Bituple.of((1, 2, 1, 2), (0, 0, 0, 0))
-    assert (bt.period, bt.rep) == (2, 2)
-    bt2 = Bituple.of((1, 2, 3), (0, 0, 0))
-    assert (bt2.period, bt2.rep) == (3, 1)
-    with pytest.raises(ValueError):
-        rep_of(())
 
 
 @pytest.fixture

@@ -78,6 +78,33 @@ def test_scalar_inverse_round_trip():
             TruncatedSeries.scalar([c0, 1, 1], 2).inverse()
 
 
+def _matrix_product(A, B, D):
+    """The product of per-degree n x n coefficient lists up to t^D, by loops."""
+    n = len(A[0])
+    return [[[sum(A[k][i][t] * B[d - k][t][j] for k in range(d + 1) for t in range(n))
+              for j in range(n)] for i in range(n)] for d in range(D + 1)]
+
+
+def test_matrix_product_and_inverse_against_loops():
+    rng = random.Random(13)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            D = rng.randrange(0, 8)
+            s = rng.choice((1, -1))
+            A = [[[s * (i == j) for j in range(n)] for i in range(n)]] + \
+                [[[rng.choice((0, rng.randrange(-4, 5))) for _ in range(n)] for _ in range(n)]
+                 for _ in range(D)]
+            B = [[[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+                 for _ in range(D + 1)]
+            M, N = TruncatedSeries(A, D), TruncatedSeries(B, D)
+            assert (M * N).coeffs == _matrix_product(A, B, D)
+            assert _matrix_product(A, M.inverse().coeffs, D) == TruncatedSeries.one(D, n).coeffs
+    assert TruncatedSeries.one(3, 1) != TruncatedSeries.one(3, 2)
+    for c0 in ([[1, 1], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+        with pytest.raises(SeriesError):
+            TruncatedSeries([c0, [[1, 2], [3, 4]]], 3).inverse()
+
+
 def test_determinant_against_permutation_expansion():
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
@@ -258,7 +285,7 @@ def test_inverse_roundtrip():
 def test_chebyshev_recurrence():
     q = catalog("affine_d", 4)
     D = 10
-    inv = cartan_t_matrix(q, (), D).inverse()
+    inv = cartan_t_matrix(q, (), D).inverse().coeffs
     C = q.adjacency()
     n = len(C)
 
@@ -267,9 +294,9 @@ def test_chebyshev_recurrence():
                 for i in range(n)]
 
     for m in range(1, D):
-        lhs = inv.coeffs[m + 1]
-        rhs = [[sum(C[i][k] * inv.coeffs[m][k][j] for k in range(n))
-                - inv.coeffs[m - 1][i][j] for j in range(n)] for i in range(n)]
+        lhs = inv[m + 1]
+        rhs = [[sum(C[i][k] * inv[m][k][j] for k in range(n))
+                - inv[m - 1][i][j] for j in range(n)] for i in range(n)]
         assert lhs == rhs
 
 
