@@ -52,32 +52,26 @@ class PathContext:
     def letters(self):
         return [self.arrow(a) for (a, _, _) in self.quiver.arrows]
 
-    def walks(self, d, start=None, end=None, avoid=None):
+    def walks(self, d, start=None, end=None):
         """Composable words of weight d from start to end; None is any vertex.
 
         Depth first from one explicit stack seeded with every start vertex,
-        so callers that build rows from the walks see a fixed order.  avoid
-        is an automaton of forbidden subwords (rewrite._Automaton): a word
-        is dropped, with all its extensions, once it contains one.
+        so callers that build rows from the walks see a fixed order.  Normal
+        words of a rewrite system come from RewriteSystem.normal_monomials.
         """
         q = self.quiver
         if d == 0:
             if start is None or end is None or start == end:
                 yield ()
             return
-        stack = [((), v, 0, 0) for v in (q.vertices if start is None else (start,))]
+        stack = [((), v, 0) for v in (q.vertices if start is None else (start,))]
         while stack:
-            word, cur, wt, node = stack.pop()
+            word, cur, wt = stack.pop()
             for a in q.out_arrows(cur):
                 nw = wt + self.weights[a]
-                if nw > d:
-                    continue
-                nxt, hit = (0, 0) if avoid is None else avoid.advance(node, a)
-                if hit:
-                    continue
                 if nw < d:
-                    stack.append((word + (a,), q.dst(a), nw, nxt))
-                elif end is None or q.dst(a) == end:
+                    stack.append((word + (a,), q.dst(a), nw))
+                elif nw == d and (end is None or q.dst(a) == end):
                     yield word + (a,)
 
     def necklaces(self, d, leads=None):

@@ -126,6 +126,8 @@ class LambdaComputation:
                 if row:
                     rows[frozenset(row.items())] = row
             st.rows = list(rows.values())
+            if self.engine == "normal" and d == self.system.complete_to_degree:
+                self.system._paths.clear()      # no higher degree can ask for them
         return st.rows
 
     def _commutator_rows(self, d, col):
@@ -246,11 +248,17 @@ def forest_system(q: Quiver, white, degree_bound, ctx=None) -> RewriteSystem:
 def preprojective_system(q: Quiver, white, degree_bound, ctx=None,
                          arrow_order=None) -> RewriteSystem:
     """Completed rewrite system for Pi_{Q,J} up to degree_bound."""
+    _check_bound(degree_bound)
     if ctx is None:
         ctx = PathContext(q)
     rels = preprojective_relation(ctx, white)
     order = MonomialOrder(ctx, arrow_order)
     return complete(rels, order, degree_bound)
+
+
+def _check_bound(D):
+    if D < 0:
+        raise QuiverError(f"degree bound must be >= 0, got {D}")
 
 
 def lambda_graded(q: Quiver, white, D, engine="auto", ctx=None,
@@ -260,6 +268,7 @@ def lambda_graded(q: Quiver, white, D, engine="auto", ctx=None,
     Returns (report, computation).  engine 'auto' completes the preprojective
     relations and falls back to the ideal-span engine on NonUnitLead.
     """
+    _check_bound(D)
     if ctx is None:
         ctx = PathContext(q)
     comp = None

@@ -98,17 +98,20 @@ class RewriteSystem:
         self._by_lead = {}      # leading word -> rule, in insertion order
         self.rules = self._by_lead.values()
         self._aut = None
+        self._paths = {}        # source -> {weight: layer}, see normal_monomials
         for r in rules:
             self._install(r)
 
     def _install(self, rule, stale=()):
-        """Drop the stale rules and add rule; the automaton is rebuilt on next use."""
+        """Drop the stale rules and add rule; the automaton and the normal
+        path tables are rebuilt on next use."""
         if not rule.lm_word:
             raise QuiverError("rules must have positive degree")
         for r in stale:
             del self._by_lead[r.lm_word]
         self._by_lead[rule.lm_word] = rule
         self._aut = None
+        self._paths = {}
 
     def _find_reduction(self, word):
         """(start, rule) of the leftmost leading word in word, or None.  The
@@ -157,12 +160,49 @@ class RewriteSystem:
         return self._aut
 
     def normal_monomials(self, i, j, d):
-        """All weight-d normal paths i -> j, sorted by the monomial order."""
+        """All weight-d normal paths i -> j, sorted by the monomial order.
+
+        Read from one table per source i: layer w maps (end vertex, automaton
+        state) to the normal words of weight w from i, and is built once from
+        the layers w - w_a, one automaton step per (word group, arrow a), so
+        every target and later degree reads it instead of walking again.  The
+        table keeps the last max(weights) layers, the ones a later weight can
+        still extend; a degree below them rebuilds it from weight 0.
+        """
         if d > self.complete_to_degree:
             raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
+        if d < 0:
+            return []
+        layers = self._paths.get(i)
+        if layers is None or d < min(layers):
+            layers = self._paths[i] = {0: {(i, 0): [()]}}
+        for w in range(max(layers) + 1, d + 1):
+            self._add_layer(layers, w)
+        words = [u for (v, _), group in layers[d].items() if v == j for u in group]
         # at one weight and one source the order compares length, then letters
-        words = sorted(self.ctx.walks(d, i, j, avoid=self._automaton()), key=self.order.letter_key)
-        return [(i, w) for w in sorted(words, key=len)]
+        words.sort(key=self.order.letter_key)
+        words.sort(key=len)
+        return [(i, u) for u in words]
+
+    def _add_layer(self, layers, w):
+        """Layer w of a normal path table from its layers w - w_a; the layer
+        that no later weight extends is dropped."""
+        q, wts = self.ctx.quiver, self.ctx.weights
+        advance = self._automaton().advance
+        reach = max(wts.values(), default=1)
+        layer = {}
+        for prev in range(max(w - reach, 0), w):
+            for (v, node), group in layers[prev].items():
+                for a in q.out_arrows(v):
+                    if prev + wts[a] != w:
+                        continue
+                    nxt, hit = advance(node, a)
+                    if hit:
+                        continue
+                    tail = (a,)
+                    layer.setdefault((q.dst(a), nxt), []).extend([u + tail for u in group])
+        layers[w] = layer
+        layers.pop(w - reach, None)
 
     def normal_count_matrix(self, dmax):
         """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed."""

@@ -18,6 +18,13 @@ class SeriesError(ValueError):
     pass
 
 
+def _bound(D):
+    """D itself when it is a degree bound, D >= 0; else SeriesError."""
+    if D < 0:
+        raise SeriesError(f"degree bound must be >= 0, got {D}")
+    return D
+
+
 def _fit(a, D):
     """The integer list a cut or padded with zeros to coefficients 0..D."""
     a = a[:D + 1]
@@ -78,8 +85,7 @@ class TruncatedSeries:
 
     def __init__(self, coeffs, D=None):
         coeffs = [[[c]] if isinstance(c, int) else c for c in coeffs]
-        if D is None:
-            D = len(coeffs) - 1
+        D = _bound(len(coeffs) - 1 if D is None else D)
         n = len(coeffs[0]) if coeffs else 1
         self.rows = [[_fit([c[i][j] for c in coeffs], D) for j in range(n)] for i in range(n)]
         self.D = D
@@ -89,7 +95,7 @@ class TruncatedSeries:
     def _of(cls, rows, D):
         """The series whose entry lists, each of length D + 1, are rows."""
         out = cls.__new__(cls)
-        out.rows, out.D, out.n = rows, D, len(rows)
+        out.rows, out.D, out.n = rows, _bound(D), len(rows)
         return out
 
     @staticmethod

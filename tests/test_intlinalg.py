@@ -563,15 +563,18 @@ PINNED_SNF_DIGESTS = {
     "normal_d7": "648d23d25e923db1ec3f2531232743c9ea78013c670e43f10ed2cd92cf350177",
     "normal_d8": "17c1ae99f86ff131aedce5ee129187d22f5fe8ba1df0407e35882af6cacedbea",
     "star_2211_d14": "eb4e9b9cbe4de3142261cec2f734d116a641947e0b8c6def6007302d42c65fc3",
+    "e8_d28": "82b8b65e6068e4b6e79c7981cdfbd6c6ab4dfa4b0483c9589571151e038310cb",
+    "affine_e8_d28": "904ef5e4654c424b3580221612c14e979deab1a7ee4c61fa114a09512895029c",
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_matrices(free2_lattices):
     """The seeded random matrices, the F_2 lattice of `free 2` at degree 7,
-    the `free 2` normal-engine matrices at degrees 7 and 8, and the
-    matrices of the wild tree `star 2 2 1 1` at degrees 0..14 under an arrow
-    order whose completion is finite."""
+    the `free 2` normal-engine matrices at degrees 7 and 8, the matrices of
+    the wild tree `star 2 2 1 1` at degrees 0..14 under an arrow order whose
+    completion is finite, and the normal-engine matrices of E8 and ~E8 at
+    degrees 0..28, where most walks end at a leading word."""
     from preproj import (LambdaComputation, PathContext, catalog,
                          preprojective_system)
 
@@ -589,6 +592,11 @@ def pinned_matrices(free2_lattices):
                              engine="normal")
     out["star_2211_d14"] = [(tree.relation_rows(d), len(tree.ambient_keys(d)))
                             for d in range(15)]
+    for case, name, p in (("e8_d28", "dynkin_e", 8), ("affine_e8_d28", "affine_e", 8)):
+        q = catalog(name, p)
+        ctx = PathContext(q)
+        comp = LambdaComputation(ctx, preprojective_system(q, (), 28, ctx=ctx), engine="normal")
+        out[case] = [(comp.relation_rows(d), len(comp.ambient_keys(d))) for d in range(29)]
     return out
 
 

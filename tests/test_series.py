@@ -5,6 +5,7 @@ import random
 import pytest
 
 from preproj.freealg import PathContext, preprojective_relation
+from preproj.homology import lambda_graded, preprojective_system
 from preproj.quiver import Quiver, QuiverError, catalog, classify
 from preproj.rewrite import MonomialOrder, complete
 from preproj.series import (SeriesError, TruncatedSeries, _euler_product,
@@ -125,6 +126,29 @@ def test_determinant_needs_unit_pivots(c0):
     M = TruncatedSeries([c0, [[1, 1], [1, 1]]], 3)
     with pytest.raises(SeriesError):
         M.determinant()
+
+
+NEGATIVE_BOUND_CALLS = {
+    "hilbert_prep": (SeriesError, lambda q: hilbert_prep(q, (), -1)),
+    "o_series_char_zero": (SeriesError, lambda q: o_series_char_zero(q, (), -1)),
+    "o_series_char_p": (SeriesError, lambda q: o_series_char_p(q, (), 2, -1)),
+    "egid_check": (SeriesError, lambda q: egid_check(q, -1)),
+    "scalar": (SeriesError, lambda q: TruncatedSeries.scalar([1], -1)),
+    "constructor": (SeriesError, lambda q: TruncatedSeries([[[1]]], -1)),
+    "one": (SeriesError, lambda q: TruncatedSeries.one(-1)),
+    "hT_of": (SeriesError, lambda q: hT_of(q, 2, -1)),
+    "preprojective_system": (QuiverError, lambda q: preprojective_system(q, (), -1)),
+    "lambda_graded": (QuiverError, lambda q: lambda_graded(q, (), -1)),
+    "lambda_graded_span": (QuiverError, lambda q: lambda_graded(q, (), -1, engine="span")),
+}
+
+
+@pytest.mark.parametrize("call", list(NEGATIVE_BOUND_CALLS))
+def test_negative_degree_bound_is_an_error(call):
+    """D = -1 raises instead of an IndexError, an empty series or an empty report."""
+    error, f = NEGATIVE_BOUND_CALLS[call]
+    with pytest.raises(error, match="degree bound must be >= 0, got -1"):
+        f(catalog("affine_d", 4))
 
 
 @pytest.mark.parametrize("D", [0, 4])
@@ -336,8 +360,6 @@ def test_egid_exponent_laws():
 def test_char_p_o_series_matches_direct_lambda():
     """Over F_2 the full symmetric-algebra series assembled from the zeta form
     matches the one built from the computed graded dimensions of Lambda."""
-    from preproj.homology import lambda_graded
-
     q = catalog("free", 2)
     D = 6
     rep, _ = lambda_graded(q, (), D)
@@ -356,8 +378,6 @@ def test_char_p_o_series_matches_direct_lambda():
 def test_char_zero_o_series():
     q = catalog("free", 2)
     D = 6
-    from preproj.homology import lambda_graded
-
     rep, _ = lambda_graded(q, (), D)
     direct = TruncatedSeries.one(D)
     for m in range(1, D + 1):
