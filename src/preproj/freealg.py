@@ -42,6 +42,7 @@ class PathContext:
         for (a, _, _) in quiver.arrows:
             if self.weights.get(a, 0) < 1:
                 raise QuiverError("weights must be positive")
+        self._reach = {}    # first letter -> reach table, see necklaces
 
     def weight(self, word):
         w = 0
@@ -89,10 +90,12 @@ class PathContext:
                 for v in q.vertices}
         arrows = sorted(a for (a, _, _) in q.arrows)
         for k, first in enumerate(arrows):
-            # reach[r]: vertices with a walk of weight r to start on letters >= first
+            # reach[r]: vertices with a walk of weight r to start on letters
+            # >= first; it depends on the quiver alone, so it is kept and
+            # extended as degrees grow
             start = q.src(first)
-            reach = [{start}]
-            for r in range(1, d):
+            reach = self._reach.setdefault(first, [{start}])
+            for r in range(len(reach), d):
                 reach.append({q.src(a) for a in arrows[k:]
                               if wts[a] <= r and q.dst(a) in reach[r - wts[a]]})
             w0, v0 = wts[first], q.dst(first)

@@ -11,7 +11,12 @@ Two interchangeable engines compute the graded pieces:
   strictly inside it); relations are commutators [m, a] of normal monomials
   with single arrows (these integrally span all commutators), reduced as
   words into coordinates, skipped when m a and a m are both normal (then
-  rotations of one word).  Needs a completion with unit leading coefficients.
+  rotations of one word).  A reducible side is read off the reduction of a
+  window of its last (or first) letters, reused across rows; the normal
+  form is unique, and a guard keeps the letters next to the rest of the
+  word fixed, so the rows are exactly those of reducing whole words (see
+  LambdaComputation._commutator_rows).  Needs a completion with unit
+  leading coefficients.
 
 * 'span' - ambient spanned by all necklaces (the same generator); relations
   are cyclic projections of g*u over ideal generators g and closing paths u.
@@ -131,31 +136,68 @@ class LambdaComputation:
         return st.rows
 
     def _commutator_rows(self, d, col):
-        """[m, a] over arrows a and normal m, reduced straight into coordinates."""
-        ctx, sys_ = self.ctx, self.system
-        # m is normal, so a leading word of m a is u a with u a suffix of m,
-        # and one of a m is a v with v a prefix of m
-        ends, starts = {}, {}
-        for r in sys_.rules:
-            ends.setdefault(r.lm_word[-1], []).append(r.lm_word[:-1])
-            starts.setdefault(r.lm_word[0], []).append(r.lm_word[1:])
+        """[m, a] over arrows a and normal m, reduced straight into coordinates.
 
-        def reduced(mono, reducible):
-            x = Element(ctx, {mono: 1})
-            return sys_.reduce(x) if reducible else x
+        m is normal, so a leading word of m a is u a with u a suffix of m, and
+        one of a m is a v with v a prefix of m.  Such a side is reduced
+        through a window: with L the longest leading word and b = L - 1, the
+        last (first) b + L letters T of m a (a m) are reduced alone under a
+        guard that leaves the b letters next to the rest of the word as they
+        are, and the row reads rest + u (u + rest) for each normal u of T.
+        That is exact: the rest and those b letters form a subword of m, so
+        no leading word meets the rest, and reducing the whole word pops,
+        rewrites and sums the same words in the same order, rest aside.  A
+        guard that trips widens T by one letter, up to the whole word.  The
+        windows repeat across rows and are reduced once per call.
+        """
+        ctx, sys_ = self.ctx, self.system
+        src = ctx.quiver.src
+        ends, starts = {}, {}   # a -> {u: u a leading}, a -> {v: a v leading}
+        for r in sys_.rules:
+            w = r.lm_word
+            ends.setdefault(w[-1], set()).add(w[:-1])
+            starts.setdefault(w[0], set()).add(w[1:])
+        longest = sys_._automaton().longest
+        b = longest - 1
+        windows = {}    # (at_end, T) -> normal form of T, or None: its guard tripped
+
+        def reduced(v, word, at_end):
+            n = len(word)
+            guard = (b, 0) if at_end else (0, b)
+            for size in range(b + longest, n):
+                if at_end:
+                    rest, T = word[:n - size], word[n - size:]
+                else:
+                    T, rest = word[:size], word[size:]
+                key = (at_end, T)
+                if key not in windows:
+                    windows[key] = sys_._reduce({(src(T[0]), T): 1}, *guard)
+                found = windows[key]
+                if found is not None:
+                    return {(v, rest + u if at_end else u + rest): c
+                            for (_, u), c in found.items()}
+            return sys_._reduce({(v, word): 1})
 
         monos = functools.cache(sys_.normal_monomials)
         for (a, s, t) in ctx.quiver.arrows:
             us, vs = ends.get(a, ()), starts.get(a, ())
             if ctx.weights[a] >= d or not (us or vs):
                 continue    # every m a and a m is normal: [m, a] = 0
+            ulens, vlens = {len(u) for u in us}, {len(v) for v in vs}
             for _, w in monos(t, s, d - ctx.weights[a]):
-                left = any(w[len(w) - len(u):] == u for u in us)
-                right = any(w[:len(v)] == v for v in vs)
+                left = any(w[len(w) - k:] in us for k in ulens)
+                right = any(w[:k] in vs for k in vlens)
                 if not (left or right):
                     continue    # m a and a m are normal rotations: [m, a] = 0
-                yield _row(col, (reduced((t, w + (a,)), left)
-                                 - reduced((s, (a,) + w), right)).terms.items())
+                ma, am = w + (a,), (a,) + w
+                terms = reduced(t, ma, True) if left else {(t, ma): 1}
+                for mono, c in (reduced(s, am, False) if right else {(s, am): 1}).items():
+                    c = terms.get(mono, 0) - c
+                    if c:
+                        terms[mono] = c
+                    else:
+                        terms.pop(mono, None)
+                yield _row(col, terms.items())
 
     def _span_rows(self, d, col):
         """Cyclic projections of g u over generators g and paths u closing

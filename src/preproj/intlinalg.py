@@ -172,18 +172,28 @@ def smith_normal_form(rows, ncols):
     buckets = {}
     costs = []
 
-    def push(i, j):
-        c = cost(i, j)
+    def push(i, j, c):
         stack = buckets.get(c)
         if stack is None:
             buckets[c] = stack = []
             heapq.heappush(costs, c)
         stack.append((i, j))
 
-    for i, r in enumerate(rows):
+    def push_row(i):
+        """Push every unit entry of row i outside the done columns, in row order."""
+        r = rows[i]
+        ri = len(r) - 1
         for j, v in r.items():
-            if v in (1, -1):
-                push(i, j)
+            if (v == 1 or v == -1) and j not in done_cols:
+                c = ri * (len(by_col[j]) - 1)
+                stack = buckets.get(c)
+                if stack is None:
+                    buckets[c] = stack = []
+                    heapq.heappush(costs, c)
+                stack.append((i, j))
+
+    for i in range(nrows):
+        push_row(i)
 
     while costs:
         c = costs[0]
@@ -194,8 +204,8 @@ def smith_normal_form(rows, ncols):
             heapq.heappop(costs)
         if pi not in active_rows or pj in done_cols or rows[pi].get(pj, 0) not in (1, -1):
             continue
-        if cost(pi, pj) > c:
-            push(pi, pj)
+        if (now := cost(pi, pj)) > c:
+            push(pi, pj, now)
             continue
         affected = set(by_col[pj]) & active_rows
         eliminate_with(pi, pj)
@@ -204,9 +214,7 @@ def smith_normal_form(rows, ncols):
         pivots.append((pi, pj))
         for i in affected:
             if i in active_rows:
-                for j, v in rows[i].items():
-                    if v in (1, -1) and j not in done_cols:
-                        push(i, j)
+                push_row(i)
 
     # phase 2: Euclid on the residue, pivots found by _euclid_pivot.  Any
     # nonzero pivot is correct, since a remainder it leaves behind becomes the

@@ -128,8 +128,16 @@ class RewriteSystem:
 
     def reduce(self, x: Element) -> Element:
         """Iterated reduction until no monomial contains a leading word."""
-        ctx = self.ctx
-        work = dict(x.terms)
+        return Element(self.ctx, self._reduce(x.terms))
+
+    def _reduce(self, terms, lo=0, tail=0):
+        """The normal form of {(v, word): coeff} as such a dict, or None once
+        a rewrite's leading word starts before position lo, or ends within
+        the last tail letters, of the word being rewritten: with a guard, the
+        first lo and last tail letters of every word met stay as they are.
+        The work is popped last in, first out, so equal input gives equal
+        output, item order included."""
+        work = dict(terms)
         normal = {}
         while work:
             mono, coeff = work.popitem()
@@ -143,8 +151,11 @@ class RewriteSystem:
                     normal.pop(mono, None)
                 continue
             k, rule = hit
+            end = k + len(rule.lm_word)
+            if k < lo or len(word) - end < tail:
+                return None
             prefix = word[:k]
-            suffix = word[k + len(rule.lm_word):]
+            suffix = word[end:]
             for rw, rc in rule.tail:
                 key = (v, prefix + rw + suffix)
                 s = work.get(key, 0) - coeff * rc
@@ -152,7 +163,7 @@ class RewriteSystem:
                     work[key] = s
                 else:
                     work.pop(key, None)
-        return Element(ctx, normal)
+        return normal
 
     def _automaton(self):
         if self._aut is None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
                              free_context, preprojective_relation, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
-                              PoissonPresentation, _bracket_gen_mono,
+                              PoissonPresentation, _bracket_gen_mono, _row,
                               _monomials_of_degree, _poly_reduce, forest_arrow_order,
                               frobenius_cyc, ghost, hp0_poisson, lambda_graded,
                               poisson_presentation, preprojective_element,
@@ -294,14 +295,22 @@ def test_ambient_keys_match_reference(name, D):
         assert comp.ambient_keys(d) == _reference_keys(comp, d), d
 
 
+# an arrow order of star 2 2 1 1 under which its completion is finite
+TREE_ORDER = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
+
+
 def _table_system(name, D):
     if name == "weighted":
         return _weighted_free_system(D)[1]
     if name == "zero_ideal":
         return complete([], MonomialOrder(PathContext(catalog("affine_a", 3))), D)
+    if name == "tree_found":
+        return preprojective_system(catalog("star", 2, 2, 1, 1), (), D, arrow_order=TREE_ORDER)
     q, white = {"e8": (catalog("dynkin_e", 8), ()),
                 "affine_e8": (catalog("affine_e", 8), ()),
                 "affine_d4": (catalog("affine_d", 4), ()),
+                "free2": (catalog("free", 2), ()),
+                "tree_default": (catalog("star", 2, 2, 1, 1), ()),
                 "partial": (Quiver(range(4), [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 3)]),
                             (1, 3))}[name]
     order = forest_arrow_order(double(q), white) if white else None
@@ -346,6 +355,59 @@ def test_normal_path_table_matches_walk_filter(name, D):
     for i in verts:
         assert sys_.normal_monomials(i, i, -1) == []
         assert all(sys_.normal_monomials(i, j, 0) == [] for j in verts if j != i)
+
+
+def _whole_word_rows(comp, d):
+    """The normal engine's rows as reduce(m a) - reduce(a m) through _row,
+    each side reduced as a whole word, zero rows dropped and a repeated row
+    kept where it was first met, as relation_rows keeps it."""
+    ctx, sys_ = comp.ctx, comp.system
+    col = {k.word or k.vertex: i for i, k in enumerate(comp.ambient_keys(d))}
+    rows = {}
+    for (a, s, t) in ctx.quiver.arrows:
+        if ctx.weights[a] >= d:
+            continue
+        for _, w in sys_.normal_monomials(t, s, d - ctx.weights[a]):
+            x = (sys_.reduce(ctx.element({(t, w + (a,)): 1}))
+                 - sys_.reduce(ctx.element({(s, (a,) + w): 1})))
+            row = _row(col, x.terms.items())
+            if row:
+                rows[frozenset(row.items())] = row
+    return [list(r.items()) for r in rows.values()]
+
+
+@pytest.mark.parametrize("name, D", [
+    ("free2", 8), ("partial", 8), ("weighted", 12), ("affine_e8", 28),
+    ("tree_found", 14), ("tree_default", 12)])
+def test_commutator_rows_match_whole_word_reduction(name, D):
+    """Rows read off window reductions are those of reducing each side of
+    [m, a] as a whole word, item order included.  free 2 and the tree under
+    TREE_ORDER have guards that trip and windows that widen; on ~E8 and the
+    tree under the default order no window is shorter than the word."""
+    sys_ = _table_system(name, D)
+    comp = LambdaComputation(sys_.ctx, sys_)
+    for d in range(D + 1):
+        assert [list(r.items()) for r in comp.relation_rows(d)] == _whole_word_rows(comp, d), d
+
+
+# sha256 of repr([list(r.items()) for r in relation_rows(d)]) over d = 0..D
+# in turn, computed when both sides of [m, a] were reduced as whole words
+PINNED_ROW_DIGESTS = {
+    ("free2", 8): "002f8d2ba9bf5afef4ae512ea567d578089f1a89e23ccd5a7a4237dd25e13a3c",
+    ("tree_found", 14): "159e731251ada1b10d47a3dc06abb7333c3c0dca6380c93a8646019ffe24461d",
+    ("e8", 28): "7004abf42bd4e048ba6acce7c5e16850b3ff6ec342a17d79e7161df402c710c0",
+    ("affine_e8", 28): "2a1f6cf40145cef2914197093c5192246e9abb74f1df20e865a205eaf9003086",
+}
+
+
+@pytest.mark.parametrize("name, D", list(PINNED_ROW_DIGESTS))
+def test_relation_rows_are_pinned(name, D):
+    sys_ = _table_system(name, D)
+    comp = LambdaComputation(sys_.ctx, sys_)
+    h = hashlib.sha256()
+    for d in range(D + 1):
+        h.update(repr([list(r.items()) for r in comp.relation_rows(d)]).encode())
+    assert h.hexdigest() == PINNED_ROW_DIGESTS[name, D]
 
 
 def test_keys_and_rows_stop_at_the_certified_degree():

@@ -54,6 +54,26 @@ def test_reduce_generator_frames_to_zero(xy_rprime):
             assert sys_.reduce(l1 * g * l2).is_zero()
 
 
+def test_guarded_reduction_stops_at_its_guard():
+    """On free 2 (x = 0, y = 1, x* = 2, y* = 3) the one rule rewrites y* y to
+    y y* - x* x + x x*.  From y* y* y its cascade rewrites y* y at position 0,
+    so lo = 1 gives None; from y* y y one leading word ends on the last
+    letter, so tail = 1 gives None.  A guard no rewrite reaches returns the
+    normal form, item order included."""
+    ctx = PathContext(catalog("free", 2))
+    sys_ = complete(preprojective_relation(ctx), MonomialOrder(ctx), 8)
+    assert [r.lm_word for r in sys_.rules] == [(3, 1)]
+
+    def whole(word):
+        return list(sys_.reduce(ctx.element({(0, word): 1})).terms.items())
+
+    assert sys_._reduce({(0, (3, 3, 1)): 1}, 1, 0) is None
+    assert sys_._reduce({(0, (3, 1, 1)): 1}, 0, 1) is None
+    for word, lo, tail in [((3, 3, 1), 0, 0), ((0, 3, 1), 1, 0), ((3, 1, 0), 0, 1),
+                           ((0, 3, 3, 1), 1, 0), ((3, 1, 1), 0, 0), ((0, 1), 2, 2)]:
+        assert list(sys_._reduce({(0, word): 1}, lo, tail).items()) == whole(word), word
+
+
 def test_unique_normal_form_randomized_order(xy_rprime):
     """Reducing with a randomized rule-application order gives one answer."""
     ctx = free_context(["x", "y", "z"])
