@@ -19,7 +19,7 @@ from .intlinalg import (LatticeSolver, SNFResult, TorsionSummary, quotient_struc
 from .series import (SeriesError, TruncatedSeries, cartan_t_matrix, egid_check,
                      hT, hT_of, hilbert_prep, ncci_check, sym_plus_series, zeta)
 from .homology import (GradedTorsionReport, HomologyClass, LambdaComputation,
-                       PoissonPresentation, forest_system, frobenius_cyc, ghost,
+                       PoissonPresentation, frobenius_cyc, ghost,
                        hp0_poisson, lambda_graded, poisson_presentation,
                        preprojective_element, preprojective_system,
                        r_power_class, r_power_cyclic)

@@ -249,7 +249,7 @@ def crit_partial_preprojective(seed=DEFAULT_SEED):
         forbidden = {(a, qd.star[a]) for a in forest_for_white(qd, white).arrows}
         rep, comp = lambda_graded(q, white, D, engine="normal",
                                   arrow_order=forest_arrow_order(qd, white))
-        # comp.system is forest_system(q, white, D): the same relations and order
+        # comp.system: the preprojective relations led by a a* over the forest arrows
         lm_ok = sorted(r.lm_word for r in comp.system.rules) == sorted(forbidden)
         tor_ok = all(rep.summaries[d].is_free() for d in range(D + 1))
         rank_ok = all(rep.summaries[d].free_rank ==

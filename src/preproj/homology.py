@@ -3,7 +3,9 @@ ambient cyclic classes, commutator relations, exact torsion via Smith normal
 form, the divided-power classes r^(p^l), the p-th power map on cyclic words
 mod p, and the noncommutative ghost map.
 
-Two interchangeable engines compute the graded pieces:
+Two interchangeable engines compute the graded pieces, and a
+LambdaComputation's inputs decide which: it is 'normal' when given a
+completed rewrite system and 'span' when given None and ideal generators.
 
 * 'normal' - ambient spanned by the necklaces with a normal rotation of a
   completed rewrite system (PathContext.necklaces: each once, kept when
@@ -20,8 +22,8 @@ Two interchangeable engines compute the graded pieces:
 
 * 'span' - ambient spanned by all necklaces (the same generator); relations
   are cyclic projections of g*u over ideal generators g and closing paths u.
-  No completion needed; the automatic fallback when completion meets a
-  non-unit leading coefficient, and selectable directly.
+  No completion needed; lambda_graded falls back to it when completion
+  meets a non-unit leading coefficient, and engine='span' asks for it.
 
 Both engines read a closed word through one map per degree, least rotation
 (vertex at degree 0) -> coordinate, in _row; relation rows and coords share it.
@@ -90,11 +92,13 @@ class LambdaComputation:
     """
 
     def __init__(self, ctx: PathContext, system: RewriteSystem | None,
-                 ideal_gens=(), engine="normal"):
+                 ideal_gens=(), engine=None):
         self.ctx = ctx
         self.system = system
         self.ideal_gens = list(ideal_gens)
-        self.engine = engine
+        self.engine = "span" if system is None else "normal"
+        if engine not in (None, self.engine):
+            raise ValueError(f"engine {engine!r} given a {self.engine} computation's inputs")
         self._degrees = {}
 
     # -- ambient --------------------------------------------------------
@@ -112,9 +116,7 @@ class LambdaComputation:
             return [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
         if self.engine == "span":
             return list(self.ctx.necklaces(d))
-        bound = self.system.complete_to_degree
-        if d > bound:
-            raise QuiverError(f"degree {d} beyond certified bound {bound}")
+        self.system.check_degree(d)
         return list(self.ctx.necklaces(d, self.system._automaton()))
 
     def ambient_keys(self, d):
@@ -278,15 +280,6 @@ def forest_arrow_order(qd: Quiver, white):
     return [a for a in ids if a not in fa] + [a for a in ids if a in fa]
 
 
-def forest_system(q: Quiver, white, degree_bound, ctx=None) -> RewriteSystem:
-    """The Prop-bpp rewrite system: preprojective relations led by a a* over
-    the forest arrows; completion certifies it adds nothing."""
-    if ctx is None:
-        ctx = PathContext(q)
-    return preprojective_system(q, white, degree_bound, ctx=ctx,
-                                arrow_order=forest_arrow_order(ctx.quiver, white))
-
-
 def preprojective_system(q: Quiver, white, degree_bound, ctx=None,
                          arrow_order=None) -> RewriteSystem:
     """Completed rewrite system for Pi_{Q,J} up to degree_bound."""
@@ -303,32 +296,28 @@ def _check_bound(D):
         raise QuiverError(f"degree bound must be >= 0, got {D}")
 
 
-def lambda_graded(q: Quiver, white, D, engine="auto", ctx=None,
-                  arrow_order=None):
+def lambda_graded(q: Quiver, white, D, engine="auto", arrow_order=None):
     """GradedTorsionReport for Lambda_{Q,J} through degree D.
 
-    Returns (report, computation).  engine 'auto' completes the preprojective
-    relations and falls back to the ideal-span engine on NonUnitLead.
+    Returns (report, computation).  engine 'normal' completes the
+    preprojective relations, 'span' does not, and 'auto' completes them and
+    falls back to the span engine on NonUnitLead.
     """
     _check_bound(D)
-    if ctx is None:
-        ctx = PathContext(q)
+    if engine not in ("auto", "normal", "span"):
+        raise ValueError(f"unknown engine {engine!r}: expected auto, normal or span")
+    ctx = PathContext(q)
     comp = None
-    chosen = engine
-    if engine in ("auto", "normal"):
+    if engine != "span":
         try:
-            sys_ = preprojective_system(q, white, D, ctx=ctx, arrow_order=arrow_order)
-            comp = LambdaComputation(ctx, sys_, engine="normal")
-            chosen = "normal"
+            comp = LambdaComputation(ctx, preprojective_system(q, white, D, ctx=ctx,
+                                                               arrow_order=arrow_order))
         except NonUnitLead:
             if engine == "normal":
                 raise
-            comp = None
     if comp is None:
-        gens = preprojective_relation(ctx, white)
-        comp = LambdaComputation(ctx, None, ideal_gens=gens, engine="span")
-        chosen = "span"
-    report = GradedTorsionReport(q, tuple(sorted(white)), D, engine=chosen)
+        comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, white))
+    report = GradedTorsionReport(q, tuple(sorted(white)), D, engine=comp.engine)
     for d in range(D + 1):
         report.summaries[d] = comp.summary(d)
     return report, comp

@@ -16,6 +16,13 @@ class QuiverError(ValueError):
     pass
 
 
+def _plain_int(x, what):
+    """x when it is an int and not a bool, else QuiverError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise QuiverError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class QuiverClass:
     """Shape of the underlying undirected graph.
@@ -53,8 +60,9 @@ class Quiver:
     """
 
     def __init__(self, vertices, arrows, starred=False, star=None, names=None):
-        self.vertices = tuple(vertices)
-        self.arrows = tuple((int(a), int(s), int(t)) for (a, s, t) in arrows)
+        self.vertices = tuple(_plain_int(v, "vertex id") for v in vertices)
+        self.arrows = tuple((_plain_int(a, "arrow id"), _plain_int(s, f"arrow {a} source"),
+                             _plain_int(t, f"arrow {a} target")) for (a, s, t) in arrows)
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
@@ -104,7 +112,7 @@ class Quiver:
 
     def white_set(self, white):
         """white as a set; QuiverError unless every member is a vertex."""
-        white = set(white)
+        white = {_plain_int(v, "white vertex") for v in white}
         for v in white:
             if v not in self._out:
                 raise QuiverError(f"white vertex {v!r} is not a vertex of the quiver")
@@ -164,7 +172,7 @@ class Quiver:
         try:
             doc = json.loads(text)
             q = Quiver(doc["vertices"], [(a["id"], a["src"], a["dst"]) for a in doc["arrows"]])
-            white = set(doc.get("white", []))
+            white = q.white_set(doc.get("white", []))
         except QuiverError:
             raise
         except (ValueError, KeyError, TypeError) as exc:

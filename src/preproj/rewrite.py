@@ -91,7 +91,10 @@ def render_rule(element: Element, order: MonomialOrder) -> str:
 
 
 class RewriteSystem:
-    def __init__(self, ctx: PathContext, rules, order: MonomialOrder, complete_to_degree=0):
+    """The rules of a completion (see complete, which builds them), whose
+    normal words are a Z-basis through complete_to_degree."""
+
+    def __init__(self, ctx: PathContext, order: MonomialOrder, complete_to_degree):
         self.ctx = ctx
         self.order = order
         self.complete_to_degree = complete_to_degree
@@ -99,8 +102,13 @@ class RewriteSystem:
         self.rules = self._by_lead.values()
         self._aut = None
         self._paths = {}        # source -> {weight: layer}, see normal_monomials
-        for r in rules:
-            self._install(r)
+        self._reach = max(ctx.weights.values(), default=1)  # layer w reads w - _reach to w - 1
+
+    def check_degree(self, d):
+        """QuiverError above complete_to_degree, the last degree whose normal
+        words the completion certifies."""
+        if d > self.complete_to_degree:
+            raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
 
     def _install(self, rule, stale=()):
         """Drop the stale rules and add rule; the automaton and the normal
@@ -180,8 +188,7 @@ class RewriteSystem:
         table keeps the last max(weights) layers, the ones a later weight can
         still extend; a degree below them rebuilds it from weight 0.
         """
-        if d > self.complete_to_degree:
-            raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
+        self.check_degree(d)
         if d < 0:
             return []
         layers = self._paths.get(i)
@@ -195,49 +202,46 @@ class RewriteSystem:
         words.sort(key=len)
         return [(i, u) for u in words]
 
-    def _add_layer(self, layers, w):
-        """Layer w of a normal path table from its layers w - w_a; the layer
-        that no later weight extends is dropped."""
+    def _steps(self, layers, w):
+        """((end vertex, automaton state), a, group) for each group of the
+        layers w - w_a and arrow a that extends it to a normal path."""
         q, wts = self.ctx.quiver, self.ctx.weights
-        advance = self._automaton().advance
-        reach = max(wts.values(), default=1)
-        layer = {}
-        for prev in range(max(w - reach, 0), w):
+        aut = self._automaton()
+        table, hits = aut.table, aut.hit
+        for prev in range(max(w - self._reach, 0), w):
             for (v, node), group in layers[prev].items():
+                row = table[node]
                 for a in q.out_arrows(v):
-                    if prev + wts[a] != w:
-                        continue
-                    nxt, hit = advance(node, a)
-                    if hit:
-                        continue
-                    tail = (a,)
-                    layer.setdefault((q.dst(a), nxt), []).extend([u + tail for u in group])
+                    if prev + wts[a] == w:
+                        nxt = row.get(a, 0)
+                        if not hits[nxt]:
+                            yield (q.dst(a), nxt), a, group
+
+    def _add_layer(self, layers, w):
+        """Layer w of a normal path table; the layer that no later weight
+        extends is dropped."""
+        layer = {}
+        for key, a, group in self._steps(layers, w):
+            tail = (a,)
+            layer.setdefault(key, []).extend([u + tail for u in group])
         layers[w] = layer
-        layers.pop(w - reach, None)
+        layers.pop(w - self._reach, None)
 
     def normal_count_matrix(self, dmax):
-        """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed."""
-        aut = self._automaton()
-        q = self.ctx.quiver
-        verts = list(q.vertices)
+        """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed:
+        the layers of normal_monomials with a count for each word group."""
+        self.check_degree(dmax)
+        verts = list(self.ctx.quiver.vertices)
         vidx = {v: k for k, v in enumerate(verts)}
-        n = len(verts)
-        counts = [[[0] * n for _ in range(n)] for _ in range(dmax + 1)]
+        counts = [[[0] * len(verts) for _ in verts] for _ in range(dmax + 1)]
         for si, s in enumerate(verts):
-            layers = {0: {(s, 0): 1}}
-            for wt in range(dmax + 1):
-                for (v, node), c in layers.pop(wt, {}).items():
-                    counts[wt][si][vidx[v]] += c
-                    for a in q.out_arrows(v):
-                        nw = wt + self.ctx.weights[a]
-                        if nw > dmax:
-                            continue
-                        nxt, hit = aut.advance(node, a)
-                        if hit:
-                            continue
-                        bucket = layers.setdefault(nw, {})
-                        key = (q.dst(a), nxt)
-                        bucket[key] = bucket.get(key, 0) + c
+            layers = {}
+            for w in range(dmax + 1):
+                layer = layers[w] = {} if w else {(s, 0): 1}
+                for key, _, c in self._steps(layers, w):
+                    layer[key] = layer.get(key, 0) + c
+                for (v, _), c in layer.items():
+                    counts[w][si][vidx[v]] += c
         return counts
 
     def export_text(self):
@@ -303,7 +307,7 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     """
     gens = [g for g in gens if not g.is_zero()]
     ctx = order.ctx
-    sys_ = RewriteSystem(ctx, [], order, complete_to_degree=max_degree)
+    sys_ = RewriteSystem(ctx, order, max_degree)
     pending = deque(sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
     pairs = []  # heap of (weight, counter, rule_i, rule_j, split)
     counter = 0

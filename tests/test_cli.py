@@ -172,6 +172,17 @@ def test_bad_quiver_file(tmp_path, capsys):
     assert code == 2  # disconnected quivers are rejected
 
 
+def test_quiver_file_with_non_integer_endpoints(tmp_path, capsys):
+    """Endpoints 0.9 and true are not read as vertices 0 and 1."""
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps({"vertices": [0, 1],
+                             "arrows": [{"id": 0, "src": 0.9, "dst": 1},
+                                        {"id": "1", "src": True, "dst": 0}]}))
+    code, out, err = run(capsys, "hilbert", "--file", str(f), "--degree", "3")
+    assert (code, out) == (2, "")
+    assert "must be an integer" in err and "Traceback" not in err
+
+
 def test_hh0_json_generators(capsys):
     code, out, _ = run(capsys, "hh0", "--catalog", "free", "2", "--degree", "4",
                        "--show-generators", "--format", "json")

@@ -410,6 +410,55 @@ def test_relation_rows_are_pinned(name, D):
     assert h.hexdigest() == PINNED_ROW_DIGESTS[name, D]
 
 
+PINNED_COUNT_DIGESTS = {
+    ("e8", 28): "b7bae53325db7e962221f7e97159e1eabc04863ace7f8736c7eb67bed18eeec7",
+    ("affine_e8", 28): "848b569f9d30b275a78b4f323f16f68d5ec8fc81b65bdfce7628c77a47c86f9a",
+    ("free2", 10): "e77e3f4503a57c1d49ab992cfe7c1ea82dbfe24cacb94077f3158db09bfde957",
+    ("tree_default", 16): "e6e60da88ce8eeea80ff6d30af8b66b5c13fa47382706ff211ff818344888ebf",
+}
+
+
+@pytest.mark.parametrize("name, D", list(PINNED_COUNT_DIGESTS))
+def test_normal_count_matrix_is_pinned(name, D):
+    """sha256 of repr(normal_count_matrix(D)), as counted by a walk of its own
+    before the count shared the layered step of normal_monomials."""
+    counts = _table_system(name, D).normal_count_matrix(D)
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == PINNED_COUNT_DIGESTS[name, D]
+
+
+def test_normal_words_stop_at_the_certified_degree():
+    """~E6 completed to 6 certifies nothing above 6: counting or listing its
+    normal words there raises, and the counts through 6 are those of a
+    completion to 14."""
+    q = catalog("affine_e", 6)
+    sys_ = preprojective_system(q, (), 6)
+    assert sys_.normal_count_matrix(6) == preprojective_system(q, (), 14).normal_count_matrix(14)[:7]
+    for d in (7, 14):
+        with pytest.raises(QuiverError, match=f"degree {d} beyond certified bound 6"):
+            sys_.normal_count_matrix(d)
+        with pytest.raises(QuiverError, match=f"degree {d} beyond certified bound 6"):
+            sys_.normal_monomials(0, 0, d)
+
+
+def test_engine_follows_from_the_inputs():
+    """A rewrite system makes a normal computation and None a span one;
+    engine= may only name that one, and lambda_graded knows no other."""
+    q = catalog("free", 2)
+    ctx = PathContext(q)
+    sys_ = preprojective_system(q, (), 4, ctx=ctx)
+    gens = preprojective_relation(ctx)
+    for engine in (None, "normal"):
+        assert LambdaComputation(ctx, sys_, engine=engine).engine == "normal"
+    for engine in (None, "span"):
+        assert LambdaComputation(ctx, None, ideal_gens=gens, engine=engine).engine == "span"
+    with pytest.raises(ValueError, match="engine 'span' given a normal"):
+        LambdaComputation(ctx, sys_, engine="span")
+    with pytest.raises(ValueError, match="engine 'normal' given a span"):
+        LambdaComputation(ctx, None, ideal_gens=gens, engine="normal")
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        lambda_graded(q, (), 4, engine="bogus")
+
+
 def test_keys_and_rows_stop_at_the_certified_degree():
     q = catalog("free", 2)
     ctx = PathContext(q)

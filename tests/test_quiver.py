@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -283,6 +284,31 @@ def test_json_roundtrip():
     assert q2.vertices == q.vertices
     assert q2.arrows == q.arrows
     assert white == {2}
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [0, 1], "arrows": [{"id": 0, "src": 0.9, "dst": 1}]},
+    {"vertices": [0, 1], "arrows": [{"id": 0, "src": 0, "dst": 1.0}]},
+    {"vertices": [0, 1], "arrows": [{"id": 0, "src": True, "dst": 0}]},
+    {"vertices": [0, 1], "arrows": [{"id": "1", "src": 1, "dst": 0}]},
+    {"vertices": [0, 1], "arrows": [{"id": 0.0, "src": 0, "dst": 1}]},
+    {"vertices": [0, 1.5], "arrows": [{"id": 0, "src": 0, "dst": 1.5}]},
+    {"vertices": [False, 1], "arrows": [{"id": 0, "src": False, "dst": 1}]},
+    {"vertices": [0, 1], "arrows": [{"id": 0, "src": 0, "dst": 1}], "white": [True]},
+    {"vertices": [0, 1], "arrows": [{"id": 0, "src": 0, "dst": 1}], "white": [1.0]},
+], ids=["float_src", "float_dst", "bool_src", "string_id", "float_id", "float_vertex",
+        "bool_vertex", "bool_white", "float_white"])
+def test_json_ids_and_endpoints_must_be_integers(doc):
+    """0.9 is not vertex 0, true is not vertex 1 and "1" is not arrow 1."""
+    with pytest.raises(QuiverError, match="must be an integer"):
+        Quiver.from_json(json.dumps(doc))
+
+
+def test_constructor_rejects_non_integer_endpoints():
+    with pytest.raises(QuiverError, match="arrow 0 source must be an integer"):
+        Quiver([0, 1], [(0, 0.9, 1)])
+    with pytest.raises(QuiverError, match="white vertex must be an integer"):
+        Quiver([0, 1], [(0, 0, 1)]).white_set([True])
 
 
 def test_double_arrowless_vertex():

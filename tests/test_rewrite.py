@@ -157,12 +157,12 @@ def test_normal_monomials_free():
 
 
 def test_normal_monomials_forest():
-    from preproj.homology import forest_system
+    from preproj.homology import forest_arrow_order, preprojective_system
+    from preproj.quiver import forest_for_white
 
     q = catalog("star", 1, 1)
-    sys_ = forest_system(q, [0], 6)
+    sys_ = preprojective_system(q, [0], 6, arrow_order=forest_arrow_order(double(q), [0]))
     qd = sys_.ctx.quiver
-    from preproj.quiver import forest_for_white
 
     forest = set(forest_for_white(qd, [0]).arrows)
     for d in range(1, 5):
