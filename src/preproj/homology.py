@@ -39,7 +39,7 @@ from .freealg import (CycElement, CyclicClass, Element, PathContext, canonical_r
                       cyclic_project, preprojective_relation)
 from .intlinalg import LatticeSolver, TorsionSummary, quotient_structure
 from .quiver import Quiver, QuiverError, forest_for_white
-from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, complete
+from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, _check_bound, complete
 
 
 @dataclass
@@ -283,17 +283,11 @@ def forest_arrow_order(qd: Quiver, white):
 def preprojective_system(q: Quiver, white, degree_bound, ctx=None,
                          arrow_order=None) -> RewriteSystem:
     """Completed rewrite system for Pi_{Q,J} up to degree_bound."""
-    _check_bound(degree_bound)
     if ctx is None:
         ctx = PathContext(q)
     rels = preprojective_relation(ctx, white)
     order = MonomialOrder(ctx, arrow_order)
     return complete(rels, order, degree_bound)
-
-
-def _check_bound(D):
-    if D < 0:
-        raise QuiverError(f"degree bound must be >= 0, got {D}")
 
 
 def lambda_graded(q: Quiver, white, D, engine="auto", arrow_order=None):

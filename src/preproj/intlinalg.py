@@ -6,7 +6,8 @@ unit pivots first (they dominate in the commutator matrices this package
 produces and cause no coefficient growth), cheapest Markowitz cost first to
 keep the fill-in and the journal short.  The candidates wait in one stack per
 cost, taken last in, first out, beside a small heap of the costs that have a
-stack, so a push or a pop is O(1) but when it makes or empties a stack.
+stack, so a push or a pop is O(1) but when it makes or empties a stack.  That
+order fixes the journal and the basis integer_kernel returns, and no answer.
 Elimination then runs Euclid's algorithm on the small residue: a pivot
 reduces its column and row by floor division, and the first remainder it
 leaves, smaller than the pivot, becomes the next pivot.
@@ -160,12 +161,10 @@ def smith_normal_form(rows, ncols):
     # step.  Candidates wait in buckets, one stack of (i, j) per cost, and
     # `costs` is a heap of the costs that have a bucket, so a push or a pop
     # is O(1) but for the rare new or emptied bucket.  Equal costs go last in,
-    # first out, so a matrix whose costs all tie, such as a single row, is
-    # eliminated in the order it was found.  The tie-break is part of the
-    # answer: it picks the pivots, hence the journal and the kernel basis that
-    # integer_kernel returns, and diamond_check's reduction steps depend on
-    # that basis.  Entries go stale as rows change: a popped entry whose cost
-    # has grown is pushed back with its current cost.
+    # first out.  The tie-break picks the pivots, hence the journal and the
+    # basis integer_kernel returns, but no invariant factor or order.  Entries
+    # go stale as rows change: a popped entry whose cost has grown is pushed
+    # back with its current cost.
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(by_col[j]) - 1)
 
@@ -286,6 +285,8 @@ def _divisibility_chain(values):
 
 
 def _copy_rows(rows, ncols):
+    if ncols < 0:
+        raise ValueError(f"negative column count {ncols}")
     out = []
     for r in rows:
         if r and (min(r) < 0 or max(r) >= ncols):
@@ -314,7 +315,7 @@ class LatticeSolver:
 
     summary is the structure of Z^n / L.  order_of(v) is the least k >= 1 with
     k*v in the lattice, or 0 when v has a component outside the lattice's
-    rational span.
+    rational span; a nonzero entry of v outside 0..n-1 is a ValueError.
     """
 
     def __init__(self, ambient_rank, relation_rows):
@@ -324,13 +325,19 @@ class LatticeSolver:
                                       invariant_factors=tuple(d for d in factors if d > 1))
         self._diag = self.res.diag_by_col
         self._rows = None
+        self._n = ambient_rank
 
     def order_of(self, vec: dict):
         if self._rows is None:
             self._rows = v_rows(self.res.col_ops)
         v = {}
         for i, x in vec.items():
-            for j, y in self._rows.get(i, {i: 1}).items():
+            row = self._rows.get(i)
+            if row is None:
+                if x and not 0 <= i < self._n:
+                    raise ValueError(f"coordinate {i} outside 0..{self._n - 1}")
+                row = {i: 1}
+            for j, y in row.items():
                 v[j] = v.get(j, 0) + x * y
         k = 1
         for j, val in v.items():

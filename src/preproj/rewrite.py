@@ -1,6 +1,7 @@
 """Noncommutative rewriting in path algebras: weighted graded-lex orders,
-reduction, Buchberger-style completion with unit leading coefficients, and a
-module-level confluence check (Diamond Lemma style) for ad-hoc orders.
+reduction, Buchberger-style completion with unit leading coefficients, and
+diamond_check, the Diamond Lemma over Z for ad-hoc orders, whose integer
+combinations come from one extended-gcd chain (_gcd_chain), not an SNF.
 
 A RewriteSystem keeps its rules in one table, leading word -> rule in the
 order the rules were added, and every rule is led by +1: an element led by
@@ -16,7 +17,6 @@ import heapq
 from collections import deque
 
 from .freealg import Element, PathContext, _render_terms
-from .intlinalg import integer_kernel
 from .quiver import QuiverError
 
 
@@ -298,13 +298,20 @@ class _Automaton:
         return nxt, self.hit[nxt]
 
 
+def _check_bound(D):
+    if D < 0:
+        raise QuiverError(f"degree bound must be >= 0, got {D}")
+
+
 def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     """Buchberger-style completion of a two-sided ideal up to max_degree.
 
     Every leading coefficient met along the way must be a unit, else
     NonUnitLead.  The result certifies normal forms through max_degree:
-    all overlap words of weight <= max_degree reduce to zero.
+    all overlap words of weight <= max_degree reduce to zero.  A negative
+    max_degree is a QuiverError.
     """
+    _check_bound(max_degree)
     gens = [g for g in gens if not g.is_zero()]
     ctx = order.ctx
     sys_ = RewriteSystem(ctx, order, max_degree)
@@ -404,8 +411,9 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
     integer combination of same-lead instances falling below the lead reduces
     to zero through instances with strictly smaller leads.  A combination
     that needs more than REDUCTION_BUDGET steps makes the report inconclusive
-    unless another one fails outright.
+    unless another one fails outright.  A negative max_degree is a QuiverError.
     """
+    _check_bound(max_degree)
     if not rule_elements:
         return ConfluenceReport(True)
     ctx = ctx or rule_elements[0].ctx
@@ -429,10 +437,7 @@ def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> Conflu
                     return ConfluenceReport(False, witness=el, degree=d)
             groups.setdefault(lead, []).append(el)
         for lead, group in groups.items():
-            if len(group) < 2:
-                continue
-            lead_row = {k: g.terms[lead] for k, g in enumerate(group)}
-            for combo in integer_kernel([lead_row], len(group)):
+            for combo in _gcd_chain([g.terms[lead] for g in group])[2]:
                 e = ctx.zero()
                 for c, g in zip(combo, group):
                     if c:
@@ -468,35 +473,26 @@ def _frame_instances(rule_elements, ctx, d):
     return list(out)
 
 
-def _xgcd(a, b):
-    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _solve_combo(coeffs, target):
-    """Integers k_i with sum k_i c_i = target, or None when gcd(coeffs) does
-    not divide target."""
-    combo = [0] * len(coeffs)
-    g = 0
-    for i, c in enumerate(coeffs):
-        gg, x, y = _xgcd(g, c)
-        combo = [x * k for k in combo]
-        combo[i] = y
-        g = gg
-    q, r = divmod(target, g)
-    if r:
-        return None
-    return [k * q for k in combo]
+def _gcd_chain(row):
+    """(g, combo, kernel) for an integer row c: g = gcd(c) >= 0, sum combo_i
+    c_i = g, and kernel a basis of {z : sum z_i c_i = 0}.  Euclid runs on
+    (value, vector) pairs, one entry at a time: (g, combo) and (c_i, e_i) end
+    as (g', combo') and (0, z), and a nonzero z joins the kernel.  Every
+    step is unimodular, which makes the kernel a basis."""
+    n = len(row)
+    g, combo, kernel = 0, [0] * n, []
+    for i, c in enumerate(row):
+        z = [0] * n
+        z[i] = 1
+        while c:
+            q = g // c
+            g, c = c, g - q * c
+            combo, z = z, [a - q * b for a, b in zip(combo, z)]
+        if any(z):
+            kernel.append(z)
+    if g < 0:
+        g, combo = -g, [-k for k in combo]
+    return g, combo, kernel
 
 
 def _reduces_to_zero(e, groups, maximal):
@@ -508,15 +504,11 @@ def _reduces_to_zero(e, groups, maximal):
             return None
         m = maximal(list(e.terms))
         c = e.terms[m]
-        cands = groups.get(m)
-        if not cands:
-            return False
-        combo = _solve_combo([el.terms[m] for el in cands], c)
-        if combo is None:
+        cands = groups.get(m, ())
+        g, combo, _ = _gcd_chain([el.terms[m] for el in cands])
+        if not g or c % g:  # no instance leads with m, or none cancels c
             return False
         for k, el in zip(combo, cands):
             if k:
-                e = e - el.scale(k)
-        if e.terms.get(m):
-            return False
+                e = e - el.scale(k * c // g)
     return True

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from preproj import intlinalg
+from preproj.acceptance import crit_poisson_presentations
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
                              free_context, preprojective_relation, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
@@ -11,7 +13,8 @@ from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               _monomials_of_degree, _poly_reduce, forest_arrow_order,
                               frobenius_cyc, ghost, hp0_poisson, lambda_graded,
                               poisson_presentation, preprojective_element,
-                              preprojective_system, r_power_class, r_power_cyclic)
+                              preprojective_system, r_power_class, r_power_cyclic,
+                              r_powers)
 from preproj.intlinalg import LatticeSolver, smith_normal_form
 from preproj.quiver import Quiver, QuiverError, catalog, classify, double
 from preproj.rewrite import MonomialOrder, complete
@@ -424,6 +427,33 @@ def test_normal_count_matrix_is_pinned(name, D):
     before the count shared the layered step of normal_monomials."""
     counts = _table_system(name, D).normal_count_matrix(D)
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == PINNED_COUNT_DIGESTS[name, D]
+
+
+def _pivot_order_answers():
+    """(answers, journals): the torsion tables, free ranks and r^(p^l) orders
+    of free 2 to degree 7 and E8 to degree 18 plus the corner Poisson check,
+    and the SNF journals of the two tables."""
+    answers, journals = [], []
+    for name, args, D in (("free", (2,), 7), ("dynkin_e", (8,), 18)):
+        rep, comp = lambda_graded(catalog(name, *args), (), D)
+        answers.append(rep.summaries)
+        answers.append({d: comp.order_of(r_power_class(comp, p, ell))
+                        for d, (p, ell) in r_powers(D).items()})
+        journals.append([comp.solver(d).res.col_ops for d in range(D + 1)])
+    answers.append(crit_poisson_presentations())
+    return answers, journals
+
+
+def test_answers_do_not_depend_on_the_pivot_order(monkeypatch):
+    """An SNF fed its rows in reverse order, each with its items reversed,
+    takes other pivots and writes other journals; every answer stays."""
+    want, journals = _pivot_order_answers()
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda rows, ncols: snf(
+        [dict(reversed(r.items())) for r in reversed(rows)], ncols))
+    got, swapped = _pivot_order_answers()
+    assert got == want
+    assert swapped != journals
 
 
 def test_normal_words_stop_at_the_certified_degree():

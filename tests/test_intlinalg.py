@@ -469,7 +469,8 @@ def test_v_rows_match_forward_replay(case, free2_lattices):
 @pytest.mark.parametrize("case", ["dense", "sparse", "normal_d7", "f2_d7"])
 def test_order_of_matches_forward_replay(case, free2_lattices):
     """Seeded relation combinations and sparse vectors, with explicit zeros
-    and keys outside 0..n-1 mixed in: the same orders as the replay."""
+    and keys outside 0..n-1 mixed in: the same orders as the replay, or a
+    ValueError for a nonzero entry outside."""
     rng = random.Random(101)
     for rows, n in _matrices(case, free2_lattices):
         solver = LatticeSolver(n, rows)
@@ -483,20 +484,40 @@ def test_order_of_matches_forward_replay(case, free2_lattices):
                 vec[rng.randrange(n)] = rng.randint(-3, 3)
             if rng.random() < 0.3:
                 vec[rng.choice((n, n + 5, -1))] = rng.choice((0, 1))
+            if any(x and not 0 <= j < n for j, x in vec.items()):
+                with pytest.raises(ValueError):
+                    solver.order_of(vec)
+                continue
             assert solver.order_of(vec) == _reference_order(solver.res, vec), (case, vec)
 
 
 def test_order_of_zero_entries_and_keys_outside():
     """The rows of V for (1, 1, 1) cancel outside its pivot column, and zero
     entries, in range or not, are no obstacle; a nonzero key outside 0..n-1
-    is outside the lattice's span."""
+    is a ValueError."""
     solver = LatticeSolver(3, [{0: 2, 1: 2, 2: 2}])
     assert solver.res.col_ops
     assert solver.order_of({0: 1, 1: 1, 2: 1}) == 2
     assert solver.order_of({0: 2, 1: 2, 2: 2, 3: 0, -1: 0}) == 1
     assert solver.order_of({0: 0, 1: 0}) == 1 and solver.order_of({}) == 1
     assert solver.order_of({0: 1, 1: -1}) == 0
-    assert solver.order_of({3: 1}) == 0 and solver.order_of({0: 2, 1: 2, 2: 2, 7: 1}) == 0
+    for vec in ({3: 1}, {-1: 1}, {0: 2, 1: 2, 2: 2, 7: 1}):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            solver.order_of(vec)
+
+
+def test_lattice_solver_rejects_coordinates_outside_its_ambient():
+    """A coordinate the lattice never saw, on the path that reads e_i and on
+    the path that reads a row of V, and a negative ambient rank."""
+    for solver in (LatticeSolver(2, [{0: 2}]), LatticeSolver(2, [])):
+        for vec in ({5: 1}, {-1: 1}, {0: 1, 2: -3}):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                solver.order_of(vec)
+        assert solver.order_of({1: 0, 5: 0, -1: 0}) == 1
+    with pytest.raises(ValueError, match="negative column count -1"):
+        LatticeSolver(-1, [])
+    with pytest.raises(ValueError, match="negative column count -2"):
+        integer_kernel([], -2)
 
 
 def _full_scan_pivot(rows, active_rows, done_cols, bound):
@@ -540,8 +561,8 @@ def test_dropping_zero_rows_keeps_the_journal(case, free2_lattices, monkeypatch)
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_integer_kernel_is_the_reference_basis(kind):
     """The same basis, vector for vector, as the kernel read off the forward
-    replay: diamond_check's reduction path depends on it.  One-row matrices
-    are diamond_check's lead rows."""
+    replay: integer_kernel reads the rows of V built backwards, and must not
+    change the basis by doing so.  One-row matrices included."""
     rng = random.Random(103)
     one_row = [([{j: rng.choice((1, -1, 2, -2, 3)) for j in range(n)}], n)
                for n in range(1, 9)]

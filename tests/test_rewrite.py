@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
-from preproj import rewrite
+from preproj import intlinalg, rewrite
 from preproj.freealg import PathContext, free_context, preprojective_relation
+from preproj.intlinalg import LatticeSolver, integer_kernel
 from preproj.quiver import catalog, double
 from preproj.rewrite import (MonomialOrder, NonUnitLead, RewriteRule, complete,
                              diamond_check)
@@ -349,6 +351,56 @@ def test_diamond_check_partial_order_form():
     rep2 = diamond_check([x * x - y], 4, ctx=ctx, order_key=(maximal, less))
     assert not rep2.confluent
     assert rep2.witness in (x * y - y * x, y * x - x * y)
+
+
+def _no_snf(rows, ncols):
+    raise AssertionError("smith_normal_form called")
+
+
+# the five diamond_check tests above, each with a fresh MonkeyPatch
+DIAMOND_CHECK_TESTS = {
+    "mcl_reductions": lambda mp: test_diamond_check_mcl_reductions(),
+    "counterexample": lambda mp: test_diamond_check_counterexample(),
+    "completed_system": lambda mp: test_diamond_check_completed_system(),
+    "budget_is_inconclusive": test_diamond_check_budget_is_inconclusive,
+    "partial_order_form": lambda mp: test_diamond_check_partial_order_form(),
+}
+
+
+@pytest.mark.parametrize("name", list(DIAMOND_CHECK_TESTS))
+def test_diamond_check_without_snf(name, monkeypatch):
+    """The same verdicts and witnesses with a Smith normal form that raises:
+    diamond_check reads every combination off one gcd chain."""
+    monkeypatch.setattr(intlinalg, "smith_normal_form", _no_snf)
+    DIAMOND_CHECK_TESTS[name](monkeypatch)
+
+
+def _gcd_chain_rows():
+    """Seeded rows with zero entries and negative entries, plus the empty,
+    all-zero and one-entry rows."""
+    rng = random.Random(26)
+    rows = [[], [0], [0, 0, 0], [7], [-4], [0, -6], [6, 10, 15], [-2, 0, 4, 0]]
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        rows.append([rng.choice((0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 12, -35))
+                     for _ in range(n)])
+    return rows
+
+
+def test_gcd_chain_against_integer_kernel():
+    """g is the gcd, combo a Bezout vector, and the kernel vectors are as many
+    as integer_kernel's and span the same lattice."""
+    for row in _gcd_chain_rows():
+        n = len(row)
+        g, combo, kernel = rewrite._gcd_chain(row)
+        assert g == math.gcd(*row), row
+        assert sum(k * c for k, c in zip(combo, row)) == g, row
+        assert all(sum(z_i * c for z_i, c in zip(z, row)) == 0 for z in kernel), row
+        want = integer_kernel([dict(enumerate(row))], n)
+        assert len(kernel) == len(want), row
+        for basis, other in ((kernel, want), (want, kernel)):
+            lattice = LatticeSolver(n, [dict(enumerate(z)) for z in basis])
+            assert all(lattice.contains(dict(enumerate(z))) for z in other), row
 
 
 # ---------------------------------------------------------------------------
