@@ -8,12 +8,21 @@ keep the fill-in and the journal short.  The candidates wait in one stack per
 cost, taken last in, first out, beside a small heap of the costs that have a
 stack, so a push or a pop is O(1) but when it makes or empties a stack.  That
 order fixes the journal and the basis integer_kernel returns, and no answer.
+A row c e_j with |c| > 1 (a row of weight one, the cheap pass of structured
+Gaussian elimination, LaMacchia-Odlyzko 1990) keeps column j of every other
+row reduced into (-|c|/2, |c|/2] until column j is pivoted: once on the
+copied rows, then on each entry a row operation writes.  Those reductions
+are row operations, so nothing is journaled, and no answer depends on them.
+A row c e_j still alone in its column after the unit pivots is a pivot as
+it stands.  On an F_p lattice (relations plus p Z^n) every entry is then a
+residue in (-p/2, p/2], a unit for p = 2 or 3; the fill p * (pivot row) that
+a unit pivot would leave in the row p e_j of its column reduces to zero, and
+the rows p e_j left alone in their columns are pivots without a search.
 Elimination then runs Euclid's algorithm on the small residue: a pivot
 reduces its column and row by floor division, and the first remainder it
 leaves, smaller than the pivot, becomes the next pivot.
-The residue's pivot search drops a row for good once it is zero, so an F_p
-lattice (relations plus p Z^n), whose unit phase leaves about one zero row
-per relation, costs a scan of its live rows per pivot, not of all of them.
+The residue's pivot search drops a row for good once it is zero, so it
+costs a scan of the live rows per pivot, not of all of them.
 The result is a diagonal form; its divisibility chain (the invariant
 factors) is computed from the diagonal values by gcd/lcm pairing, with no
 further matrix operations.  The only column operation is "add c times column
@@ -89,6 +98,13 @@ def smith_normal_form(rows, ncols):
     That is enough to answer membership and order questions against the row
     lattice (see LatticeSolver).  res.invariant_factors is the divisibility
     chain of the d_j.
+
+    Unit pivots come first, least Markowitz cost first, then Euclid on the
+    residue.  A weight-one row c e_j with |c| > 1 keeps column j of the other
+    rows reduced into (-|c|/2, |c|/2] until column j is pivoted, and one
+    still alone in its column after the unit pivots is a pivot with no
+    operation.  Those rows move the pivots and the journal of a matrix that
+    has them, never the row lattice, the invariant factors or an order.
     """
     rows = _copy_rows(rows, ncols)
     nrows = len(rows)
@@ -99,6 +115,28 @@ def smith_normal_form(rows, ncols):
         for j in r:
             by_col.setdefault(j, set()).add(i)
 
+    # weight-one rows: modulus maps column j to (i, |c|) for the row
+    # i = c e_j with the least |c| > 1, which keeps column j of the other
+    # rows reduced into (-|c|/2, |c|/2], a row operation, never journaled.
+    # No step writes to row i before column j is pivoted (it has no entry in
+    # another pivot column), and eliminate_with drops j first.
+    modulus = {}
+    for i, r in enumerate(rows):
+        if len(r) == 1:
+            (j, v), = r.items()
+            c = abs(v)
+            if c > 1 and (j not in modulus or c < modulus[j][1]):
+                modulus[j] = (i, c)
+    for j, (m, c) in modulus.items():
+        for i in list(by_col[j]):
+            if i != m:
+                s = _centred(rows[i][j], c)
+                if s:
+                    rows[i][j] = s
+                else:
+                    del rows[i][j]
+                    by_col[j].discard(i)
+
     def row_negate(i):
         rows[i] = {j: -v for j, v in rows[i].items()}
 
@@ -106,6 +144,8 @@ def smith_normal_form(rows, ncols):
         rd, rs = rows[dst], rows[src]
         for j, v in rs.items():
             s = rd.get(j, 0) + c * v
+            if s and j in modulus:
+                s = _centred(s, modulus[j][1])
             if s:
                 if j not in rd:
                     by_col.setdefault(j, set()).add(dst)
@@ -135,6 +175,7 @@ def smith_normal_form(rows, ncols):
         """Clear the pivot's row and column and return None, or stop at the
         first remainder left behind and return its position.  The pivot is
         made positive, so floor division leaves a remainder in (0, pivot)."""
+        modulus.pop(pj, None)
         if rows[pi][pj] < 0:
             row_negate(pi)
         pv = rows[pi][pj]
@@ -215,6 +256,13 @@ def smith_normal_form(rows, ncols):
             if i in active_rows:
                 push_row(i)
 
+    # a weight-one row c e_j still alone in its column is a pivot as it stands
+    for j, (m, _) in modulus.items():
+        if len(by_col[j]) == 1:
+            active_rows.discard(m)
+            done_cols.add(j)
+            pivots.append((m, j))
+
     # phase 2: Euclid on the residue, pivots found by _euclid_pivot.  Any
     # nonzero pivot is correct, since a remainder it leaves behind becomes the
     # next pivot, and each restart shrinks the pivot, so the loop ends.
@@ -241,10 +289,16 @@ def _euclid_pivot(rows, active_rows, done_cols, bound):
     A row found empty leaves active_rows for good: row_addmul writes only to
     rows in by_col[pj], col_addmul only to rows in by_col[src] and row_negate
     only to the pivot row, so a zero row stays zero.  An F_p lattice
-    (relations plus p Z^n) leaves about one such row per relation row, and
-    rescanning them would make phase 2 quadratic.  Discarding from a set
-    never rehashes it, so the rest keep their order, the scan meets the entry
-    a full scan would, and the pivots and journal are those of a full scan."""
+    (relations plus p Z^n) ends with one zero row per relation row, nearly
+    all of them zero before phase 2 starts: the rows p e_j of the columns
+    unit pivots took, and the relation rows found dependent.  On the F_2
+    lattice of `free 2` at degree 7 the 1,024 rows left after the unit and
+    weight-one pivots are 900 such rows 2 e_j and 124 relation rows, all
+    zero, so the first scan drops them and finds no pivot.
+    Rescanning them per pivot would make phase 2 quadratic.  Discarding from
+    a set never rehashes it, so the rest keep their order, the scan meets the
+    entry a full scan would, and the pivots and journal are those of a full
+    scan."""
     best = None
     empty = []
     for i in active_rows:
@@ -264,6 +318,12 @@ def _euclid_pivot(rows, active_rows, done_cols, bound):
             break
     active_rows.difference_update(empty)
     return best
+
+
+def _centred(v, c):
+    """v reduced modulo c > 0 into (-c/2, c/2]."""
+    v %= c
+    return v - c if 2 * v > c else v
 
 
 def _divisibility_chain(values):

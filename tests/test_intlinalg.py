@@ -362,15 +362,34 @@ def test_snf_against_sympy():
         assert ours == theirs, (rows, ours, theirs)
 
 
+def _mixed_modulus_matrices():
+    """Seeded sparse matrices with weight-one rows c e_j, |c| in {2, 3, 4, 6}
+    and either sign: some columns hold two of them, most also hold entries
+    of other rows (many of them units), and the last column holds one alone."""
+    rng = random.Random(113)
+    out = []
+    for _ in range(10):
+        nc = rng.randint(10, 20)
+        rows = [{j: rng.choice((1, -1, 1, -1, 2, -3, 5)) for j in
+                 rng.sample(range(nc), rng.randint(2, 5))} for _ in range(rng.randint(6, nc))]
+        for j in rng.sample(range(nc), rng.randint(3, nc // 2)):
+            for _ in range(rng.choice((1, 1, 2))):
+                rows.append({j: rng.choice((2, 3, 4, 6, -2, -3, -4, -6))})
+        rows.append({nc: rng.choice((2, 3, 4, 6, -2, -3, -4, -6))})
+        rng.shuffle(rows)
+        out.append((rows, nc + 1))
+    return out
+
+
 def test_markowitz_unit_phase_against_oracles():
     """Seeded sparse matrices of about 30 x 30 with mostly +-1 entries and
     rows of unequal length, so phase 1 takes most pivots and its Markowitz
-    order differs from the order the unit entries are found in: the
-    invariant factors match sympy and order_of matches the membership
-    oracle, on relation combinations and on arbitrary vectors."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
+    order differs from the order the unit entries are found in, and the
+    mixed-modulus matrices, whose weight-one rows reduce their columns: the
+    invariant factors match sympy, order_of matches the membership oracle,
+    on relation combinations and on arbitrary vectors, and integer_kernel
+    solves M z = 0 with the basis read off the forward replay."""
+    pytest.importorskip("sympy")
     rng = random.Random(89)
     for _ in range(6):
         nr, nc = rng.randint(26, 34), rng.randint(26, 34)
@@ -378,20 +397,33 @@ def test_markowitz_unit_phase_against_oracles():
         for _ in range(nr):
             support = rng.sample(range(nc), rng.randint(1, 6))
             rows.append({j: rng.choice((1, -1, 1, -1, 1, -1, 2, -3)) for j in support})
-        solver = LatticeSolver(nc, rows)
-        ref = sympy_snf(sympy.Matrix([[r.get(j, 0) for j in range(nc)] for r in rows]),
-                        domain=sympy.ZZ)
-        theirs = sorted(abs(ref[i, i]) for i in range(min(nr, nc)) if ref[i, i] != 0)
-        assert list(solver.res.invariant_factors) == theirs, rows
-        for _ in range(6):
-            picks = [(rng.choice(rows), rng.randint(-2, 2)) for _ in range(3)]
-            vec = {}
-            for r, c in picks:
-                for j, x in r.items():
-                    vec[j] = vec.get(j, 0) + c * x
-            vec[rng.randrange(nc)] = rng.randint(-3, 3)
-            vec = {j: x for j, x in vec.items() if x}
-            _assert_order_against_oracle(rows, nc, vec, solver.order_of(vec))
+        _check_against_oracles(rows, nc, rng)
+    for rows, nc in _mixed_modulus_matrices():
+        _check_against_oracles(rows, nc, rng)
+
+
+def _check_against_oracles(rows, nc, rng):
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    solver = LatticeSolver(nc, rows)
+    ref = sympy_snf(sympy.Matrix([[r.get(j, 0) for j in range(nc)] for r in rows]),
+                    domain=sympy.ZZ)
+    theirs = sorted(abs(ref[i, i]) for i in range(min(len(rows), nc)) if ref[i, i] != 0)
+    assert list(solver.res.invariant_factors) == theirs, rows
+    for _ in range(6):
+        picks = [(rng.choice(rows), rng.randint(-2, 2)) for _ in range(3)]
+        vec = {}
+        for r, c in picks:
+            for j, x in r.items():
+                vec[j] = vec.get(j, 0) + c * x
+        vec[rng.randrange(nc)] = rng.randint(-3, 3)
+        vec = {j: x for j, x in vec.items() if x}
+        _assert_order_against_oracle(rows, nc, vec, solver.order_of(vec))
+    basis = integer_kernel(rows, nc)
+    for z in basis:
+        assert all(sum(v * z[j] for j, v in r.items()) == 0 for r in rows), (rows, z)
+    assert basis == _reference_kernel(rows, nc), rows
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +590,15 @@ def test_dropping_zero_rows_keeps_the_journal(case, free2_lattices, monkeypatch)
         assert res.invariant_factors == want.invariant_factors, rows
 
 
+def test_weight_one_rows_shorten_the_f2_journal(free2_lattices):
+    """The rows 2 e_j of the F_2 lattice of `free 2` at degree 7 keep their
+    columns reduced mod 2, so no unit pivot fills them and those left alone
+    in their column are pivots with no operation: 2,924 journal ops, where
+    eliminating them like any other row wrote 3,383."""
+    (rows, n), = free2_lattices["f2_d7"]
+    assert len(smith_normal_form(rows, n).col_ops) == 2924
+
+
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_integer_kernel_is_the_reference_basis(kind):
     """The same basis, vector for vector, as the kernel read off the forward
@@ -576,16 +617,19 @@ def test_integer_kernel_is_the_reference_basis(kind):
 # sha256 of repr((col_ops, list(diag_by_col.items()), invariant_factors)) for
 # each matrix of a case in turn, computed with a heap of (cost, seq) keys, seq
 # counting down: the cost buckets, last in first out within a cost, must take
-# the same pivots and write the same journal
+# the same pivots and write the same journal.  The cases whose matrices hold
+# weight-one rows c e_j with |c| > 1 (dense, sparse, f2_d7 and the E8 pair)
+# were pinned again when those rows began to reduce their columns; their
+# answers are pinned apart, in PINNED_ANSWER_DIGESTS
 PINNED_SNF_DIGESTS = {
-    "dense": "b74e1d5db5aa0d49baf3846c1af55351fb0add128ae5ddafd9f934bdbb7f055f",
-    "sparse": "0f64f075f167f2ffc885f456c37e859f07e59c739fc002d2b97cbd106c1a128a",
-    "f2_d7": "bbb62781d2ce04411e89a223f3e66265d902ae59030f680028e86a2cb4a377f1",
+    "dense": "15bf64d14e84b3cd0b3c1e4387487253239e716ec9fd4362cf1d1f140f45a468",
+    "sparse": "1170dbb6c8872efabf1669d8cc11ce55a170f0ce40733b4fb384869405b1b0e9",
+    "f2_d7": "84421eeefaec1f8382d64e15af06717f17c8d91c3597308c9be8b61ad13518aa",
     "normal_d7": "648d23d25e923db1ec3f2531232743c9ea78013c670e43f10ed2cd92cf350177",
     "normal_d8": "17c1ae99f86ff131aedce5ee129187d22f5fe8ba1df0407e35882af6cacedbea",
     "star_2211_d14": "eb4e9b9cbe4de3142261cec2f734d116a641947e0b8c6def6007302d42c65fc3",
-    "e8_d28": "82b8b65e6068e4b6e79c7981cdfbd6c6ab4dfa4b0483c9589571151e038310cb",
-    "affine_e8_d28": "904ef5e4654c424b3580221612c14e979deab1a7ee4c61fa114a09512895029c",
+    "e8_d28": "1e16384df9f022b0fbb81adb4c14ad54183b35e620ce93ca56fbb9b1097c96ec",
+    "affine_e8_d28": "499389b2cbda2b2e695de8a23be20a2f2d2aa55f777f521de2b7f56ac286424d",
 }
 
 
@@ -632,3 +676,40 @@ def test_unit_phase_pivot_order_is_pinned(case, pinned_matrices):
         h.update(repr((res.col_ops, list(res.diag_by_col.items()),
                        res.invariant_factors)).encode())
     assert h.hexdigest() == PINNED_SNF_DIGESTS[case]
+
+
+# sha256 of repr((invariant_factors, orders)) for each matrix of a case in
+# turn, orders being order_of on seeded vectors (relation combinations with
+# sparse entries added, and sparse vectors alone): the answers of the cases
+# whose journals a change of pivots moves, pinned apart from the journals
+PINNED_ANSWER_DIGESTS = {
+    "dense": "6c5d0b805177f872c2beb780735e14f99fa05173fba7156f8373c7f79eeb5987",
+    "sparse": "e0fe2f87dc9549c4cbdfae584feba8fb47e44f5e526b55d7976c56d7b39d227a",
+    "f2_d7": "f6a4981b60075947de0919e7dc6172e6363267bcc8f725dabc9b3903620fed57",
+    "e8_d28": "ed1605060c5c9f68b4ce1a32966b8143c05e74a834ed75efe1e5cd7a2b111cd0",
+    "affine_e8_d28": "d687d443900f46482f8d0f138b97c3959f9b8f4a3418f3486dcde0859841c80f",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ANSWER_DIGESTS))
+def test_answers_of_the_pinned_matrices_are_pinned(case, pinned_matrices):
+    """The invariant factors and the orders of seeded vectors hash to the
+    pinned digest, whatever the pivots and the journal."""
+    rng = random.Random(107)
+    h = hashlib.sha256()
+    for rows, n in pinned_matrices[case]:
+        solver = LatticeSolver(n, rows)
+        orders = []
+        for k in range(min(max(n, 4), 40)):
+            vec = {}
+            if rows and k % 2 == 0:
+                for _ in range(rng.randint(1, 3)):
+                    c = rng.randint(-3, 3)
+                    for j, x in rng.choice(rows).items():
+                        vec[j] = vec.get(j, 0) + c * x
+            for _ in range(rng.randint(1, 3) if n else 0):
+                j = rng.randrange(n)
+                vec[j] = vec.get(j, 0) + rng.randint(-3, 3)
+            orders.append(solver.order_of(vec))
+        h.update(repr((solver.res.invariant_factors, orders)).encode())
+    assert h.hexdigest() == PINNED_ANSWER_DIGESTS[case]
