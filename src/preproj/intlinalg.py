@@ -18,23 +18,23 @@ it stands.  On an F_p lattice (relations plus p Z^n) every entry is then a
 residue in (-p/2, p/2], a unit for p = 2 or 3; the fill p * (pivot row) that
 a unit pivot would leave in the row p e_j of its column reduces to zero, and
 the rows p e_j left alone in their columns are pivots without a search.
-Elimination then runs Euclid's algorithm on the small residue: a pivot
-reduces its column and row by floor division, and the first remainder it
-leaves, smaller than the pivot, becomes the next pivot.
-The residue's pivot search drops a row for good once it is zero, so it
-costs a scan of the live rows per pivot, not of all of them.
-The result is a diagonal form; its divisibility chain (the invariant
-factors) is computed from the diagonal values by gcd/lcm pairing, with no
-further matrix operations.  The only column operation is "add c times column
-src to column dst", journaled as (dst, src, c); the journal is a product
-V = V_1 ... V_k of elementary matrices, and v_rows turns it into the rows
-e_i V in one backward pass.  Lattice-membership questions (order of a class
-in a quotient) and integer kernels read those rows, so a query costs the
-rows it touches, not the whole journal.  LatticeSolver holds one elimination
-and reads both the torsion summary and the order queries off it; an order
-needs only the diagonal form, chain or not, and the rows of V are built on
-the first order query.  There is no rational arithmetic: a linear system
-over Q is solved through an integer kernel (integer_kernel).
+Elimination then runs Euclid's algorithm on the small residue, the rows
+still nonzero: each round pivots on the entry of least absolute value (ties
+to the least Markowitz cost, then to the least position), which reduces its
+column and row by floor division, and the first remainder it leaves, smaller
+than the pivot, becomes the next pivot.  The result is a diagonal form; its
+divisibility chain (the invariant factors) is computed from the diagonal
+values by gcd/lcm pairing, with no further matrix operations.  The only
+column operation is "add c times column src to column dst", journaled as
+(dst, src, c); the journal is a product V = V_1 ... V_k of elementary
+matrices, and v_rows turns it into the rows e_i V in one backward pass.
+Lattice-membership questions (order of a class in a quotient) and integer
+kernels read those rows, so a query costs the rows it touches, not the whole
+journal.  LatticeSolver holds one elimination and reads both the torsion
+summary and the order queries off it; an order needs only the diagonal form,
+chain or not, and the rows of V are built on the first order query.  There is
+no rational arithmetic: a linear system over Q is solved through an integer
+kernel (integer_kernel).
 """
 
 from __future__ import annotations
@@ -100,11 +100,12 @@ def smith_normal_form(rows, ncols):
     chain of the d_j.
 
     Unit pivots come first, least Markowitz cost first, then Euclid on the
-    residue.  A weight-one row c e_j with |c| > 1 keeps column j of the other
-    rows reduced into (-|c|/2, |c|/2] until column j is pivoted, and one
-    still alone in its column after the unit pivots is a pivot with no
-    operation.  Those rows move the pivots and the journal of a matrix that
-    has them, never the row lattice, the invariant factors or an order.
+    residue, from its entry of least |v| each round.  A weight-one row c e_j
+    with |c| > 1 keeps column j of the other rows reduced into
+    (-|c|/2, |c|/2] until column j is pivoted, and one still alone in its
+    column after the unit pivots is a pivot with no operation.  Those rows
+    move the pivots and the journal of a matrix that has them, never the row
+    lattice, the invariant factors or an order.
     """
     rows = _copy_rows(rows, ncols)
     nrows = len(rows)
@@ -263,61 +264,25 @@ def smith_normal_form(rows, ncols):
             done_cols.add(j)
             pivots.append((m, j))
 
-    # phase 2: Euclid on the residue, pivots found by _euclid_pivot.  Any
-    # nonzero pivot is correct, since a remainder it leaves behind becomes the
-    # next pivot, and each restart shrinks the pivot, so the loop ends.
-    bound = 1
-    while (best := _euclid_pivot(rows, active_rows, done_cols, bound)) is not None:
-        _, pi, pj = best
+    # phase 2: Euclid on the residue, the rows nonzero now: no step writes to
+    # a zero row (row_addmul writes only to rows in by_col[pj], col_addmul
+    # only to rows in by_col[src], row_negate only to the pivot row).  Each
+    # round pivots on the entry of least |v|, then least cost, then least
+    # (i, j); a remainder it leaves is smaller and becomes the next pivot.
+    residue = {i for i in active_rows if rows[i]}
+    while pick := min(((abs(v), cost(i, j), i, j) for i in residue for j, v in rows[i].items()),
+                      default=None):
+        _, _, pi, pj = pick
         while (blocked := eliminate_with(pi, pj)) is not None:
             pi, pj = blocked
-        bound = rows[pi][pj]
         active_rows.discard(pi)
+        residue.discard(pi)
         done_cols.add(pj)
         pivots.append((pi, pj))
 
     diag_by_col = {j: abs(rows[i][j]) for (i, j) in pivots}
     return SNFResult(invariant_factors=_divisibility_chain(diag_by_col.values()),
                      diag_by_col=diag_by_col, col_ops=journal)
-
-
-def _euclid_pivot(rows, active_rows, done_cols, bound):
-    """(|v|, i, j) for the first entry v with |v| <= bound that a scan of the
-    active rows meets, else for the smallest one; None when no entry is left.
-    Taking the first small entry, not the minimum, saves a rescan per pivot.
-
-    A row found empty leaves active_rows for good: row_addmul writes only to
-    rows in by_col[pj], col_addmul only to rows in by_col[src] and row_negate
-    only to the pivot row, so a zero row stays zero.  An F_p lattice
-    (relations plus p Z^n) ends with one zero row per relation row, nearly
-    all of them zero before phase 2 starts: the rows p e_j of the columns
-    unit pivots took, and the relation rows found dependent.  On the F_2
-    lattice of `free 2` at degree 7 the 1,024 rows left after the unit and
-    weight-one pivots are 900 such rows 2 e_j and 124 relation rows, all
-    zero, so the first scan drops them and finds no pivot.
-    Rescanning them per pivot would make phase 2 quadratic.  Discarding from
-    a set never rehashes it, so the rest keep their order, the scan meets the
-    entry a full scan would, and the pivots and journal are those of a full
-    scan."""
-    best = None
-    empty = []
-    for i in active_rows:
-        r = rows[i]
-        if not r:
-            empty.append(i)
-            continue
-        for j, v in r.items():
-            if j in done_cols:
-                continue
-            a = abs(v)
-            if best is None or a < best[0]:
-                best = (a, i, j)
-                if a <= bound:
-                    break
-        if best and best[0] <= bound:
-            break
-    active_rows.difference_update(empty)
-    return best
 
 
 def _centred(v, c):

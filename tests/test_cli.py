@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import preproj
 from preproj.cli import main
 from preproj.quiver import Quiver
 
@@ -456,3 +461,21 @@ def test_verify_seed_reaches_the_criterion(capsys, jobs):
     assert [r["criterion"] for r in doc] == ["hilbert_identities"]
     assert doc[0]["details"].startswith("seed 7;")
     assert acceptance.DEFAULT_SEED == before
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that closes the pipe after the first line, as `| head -1`
+    does, ends the command with status 1, no traceback and nothing on
+    stderr.  The 296 KB of output overflow the pipe, so the writer always
+    meets the closed end."""
+    src = str(Path(preproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "preproj.cli", "hilbert", "--catalog", "free",
+                             "2", "--degree", "1000", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"degree,matrix\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
