@@ -12,8 +12,8 @@ from .freealg import (CycElement, CyclicClass, Element, PathContext,
                       cyclic_project, free_context, parse_element,
                       preprojective_relation, render_cyclic, render_element,
                       w_ab, z_ab)
-from .rewrite import (ConfluenceReport, MonomialOrder, NonUnitLead, RewriteRule,
-                      RewriteSystem, complete, diamond_check, render_rule)
+from .rewrite import (MonomialOrder, NonUnitLead, RewriteRule, RewriteSystem,
+                      complete, render_rule)
 from .intlinalg import (LatticeSolver, SNFResult, TorsionSummary, quotient_structure,
                         smith_normal_form)
 from .series import (SeriesError, TruncatedSeries, cartan_t_matrix, egid_check,

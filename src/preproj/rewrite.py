@@ -1,7 +1,9 @@
 """Noncommutative rewriting in path algebras: weighted graded-lex orders,
-reduction, Buchberger-style completion with unit leading coefficients, and
-diamond_check, the Diamond Lemma over Z for ad-hoc orders, whose integer
-combinations come from one extended-gcd chain (_gcd_chain), not an SNF.
+reduction (one loop, _reduce), the rule automaton, and Buchberger-style
+completion with unit leading coefficients.  A completion certifies its
+normal words through its bound by Bergman's Diamond Lemma, the unit case of
+the ring lemma in the paper's appendix: every overlap of weight within the
+bound reduces to zero.
 
 A RewriteSystem keeps its rules in one table, leading word -> rule in the
 order the rules were added, and every rule is led by +1: an element led by
@@ -369,146 +371,3 @@ def _contains(big, small):
     if len(small) >= len(big):
         return False
     return any(big[k:k + len(small)] == small for k in range(len(big) - len(small) + 1))
-
-
-# ---------------------------------------------------------------------------
-# Diamond Lemma confluence check for arbitrary DCC orders
-
-
-# reduction steps one combination may take in diamond_check before the check
-# gives up on it and reports "inconclusive" rather than a verdict
-REDUCTION_BUDGET = 20000
-
-
-class ConfluenceReport:
-    """confluent is True, False (with a witness that does not reduce to zero)
-    or None: inconclusive, a reduction ran out of REDUCTION_BUDGET steps."""
-
-    def __init__(self, confluent, witness=None, degree=None):
-        self.confluent = confluent
-        self.witness = witness
-        self.degree = degree
-
-    def __bool__(self):
-        return self.confluent is True
-
-    def __repr__(self):
-        if self.confluent:
-            return "ConfluenceReport(confluent)"
-        if self.confluent is None:
-            return (f"ConfluenceReport(inconclusive at degree {self.degree}: "
-                    f"reduction budget of {REDUCTION_BUDGET} steps exhausted)")
-        return f"ConfluenceReport(failed at degree {self.degree}: {self.witness!r})"
-
-
-def diamond_check(rule_elements, max_degree, ctx=None, order_key=None) -> ConfluenceReport:
-    """Degreewise confluence of the reductions defined by rule_elements.
-
-    order_key is a sort key on monomials, by default MonomialOrder(ctx).key
-    (weighted graded lex).  A partial order may be passed instead as
-    order_key=(maximal_picker, strictly_less); frame instances must then
-    each have a unique maximal monomial.  Checks, degree by degree, that any
-    integer combination of same-lead instances falling below the lead reduces
-    to zero through instances with strictly smaller leads.  A combination
-    that needs more than REDUCTION_BUDGET steps makes the report inconclusive
-    unless another one fails outright.  A negative max_degree is a QuiverError.
-    """
-    _check_bound(max_degree)
-    if not rule_elements:
-        return ConfluenceReport(True)
-    ctx = ctx or rule_elements[0].ctx
-    if order_key is None:
-        order_key = MonomialOrder(ctx).key
-    if isinstance(order_key, tuple):
-        maximal, less = order_key
-    else:
-        maximal = lambda monos: max(monos, key=order_key)
-        less = lambda a, b: order_key(a) < order_key(b)
-
-    inconclusive_at = None
-    for d in range(1, max_degree + 1):
-        insts = _frame_instances(rule_elements, ctx, d)
-        groups = {}
-        for el in insts:
-            monos = list(el.terms)
-            lead = maximal(monos)
-            for m in monos:
-                if m != lead and not less(m, lead):
-                    return ConfluenceReport(False, witness=el, degree=d)
-            groups.setdefault(lead, []).append(el)
-        for lead, group in groups.items():
-            for combo in _gcd_chain([g.terms[lead] for g in group])[2]:
-                e = ctx.zero()
-                for c, g in zip(combo, group):
-                    if c:
-                        e = e + g.scale(c)
-                reduced = _reduces_to_zero(e, groups, maximal)
-                if reduced is None:
-                    inconclusive_at = inconclusive_at or d
-                elif not reduced:
-                    return ConfluenceReport(False, witness=e, degree=d)
-    if inconclusive_at:
-        return ConfluenceReport(None, degree=inconclusive_at)
-    return ConfluenceReport(True)
-
-
-def _frame_instances(rule_elements, ctx, d):
-    out = {}    # an Element hashes by its terms: each instance once, first met first
-    for el in rule_elements:
-        degs = el.degrees()
-        if len(degs) != 1:
-            raise QuiverError("diamond_check expects homogeneous rules")
-        wr = degs[0]
-        for dl in range(0, d - wr + 1):
-            dr = d - wr - dl
-            for u in ctx.walks(dl):
-                lhs = ctx.path(u) * el if u else el
-                if lhs.is_zero():
-                    continue
-                for v in ctx.walks(dr):
-                    inst = lhs * ctx.path(v) if v else lhs
-                    if inst.is_zero():
-                        continue
-                    out.setdefault(inst)
-    return list(out)
-
-
-def _gcd_chain(row):
-    """(g, combo, kernel) for an integer row c: g = gcd(c) >= 0, sum combo_i
-    c_i = g, and kernel a basis of {z : sum z_i c_i = 0}.  Euclid runs on
-    (value, vector) pairs, one entry at a time: (g, combo) and (c_i, e_i) end
-    as (g', combo') and (0, z), and a nonzero z joins the kernel.  Every
-    step is unimodular, which makes the kernel a basis."""
-    n = len(row)
-    g, combo, kernel = 0, [0] * n, []
-    for i, c in enumerate(row):
-        z = [0] * n
-        z[i] = 1
-        while c:
-            q = g // c
-            g, c = c, g - q * c
-            combo, z = z, [a - q * b for a, b in zip(combo, z)]
-        if any(z):
-            kernel.append(z)
-    if g < 0:
-        g, combo = -g, [-k for k in combo]
-    return g, combo, kernel
-
-
-def _reduces_to_zero(e, groups, maximal):
-    """True or False, or None when REDUCTION_BUDGET steps did not settle it."""
-    steps = 0
-    while not e.is_zero():
-        steps += 1
-        if steps > REDUCTION_BUDGET:
-            return None
-        m = maximal(list(e.terms))
-        c = e.terms[m]
-        cands = groups.get(m, ())
-        g, combo, _ = _gcd_chain([el.terms[m] for el in cands])
-        if not g or c % g:  # no instance leads with m, or none cancels c
-            return False
-        for k, el in zip(combo, cands):
-            if k:
-                e = e - el.scale(k * c // g)
-    return True

@@ -1,14 +1,11 @@
-import math
 import random
 
 import pytest
 
-from preproj import intlinalg, rewrite
+from preproj import rewrite
 from preproj.freealg import PathContext, free_context, preprojective_relation
-from preproj.intlinalg import LatticeSolver, integer_kernel
 from preproj.quiver import catalog, double
-from preproj.rewrite import (MonomialOrder, NonUnitLead, RewriteRule, complete,
-                             diamond_check)
+from preproj.rewrite import MonomialOrder, NonUnitLead, RewriteRule, complete
 
 
 @pytest.fixture
@@ -219,98 +216,6 @@ def test_normal_count_matrix_matches_enumeration(name, lookup_systems):
                 assert counts[d][i][j] == len(sys_.normal_monomials(vi, vj, d))
 
 
-def test_diamond_check_mcl_reductions():
-    """The disorder-ordered reductions y x -> x y + r' are confluent."""
-    ctx = free_context(["x", "y", "rp"], weights=[1, 1, 2])
-    x, y, rp = ctx.letters()
-    rule = y * x - x * y - rp
-
-    def disorder(word):
-        # swaps needed to sort each maximal x/y block to (xy)^b x^(a-b) form
-        # is bounded below by the number of (y..x) inversions beyond the
-        # alternating pattern; the simple inversion count works as a rank
-        total = 0
-        seg = []
-        for a in word:
-            if a == 2:
-                total += _dis(seg)
-                seg = []
-            else:
-                seg.append(a)
-        return total + _dis(seg)
-
-    def _dis(seg):
-        # minimal adjacent swaps to reach z-form = inversions relative to it
-        from preproj.freealg import z_ab as _z
-
-        a = seg.count(0)
-        b = seg.count(1)
-        target = [0, 1] * min(a, b) + ([0] * (a - b) if a >= b else [1] * (b - a))
-        # count adjacent-swap distance between permutations of a multiset:
-        # pair up occurrences in order and count inversions
-        pos_target = {}
-        want = []
-        cx = cy = 0
-        for t in target:
-            if t == 0:
-                want.append(("x", cx))
-                cx += 1
-            else:
-                want.append(("y", cy))
-                cy += 1
-        have = []
-        cx = cy = 0
-        for t in seg:
-            if t == 0:
-                have.append(("x", cx))
-                cx += 1
-            else:
-                have.append(("y", cy))
-                cy += 1
-        perm = [want.index(h) for h in have]
-        inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                  if perm[i] > perm[j])
-        return inv
-
-    def okey(mono):
-        v, word = mono
-        rdeg = sum(1 for a in word if a == 2)
-        return (ctx.weight(word), -rdeg, disorder(word))
-
-    rep = diamond_check([rule], 6, ctx=ctx, order_key=okey)
-    assert rep.confluent
-
-
-def test_diamond_check_counterexample():
-    ctx = free_context(["x", "y", "z"], weights=[1, 2, 2])
-    x, y, z = ctx.letters()
-    rep = diamond_check([x * x - y, x * x - z], 4, ctx=ctx)
-    assert not rep.confluent
-    assert rep.witness is not None
-    # the witness is the irreducible difference y - z (up to sign)
-    assert rep.witness == y - z or rep.witness == z - y
-
-
-def test_diamond_check_completed_system():
-    ctx = free_context(["x", "y", "z"])
-    x, y, z = ctx.letters()
-    sys_ = complete([x ** 3, y ** 3, z ** 3, x + y + z], MonomialOrder(ctx), 6)
-    rep = diamond_check([r.element for r in sys_.rules], 6, ctx=ctx)
-    assert rep.confluent
-
-
-def test_diamond_check_budget_is_inconclusive(monkeypatch):
-    """A reduction that runs out of steps is no verdict on confluence."""
-    monkeypatch.setattr(rewrite, "REDUCTION_BUDGET", 1)
-    ctx = free_context(["x", "y", "z"])
-    x, y, z = ctx.letters()
-    sys_ = complete([x ** 3, y ** 3, z ** 3, x + y + z], MonomialOrder(ctx), 6)
-    rep = diamond_check([r.element for r in sys_.rules], 6, ctx=ctx)
-    assert rep.confluent is None and not rep
-    assert rep.witness is None
-    assert "inconclusive" in repr(rep) and "failed" not in repr(rep)
-
-
 def test_graded_dims_match_series_on_catalog():
     from preproj.series import hilbert_prep
 
@@ -324,83 +229,68 @@ def test_graded_dims_match_series_on_catalog():
             assert counts[d] == pred[d], (nm, d)
 
 
-def test_diamond_check_partial_order_form():
-    """The (maximal, strictly_less) partial-order interface: rules with the
-    same lead under an order that leaves unrelated monomials incomparable."""
+# an arrow order of star 2 2 1 1 under which its completion is finite (the
+# found order of tests/test_homology.py); its longest lead has 7 letters
+TREE_ORDER = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
+
+
+def _unresolved_overlaps(sys_, bound):
+    """(glued word, remainder) for each proper overlap of two leads, of weight
+    <= bound, whose two one-step rewrites do not reduce to a common form."""
+    ctx, rules, out = sys_.ctx, list(sys_.rules), []
+    for ri in rules:
+        for rj in rules:
+            for s, glued in rewrite._overlaps(ri.lm_word, rj.lm_word):
+                if ctx.weight(glued) > bound:
+                    continue
+                left = ri.element * ctx.path(rj.lm_word[len(ri.lm_word) - s:])
+                right = ctx.path(ri.lm_word[:s]) * rj.element
+                rest = sys_.reduce(left - right)
+                if not rest.is_zero():
+                    out.append((glued, rest))
+    return out
+
+
+def _overlap_system(name):
+    """(system, bound): the completions whose overlaps must all resolve."""
+    from preproj.acceptance import star_ideal_system
+    from preproj.homology import preprojective_system
+
+    if name == "xyz3":
+        ctx = free_context(["x", "y", "z"])
+        x, y, z = ctx.letters()
+        return complete([x ** 3, y ** 3, z ** 3, x + y + z], MonomialOrder(ctx), 6), 6
+    if name in ("e6", "e7", "e8"):
+        exps, bound = {"e6": ((3, 3, 3), 12), "e7": ((4, 4, 2), 12),
+                       "e8": ((6, 3, 2), 14)}[name]
+        return star_ideal_system(exps, bound), bound
+    if name == "affine_d4":
+        return preprojective_system(catalog("affine_d", 4), (), 12), 12
+    # 13 = 2L - 1 with L = 7: every overlap lies within the bound, so the
+    # normal words of the tree are certified in every degree
+    sys_ = preprojective_system(catalog("star", 2, 2, 1, 1), (), 13, arrow_order=TREE_ORDER)
+    assert 2 * max(len(r.lm_word) for r in sys_.rules) - 1 == 13
+    return sys_, 13
+
+
+@pytest.mark.parametrize("name", ["xyz3", "e6", "e7", "e8", "affine_d4", "tree_found"])
+def test_completion_resolves_every_overlap(name):
+    """Bergman's Diamond Lemma for a completion: every overlap within its
+    bound reduces to zero."""
+    sys_, bound = _overlap_system(name)
+    assert _unresolved_overlaps(sys_, bound) == []
+
+
+def test_unresolved_overlap_is_reported():
+    """x x -> y completed to 2 never meets its overlap x x x, of weight 3,
+    whose two rewrites leave +-(x y - y x)."""
     ctx = free_context(["x", "y", "z"], weights=[1, 2, 2])
     x, y, z = ctx.letters()
-
-    def rank(mono):
-        # x-degree only: words with equal x-degree are incomparable unless equal
-        _, word = mono
-        return sum(1 for a in word if a == 0)
-
-    def maximal(monos):
-        # any maximal element; combination vectors may carry ties
-        return max(monos, key=rank)
-
-    def less(a, b):
-        return rank(a) < rank(b)
-
-    rep = diamond_check([x * x - y, x * x - z], 4, ctx=ctx,
-                        order_key=(maximal, less))
-    assert not rep.confluent
-    assert rep.witness in (y - z, z - y)
-    # even alone the rule fails under this order: the two reductions of x^3
-    # produce xy and yx, and neither contains x^2 to rewrite further
-    rep2 = diamond_check([x * x - y], 4, ctx=ctx, order_key=(maximal, less))
-    assert not rep2.confluent
-    assert rep2.witness in (x * y - y * x, y * x - x * y)
-
-
-def _no_snf(rows, ncols):
-    raise AssertionError("smith_normal_form called")
-
-
-# the five diamond_check tests above, each with a fresh MonkeyPatch
-DIAMOND_CHECK_TESTS = {
-    "mcl_reductions": lambda mp: test_diamond_check_mcl_reductions(),
-    "counterexample": lambda mp: test_diamond_check_counterexample(),
-    "completed_system": lambda mp: test_diamond_check_completed_system(),
-    "budget_is_inconclusive": test_diamond_check_budget_is_inconclusive,
-    "partial_order_form": lambda mp: test_diamond_check_partial_order_form(),
-}
-
-
-@pytest.mark.parametrize("name", list(DIAMOND_CHECK_TESTS))
-def test_diamond_check_without_snf(name, monkeypatch):
-    """The same verdicts and witnesses with a Smith normal form that raises:
-    diamond_check reads every combination off one gcd chain."""
-    monkeypatch.setattr(intlinalg, "smith_normal_form", _no_snf)
-    DIAMOND_CHECK_TESTS[name](monkeypatch)
-
-
-def _gcd_chain_rows():
-    """Seeded rows with zero entries and negative entries, plus the empty,
-    all-zero and one-entry rows."""
-    rng = random.Random(26)
-    rows = [[], [0], [0, 0, 0], [7], [-4], [0, -6], [6, 10, 15], [-2, 0, 4, 0]]
-    for _ in range(3000):
-        n = rng.randint(1, 7)
-        rows.append([rng.choice((0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 12, -35))
-                     for _ in range(n)])
-    return rows
-
-
-def test_gcd_chain_against_integer_kernel():
-    """g is the gcd, combo a Bezout vector, and the kernel vectors are as many
-    as integer_kernel's and span the same lattice."""
-    for row in _gcd_chain_rows():
-        n = len(row)
-        g, combo, kernel = rewrite._gcd_chain(row)
-        assert g == math.gcd(*row), row
-        assert sum(k * c for k, c in zip(combo, row)) == g, row
-        assert all(sum(z_i * c for z_i, c in zip(z, row)) == 0 for z in kernel), row
-        want = integer_kernel([dict(enumerate(row))], n)
-        assert len(kernel) == len(want), row
-        for basis, other in ((kernel, want), (want, kernel)):
-            lattice = LatticeSolver(n, [dict(enumerate(z)) for z in basis])
-            assert all(lattice.contains(dict(enumerate(z))) for z in other), row
+    sys_ = complete([x * x - y], MonomialOrder(ctx), 2)
+    assert _unresolved_overlaps(sys_, 2) == []
+    [(glued, rest)] = _unresolved_overlaps(sys_, 3)
+    assert glued == (0, 0, 0)
+    assert rest in (x * y - y * x, y * x - x * y)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from preproj.freealg import PathContext, preprojective_relation
 from preproj.homology import lambda_graded, preprojective_system
 from preproj.quiver import Quiver, QuiverError, catalog, classify
-from preproj.rewrite import MonomialOrder, complete, diamond_check
+from preproj.rewrite import MonomialOrder, complete
 from preproj.series import (SeriesError, TruncatedSeries, _euler_product,
                             _one_minus_tm_pow, cartan_t_matrix, chebyshev_like_coeffs, egid_check,
                             hT, hT_of, hilbert_prep, ncci_check,
@@ -141,8 +141,6 @@ NEGATIVE_BOUND_CALLS = {
     "lambda_graded": (QuiverError, lambda q: lambda_graded(q, (), -1)),
     "lambda_graded_span": (QuiverError, lambda q: lambda_graded(q, (), -1, engine="span")),
     "complete": (QuiverError, lambda q: _complete_relations(q, -1)),
-    "diamond_check": (QuiverError,
-                      lambda q: diamond_check(preprojective_relation(PathContext(q)), -1)),
 }
 
 
