@@ -187,8 +187,16 @@ class LambdaComputation:
                 continue    # every m a and a m is normal: [m, a] = 0
             ulens, vlens = {len(u) for u in us}, {len(v) for v in vs}
             for _, w in monos(t, s, d - ctx.weights[a]):
-                left = any(w[len(w) - k:] in us for k in ulens)
-                right = any(w[:k] in vs for k in vlens)
+                left = right = False
+                n = len(w)
+                for k in ulens:
+                    if w[n - k:] in us:
+                        left = True
+                        break
+                for k in vlens:
+                    if w[:k] in vs:
+                        right = True
+                        break
                 if not (left or right):
                     continue    # m a and a m are normal rotations: [m, a] = 0
                 ma, am = w + (a,), (a,) + w

@@ -5,6 +5,12 @@ normal words through its bound by Bergman's Diamond Lemma, the unit case of
 the ring lemma in the paper's appendix: every overlap of weight within the
 bound reduces to zero.
 
+Completion pays per rule it installs: the overlaps of a new lead come from
+an index of the proper prefixes and suffixes of the live leads, S-elements
+are built from the two rules' terms, and during completion the automaton
+holds only the leads shorter than the words being reduced, so installing a
+longer lead keeps it.  A completed system's automaton holds every lead.
+
 A RewriteSystem keeps its rules in one table, leading word -> rule in the
 order the rules were added, and every rule is led by +1: an element led by
 -1 is negated when its rule is built.  Completion over Z insists on +-1
@@ -16,6 +22,7 @@ integer linear algebra.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 from .freealg import Element, PathContext, _render_terms
@@ -103,6 +110,7 @@ class RewriteSystem:
         self._by_lead = {}      # leading word -> rule, in insertion order
         self.rules = self._by_lead.values()
         self._aut = None
+        self._bound = 0         # _aut holds the leads shorter than this
         self._paths = {}        # source -> {weight: layer}, see normal_monomials
         self._reach = max(ctx.weights.values(), default=1)  # layer w reads w - _reach to w - 1
 
@@ -113,27 +121,36 @@ class RewriteSystem:
             raise QuiverError(f"degree {d} beyond certified bound {self.complete_to_degree}")
 
     def _install(self, rule, stale=()):
-        """Drop the stale rules and add rule; the automaton and the normal
-        path tables are rebuilt on next use."""
+        """Drop the stale rules and add rule; the normal path tables are
+        rebuilt on next use, and so is the automaton when a lead added or
+        dropped is shorter than its bound."""
         if not rule.lm_word:
             raise QuiverError("rules must have positive degree")
         for r in stale:
             del self._by_lead[r.lm_word]
         self._by_lead[rule.lm_word] = rule
-        self._aut = None
+        if min(len(r.lm_word) for r in (rule, *stale)) < self._bound:
+            self._aut = None
         self._paths = {}
 
     def _find_reduction(self, word):
         """(start, rule) of the leftmost leading word in word, or None.  The
         automaton reports the occurrence that ends first; leading words are
-        never subwords of one another, so it is also the one that starts first."""
-        aut = self._automaton()
+        never subwords of one another, so it is also the one that starts first.
+        It holds the leads shorter than a bound >= len(word); at the bound the
+        only lead left to check is the word itself."""
+        n = len(word)
+        aut = self._aut
+        if aut is None or self._bound < n:
+            aut = self._automaton(n)
         table, hit, node = aut.table, aut.hit, 0
         for k, a in enumerate(word):
             node = table[node].get(a, 0)
             if hit[node]:
                 start = k + 1 - hit[node]
                 return start, self._by_lead[word[start:k + 1]]
+        if n == self._bound and word in self._by_lead:
+            return 0, self._by_lead[word]
         return None
 
     def reduce(self, x: Element) -> Element:
@@ -175,9 +192,14 @@ class RewriteSystem:
                     work.pop(key, None)
         return normal
 
-    def _automaton(self):
-        if self._aut is None:
-            self._aut = _Automaton(list(self._by_lead))
+    def _automaton(self, bound=math.inf):
+        """The automaton of the leads shorter than _bound >= bound; every lead
+        by default.  One that falls short is rebuilt at bound, unless it
+        already holds every lead."""
+        if self._aut is None or self._bound < bound:
+            if self._aut is None or max(map(len, self._by_lead), default=0) >= self._bound:
+                self._aut = _Automaton([w for w in self._by_lead if len(w) < bound])
+            self._bound = bound
         return self._aut
 
     def normal_monomials(self, i, j, d):
@@ -305,6 +327,49 @@ def _check_bound(D):
         raise QuiverError(f"degree bound must be >= 0, got {D}")
 
 
+class _OverlapIndex:
+    """The live leads of a completion by their proper prefixes (heads) and
+    proper suffixes (tails), each -> {install rank: rule}, so the overlaps
+    of a lead take one lookup per split instead of a scan of every rule."""
+
+    def __init__(self):
+        self.rank = {}      # live lead -> install rank of its rule
+        self.heads, self.tails = {}, {}
+        self.installed = 0
+
+    def add(self, rule):
+        w = rule.lm_word
+        i = self.rank[w] = self.installed
+        self.installed += 1
+        for k in range(1, len(w)):
+            self.heads.setdefault(w[:k], {})[i] = rule
+            self.tails.setdefault(w[k:], {})[i] = rule
+
+    def drop(self, rule):
+        w = rule.lm_word
+        i = self.rank.pop(w)
+        for k in range(1, len(w)):
+            del self.heads[w[:k]][i]
+            del self.tails[w[k:]][i]
+
+    def overlaps(self, rule):
+        """(ri, rj, split) for each proper overlap, suffix of ri's lead =
+        prefix of rj's, between rule's lead and a live one, its own included;
+        in the order of a loop over the live rules in install order that
+        takes (rule, other) before (other, rule), shorter overlaps first."""
+        u = rule.lm_word
+        n = len(u)
+        found = []  # (rank of the other rule, which comes first, overlap length, ri, rj)
+        for k in range(1, n):
+            for i, other in self.heads.get(u[n - k:], {}).items():
+                found.append((i, 0, k, rule, other))
+            for i, other in self.tails.get(u[:k], {}).items():
+                if other is not rule:
+                    found.append((i, 1, k, other, rule))
+        found.sort(key=lambda f: f[:3])
+        return [(ri, rj, len(ri.lm_word) - k) for _, _, k, ri, rj in found]
+
+
 def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     """Buchberger-style completion of a two-sided ideal up to max_degree.
 
@@ -316,55 +381,56 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     _check_bound(max_degree)
     gens = [g for g in gens if not g.is_zero()]
     ctx = order.ctx
+    src, dst, weight = ctx.quiver.src, ctx.quiver.dst, ctx.weight
     sys_ = RewriteSystem(ctx, order, max_degree)
-    pending = deque(sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
+    pending = deque(g.terms for g in sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
     pairs = []  # heap of (weight, counter, rule_i, rule_j, split)
     counter = 0
-
-    def queue_overlaps(rule):
-        nonlocal counter
-        for other in sys_.rules:
-            orders = [(rule, other)] if other is rule else [(rule, other), (other, rule)]
-            for ri, rj in orders:
-                for s, w in _overlaps(ri.lm_word, rj.lm_word):
-                    wt = ctx.weight(w)
-                    if wt <= max_degree:
-                        heapq.heappush(pairs, (wt, counter, ri, rj, s))
-                        counter += 1
-
+    index = _OverlapIndex()
     while pending or pairs:
         if pending:
-            cand = sys_.reduce(pending.popleft())
-            if cand.is_zero():
+            cand = sys_._reduce(pending.popleft())
+            if not cand:
                 continue
-            rule = RewriteRule(cand, order)
+            rule = RewriteRule(Element(ctx, cand), order)
             stale = [r for r in sys_.rules if _contains(r.lm_word, rule.lm_word)]
             sys_._install(rule, stale)
-            pending.extend(r.element for r in stale)
-            queue_overlaps(rule)
+            for r in stale:
+                index.drop(r)
+            index.add(rule)
+            pending.extend(r.element.terms for r in stale)
+            for ri, rj, s in index.overlaps(rule):
+                wt = weight(ri.lm_word) + weight(rj.lm_word[len(ri.lm_word) - s:])
+                if wt <= max_degree:
+                    heapq.heappush(pairs, (wt, counter, ri, rj, s))
+                    counter += 1
             continue
         _, _, ri, rj, s = heapq.heappop(pairs)
         live = sys_._by_lead.get
         if live(ri.lm_word) is not ri or live(rj.lm_word) is not rj:
             continue
-        k = len(ri.lm_word) - s
-        suffix = rj.lm_word[k:]
+        # ri * suffix - prefix * rj, with the endpoint checks and the item
+        # order of the Element product and difference
+        suffix = rj.lm_word[len(ri.lm_word) - s:]
         prefix = ri.lm_word[:s]
-        left = ri.element * ctx.path(suffix) if suffix else ri.element
-        right = ctx.path(prefix) * rj.element if prefix else rj.element
-        spoly = sys_.reduce(left - right)
-        if not spoly.is_zero():
-            pending.append(spoly)
+        spoly, a = {}, src(suffix[0])
+        for (v, w), c in ri.element.terms.items():
+            if (dst(w[-1]) if w else v) == a:
+                spoly[(v, w + suffix)] = c
+        v0, b = src(prefix[0]), dst(prefix[-1])
+        for (v, w), c in rj.element.terms.items():
+            if v == b:
+                key = (v0, prefix + w)
+                c = spoly.get(key, 0) - c
+                if c:
+                    spoly[key] = c
+                else:
+                    spoly.pop(key, None)
+        rest = sys_._reduce(spoly)
+        if rest:
+            pending.append(rest)
+    sys_._automaton()   # every lead, for the normal words and necklaces read off it
     return sys_
-
-
-def _overlaps(u, v):
-    """(start_of_v, glued_word) for proper overlaps: suffix of u = prefix of v."""
-    out = []
-    for k in range(1, min(len(u), len(v))):
-        if u[len(u) - k:] == v[:k]:
-            out.append((len(u) - k, u + v[k:]))
-    return out
 
 
 def _contains(big, small):

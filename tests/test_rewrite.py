@@ -1,10 +1,12 @@
+import hashlib
+import math
 import random
 
 import pytest
 
 from preproj import rewrite
 from preproj.freealg import PathContext, free_context, preprojective_relation
-from preproj.quiver import catalog, double
+from preproj.quiver import Quiver, catalog, double
 from preproj.rewrite import MonomialOrder, NonUnitLead, RewriteRule, complete
 
 
@@ -234,13 +236,22 @@ def test_graded_dims_match_series_on_catalog():
 TREE_ORDER = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
 
 
+def _overlaps(u, v):
+    """(start_of_v, glued_word) for proper overlaps: suffix of u = prefix of v."""
+    out = []
+    for k in range(1, min(len(u), len(v))):
+        if u[len(u) - k:] == v[:k]:
+            out.append((len(u) - k, u + v[k:]))
+    return out
+
+
 def _unresolved_overlaps(sys_, bound):
     """(glued word, remainder) for each proper overlap of two leads, of weight
     <= bound, whose two one-step rewrites do not reduce to a common form."""
     ctx, rules, out = sys_.ctx, list(sys_.rules), []
     for ri in rules:
         for rj in rules:
-            for s, glued in rewrite._overlaps(ri.lm_word, rj.lm_word):
+            for s, glued in _overlaps(ri.lm_word, rj.lm_word):
                 if ctx.weight(glued) > bound:
                     continue
                 left = ri.element * ctx.path(rj.lm_word[len(ri.lm_word) - s:])
@@ -351,11 +362,16 @@ def lookup_systems():
     out = {f"{name}{p}_D{D}": preprojective_system(catalog(name, p), (), D)
            for name, p, D in [("dynkin_e", 6, 12), ("dynkin_e", 7, 16), ("dynkin_e", 8, 28)]}
     out["star2211_D16"] = preprojective_system(catalog("star", 2, 2, 1, 1), (), 16)
+    ctx, gens = _weighted_free()
+    out["free_weighted"] = complete(gens, MonomialOrder(ctx), 10)
+    return out
+
+
+def _weighted_free():
+    """x, y, z of weights 1, 2, 3 and two relations of weights 3 and 4."""
     ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
     x, y, z = ctx.letters()
-    out["free_weighted"] = complete([y * x - x * y - z, z * x - x * z + y * y],
-                                    MonomialOrder(ctx), 10)
-    return out
+    return ctx, [y * x - x * y - z, z * x - x * z + y * y]
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
@@ -404,3 +420,184 @@ def test_automaton_table_matches_fail_walk(name, lookup_systems):
     for s in range(len(ref.goto)):
         for a in letters:
             assert aut.advance(s, a) == ref.advance(s, a), (name, s, a)
+
+
+def _holds_every_lead(sys_):
+    """Whether sys_'s automaton holds every lead and nothing else."""
+    aut = sys_._aut
+    ref = rewrite._Automaton([r.lm_word for r in sys_.rules])
+    return sys_._bound == math.inf and aut.table == ref.table and aut.hit == ref.hit
+
+
+@pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
+                                  "star2211_D16", "free_weighted"])
+def test_completed_automaton_holds_every_lead(name, lookup_systems):
+    assert _holds_every_lead(lookup_systems[name])
+
+
+def test_length_bounded_automaton():
+    """Leads of 2, 3 and 5 letters installed so that the automaton is built at
+    a bound, meets a lead as long as the bound, survives a longer install,
+    is dropped by a shorter one and by a stale removal, and is kept under a
+    higher bound once it holds every lead; after each step the
+    lookup agrees with the scan on seeded words of 1 to 8 letters, read from
+    a copy so that the bound under test stays as it is."""
+    import copy
+
+    ctx = free_context(["x", "y", "z"])
+    order = MonomialOrder(ctx)
+    sys_ = rewrite.RewriteSystem(ctx, order, 8)
+    rng = random.Random(23)
+
+    def rule(word):
+        return RewriteRule(ctx.element({(0, word): 1}), order)
+
+    def agrees():
+        probe = copy.copy(sys_)
+        for _ in range(300):
+            word = tuple(rng.randrange(3) for _ in range(rng.randint(1, 8)))
+            assert probe._find_reduction(word) == _scan_reduction(sys_.rules, word), word
+        return True
+
+    r3 = rule((0, 1, 2))
+    sys_._install(r3)
+    assert sys_._find_reduction((2, 0, 1)) is None      # built at bound 3, holding no lead
+    aut = sys_._aut
+    assert sys_._bound == 3 and not any(aut.hit)
+    assert sys_._find_reduction((0, 1, 2)) == (0, r3)   # the lead as long as the bound
+    assert sys_._aut is aut and agrees()
+
+    sys_._install(rule((2, 2, 1, 0, 0)))                # longer: kept
+    assert sys_._aut is aut and agrees()
+
+    sys_._install(rule((1, 1)))                         # shorter: dropped
+    assert sys_._aut is None and agrees()
+    assert sys_._find_reduction((2, 2, 0, 0, 2, 0)) is None
+    assert sys_._bound == 6 and sys_._aut.longest == 5
+
+    r21 = rule((2, 1))                                  # shorter, with a stale lead
+    sys_._install(r21, [sys_._by_lead[(2, 2, 1, 0, 0)]])
+    assert sys_._aut is None and agrees()
+    assert sys_._find_reduction((2, 2, 1, 0, 0)) == (1, r21)
+    assert sys_._bound == 5
+
+    # a lead as long as the bound kept it; dropping a shorter stale one does not
+    sys_._install(rule((2, 0, 2, 0, 2)), [r21])
+    assert sys_._aut is None and agrees()
+    assert sys_._find_reduction((2, 2, 1, 0, 0)) is None
+
+    aut = sys_._automaton(6)                            # rebuilt: it missed a lead
+    assert sys_._automaton() is aut and _holds_every_lead(sys_)  # it holds every lead
+
+
+@pytest.mark.parametrize("side", ["end", "start"])
+def test_s_elements_keep_only_composable_terms(side):
+    """Loops z at 1 and w at 2, and x, y between 1, 2 and 0.  At the end:
+    x: 0 -> 1, y: 0 -> 2, and the rule y w -> x z overlaps w w w in y w w w,
+    where (y w - x z) w w drops x z w w, which is no path.  At the start:
+    x: 1 -> 0, y: 2 -> 0, and w w (w y - z x) drops w w z x.  Both
+    S-elements are zero, so the generators are the rules."""
+    if side == "end":
+        q = Quiver([0, 1, 2], [(0, 0, 1), (1, 0, 2), (2, 1, 1), (3, 2, 2)])
+    else:
+        q = Quiver([0, 1, 2], [(0, 1, 0), (1, 2, 0), (2, 1, 1), (3, 2, 2)])
+    ctx = PathContext(q, auto_double=False)
+    x, y, z, w = ctx.letters()
+    gen, want = (y * w - x * z, [((0, (0, 2)), -1), ((0, (1, 3)), 1)]) if side == "end" else \
+        (w * y - z * x, [((1, (2, 0)), -1), ((2, (3, 1)), 1)])
+    sys_ = complete([gen, w * w * w], MonomialOrder(ctx), 8)
+    assert [list(r.element.terms.items()) for r in sys_.rules] == [want, [((2, (3, 3, 3)), 1)]]
+
+
+def _installs(monkeypatch, gens, order, bound):
+    """(rule, stale rules) of each install of a completion, in order."""
+    log = []
+    install = rewrite.RewriteSystem._install
+
+    def logged(self, rule, stale=()):
+        log.append((rule, list(stale)))
+        install(self, rule, stale)
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "_install", logged)
+    complete(gens, order, bound)
+    monkeypatch.undo()
+    return log
+
+
+def _all_pairs_overlaps(live, rule):
+    """Reference: (ri, rj, split) from the loop over the live rules in install
+    order, (rule, other) and then (other, rule)."""
+    out = []
+    for other in live:
+        for ri, rj in [(rule, other)] if other is rule else [(rule, other), (other, rule)]:
+            out += [(ri, rj, s) for s, _ in _overlaps(ri.lm_word, rj.lm_word)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
+                                  "star2211_D16", "free_weighted", "tree_found", "stale"])
+def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
+    """Replaying a completion's installs, the index gives each new rule the
+    overlaps of the loop over every live rule, in its order; after stale rules
+    are dropped (by the completion of "stale", and every other live rule at
+    the end) every live rule is checked."""
+    if name == "free_weighted":
+        ctx, gens = _weighted_free()
+        order, bound = MonomialOrder(ctx), 10
+    elif name in lookup_systems:
+        sys_ = lookup_systems[name]
+        gens, order, bound = preprojective_relation(sys_.ctx), sys_.order, sys_.complete_to_degree
+    elif name == "tree_found":
+        ctx = PathContext(catalog("star", 2, 2, 1, 1))
+        gens, order, bound = preprojective_relation(ctx), MonomialOrder(ctx, TREE_ORDER), 13
+    else:
+        ctx = free_context(["x", "y", "z"])
+        x, y, z = ctx.letters()
+        gens, order, bound = [z - x * x - x * z * z, x * z + z ** 3], MonomialOrder(ctx), 6
+    index, live, dropped = rewrite._OverlapIndex(), [], 0
+    for rule, stale in _installs(monkeypatch, gens, order, bound):
+        for r in stale:
+            index.drop(r)
+            live.remove(r)
+        index.add(rule)
+        live.append(rule)
+        for r in live if stale else [rule]:
+            assert index.overlaps(r) == _all_pairs_overlaps(live, r), (name, r)
+        dropped += len(stale)
+    assert (dropped > 0) == (name == "stale")
+    for r in live[::2]:
+        index.drop(r)
+        live.remove(r)
+    for r in live:
+        assert index.overlaps(r) == _all_pairs_overlaps(live, r), (name, r)
+
+
+# sha256 of repr([(lead, list(terms.items())) for each rule]), as completed
+# by the loop over every pair of rules, before the overlap index
+PINNED_RULE_DIGESTS = {
+    "dynkin_e8_D28": "e15c9f5a9499dd7de0adb4933ecf4316c13d2b0f572766ecc30058348a0a54b4",
+    "affine_e8_D28": "5f0d767362ad0a5ef04c53a90969599034b9956d8d39b45d692967a2ff3fa64c",
+    "affine_d4_D16": "67100b4a82ef62157c1253da1691bb36f582fd1034983b04be191bff26d1444b",
+    "tree_found_D13": "e97e6bf40f31a377b0d97091bec9f1ae652abf61942276f1f5d47f3573ef2fcb",
+    "tree_default_D12": "44c86ac5fefd0ce58a2bfe772336a2e537df397881939bf695d6679694e1a519",
+    "free_weighted_D10": "f8abddfc70285b430ce5f056744c934b00c825af205b3205a3929d13aa8a1963",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RULE_DIGESTS))
+def test_completion_rules_are_pinned(name):
+    from preproj.homology import preprojective_system
+
+    if name == "free_weighted_D10":
+        ctx, gens = _weighted_free()
+        sys_ = complete(gens, MonomialOrder(ctx), 10)
+    else:
+        q, D, arrow_order = {
+            "dynkin_e8_D28": (catalog("dynkin_e", 8), 28, None),
+            "affine_e8_D28": (catalog("affine_e", 8), 28, None),
+            "affine_d4_D16": (catalog("affine_d", 4), 16, None),
+            "tree_found_D13": (catalog("star", 2, 2, 1, 1), 13, TREE_ORDER),
+            "tree_default_D12": (catalog("star", 2, 2, 1, 1), 12, None)}[name]
+        sys_ = preprojective_system(q, (), D, arrow_order=arrow_order)
+    got = repr([(r.lm_word, list(r.element.terms.items())) for r in sys_.rules])
+    assert hashlib.sha256(got.encode()).hexdigest() == PINNED_RULE_DIGESTS[name]
