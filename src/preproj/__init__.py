@@ -7,7 +7,7 @@ necklace Lie bialgebra with its induced Poisson structures.
 """
 
 from .quiver import (Quiver, QuiverClass, Forest, QuiverError, catalog, classify,
-                     double, find_extended_dynkin_subquiver, forest_for_white)
+                     double, forest_for_white)
 from .freealg import (CycElement, CyclicClass, Element, PathContext,
                       cyclic_project, free_context, parse_element,
                       preprojective_relation, render_cyclic, render_element,
@@ -17,7 +17,7 @@ from .rewrite import (MonomialOrder, NonUnitLead, RewriteRule, RewriteSystem,
 from .intlinalg import (LatticeSolver, SNFResult, TorsionSummary, quotient_structure,
                         smith_normal_form)
 from .series import (SeriesError, TruncatedSeries, cartan_t_matrix, egid_check,
-                     hT, hT_of, hilbert_prep, ncci_check, sym_plus_series, zeta)
+                     hT, hT_of, hilbert_prep, sym_plus_series)
 from .homology import (GradedTorsionReport, HomologyClass, LambdaComputation,
                        PoissonPresentation, frobenius_cyc, ghost,
                        hp0_poisson, lambda_graded, poisson_presentation,
@@ -25,7 +25,6 @@ from .homology import (GradedTorsionReport, HomologyClass, LambdaComputation,
                        r_power_class, r_power_cyclic)
 from .necklace import (CornerPoisson, WedgePair, bracket, bracket_of_wedge,
                        bv_defect, cobracket, delta_ell, delta_ell_sum,
-                       double_bracket, double_derivative, loday_bracket, omega,
-                       partial_derivative)
+                       double_bracket, loday_bracket)
 
 __version__ = "0.1.0"

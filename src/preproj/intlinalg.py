@@ -375,6 +375,3 @@ class LatticeSolver:
             need = d // math.gcd(d, r) if r else 1
             k = k * need // math.gcd(k, need)
         return k
-
-    def contains(self, vec: dict):
-        return self.order_of(vec) == 1

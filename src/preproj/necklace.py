@@ -7,8 +7,9 @@ Letters are paired only in _pairings.  The bracket and the Loday bracket
 multiply out the terms of the double bracket (_double); delta_ell,
 delta_ell_sum and the cobracket read off the splits of one word (_splits).
 
-Sign conventions: omega(a, a*) = +1 for an original arrow a.  delta_ell is
-taken with the sign that satisfies the BV identity
+Sign conventions: the pairing omega that _pairings yields is +1 on (a, a*)
+for an original arrow a, and -1 on (a*, a).  delta_ell is taken with the
+sign that satisfies the BV identity
 
     delta_ell(ab) = delta_ell(a)(1 x b) + (1 x a) delta_ell(b) + (pr x 1){{a,b}}
 
@@ -20,20 +21,10 @@ from __future__ import annotations
 
 import functools
 
-from .freealg import (CycElement, CyclicClass, Element, PathContext, _Combination,
-                      _signed_sum, cyclic_project, render_cyclic)
+from .freealg import (CycElement, CyclicClass, Element, _Combination, _signed_sum,
+                      cyclic_project, render_cyclic)
 from .intlinalg import integer_kernel
 from .quiver import QuiverError, classify
-
-
-def omega(ctx: PathContext, a: int, b: int) -> int:
-    """Symplectic pairing on arrows: +1 on (a, a*) for original a."""
-    q = ctx.quiver
-    if not q.starred:
-        raise QuiverError("the pairing lives on a doubled quiver")
-    if q.star.get(a) != b:
-        return 0
-    return 1 if a < b else -1
 
 
 def _add(terms, key, c):
@@ -85,26 +76,6 @@ def _splits(ctx, mono):
         if i < j:
             between = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), word[i + 1:j]))
             yield om, between, (v, word[:i] + word[j + 1:])
-
-
-def partial_derivative(a: int, w: CycElement) -> Element:
-    """d/da of a cyclic element: sum of opened words over occurrences of a."""
-    terms = {}
-    for key, c in w.terms.items():
-        word = key.word
-        for i, letter in enumerate(word):
-            if letter == a:
-                _add(terms, (w.ctx.quiver.dst(a), word[i + 1:] + word[:i]), c)
-    return Element(w.ctx, terms)
-
-
-def double_derivative(a: int, p: Element):
-    """D_a: split at each occurrence of a; returns [(coeff, left, right)]."""
-    ctx = p.ctx
-    return [(c, Element(ctx, {(v, word[:i]): 1}),
-             Element(ctx, {(ctx.quiver.dst(a), word[i + 1:]): 1}))
-            for (v, word), c in p.terms.items()
-            for i, letter in enumerate(word) if letter == a]
 
 
 def bracket(u: CycElement, v: CycElement) -> CycElement:

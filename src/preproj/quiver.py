@@ -346,79 +346,6 @@ def catalog(name, *params) -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# extended Dynkin subquivers
-
-
-def _subquiver(q: Quiver, verts, arrow_ids):
-    return Quiver(sorted(verts), [(a, q.src(a), q.dst(a)) for a in sorted(arrow_ids)],
-                  names={a: q.arrow_name(a) for a in arrow_ids})
-
-
-def find_extended_dynkin_subquiver(q: Quiver):
-    """Some extended Dynkin subquiver of q, or None when q is (extended) Dynkin.
-
-    A loop (~A_0) or a pair of parallel arrows (~A_1) is returned at once.
-    Otherwise q shrinks by minimality: drop a vertex, with its arrows, in id
-    order, whenever the full subquiver on the other vertices is connected
-    and not Dynkin, until no vertex can be dropped.  What is left, S, is
-    extended Dynkin.  It contains an extended Dynkin subquiver H.  A vertex
-    of S outside H, at the greatest distance from H, could still be
-    dropped; so H has every vertex of S.  An arrow of S outside H would
-    close a cycle on fewer vertices (there are no loops or parallel arrows,
-    and H is not a path), and again a vertex could be dropped; so S = H.
-    The returned subquiver keeps the parent's vertex and arrow ids, so the
-    embedding is the identity on ids.
-    """
-    if q.starred:
-        raise QuiverError("expects an undoubled quiver")
-    C = _cartan(q)
-    minors = _leading_minors(C)
-    if len(minors) > len(C) and minors[-1] >= 0:
-        return None     # positive semidefinite: (extended) Dynkin, see classify
-
-    # loops: a one-vertex one-loop subquiver is ~A_0
-    for (a, s, t) in q.arrows:
-        if s == t:
-            return _subquiver(q, [s], [a])
-    # parallel pair (either orientation): ~A_1
-    seen = {}
-    for (a, s, t) in q.arrows:
-        key = tuple(sorted((s, t)))
-        if key in seen:
-            return _subquiver(q, key, [seen[key], a])
-        seen[key] = a
-
-    index = {v: k for k, v in enumerate(q.vertices)}
-    verts = set(q.vertices)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for v in sorted(verts):
-            if _connected_non_dynkin(C, sorted(index[w] for w in verts if w != v)):
-                verts.discard(v)
-                shrunk = True
-    return _subquiver(q, verts, [a for (a, s, t) in q.arrows if s in verts and t in verts])
-
-
-def _connected_non_dynkin(C, ks):
-    """Whether the full subgraph on the vertex indices ks is connected and not
-    Dynkin, read off the restriction of C = 2I - A to ks."""
-    if not ks:
-        return False
-    seen, todo = {ks[0]}, [ks[0]]
-    while todo:
-        i = todo.pop()
-        for k in ks:
-            if C[i][k] and k not in seen:
-                seen.add(k)
-                todo.append(k)
-    if len(seen) < len(ks):
-        return False
-    minors = _leading_minors([[C[i][k] for k in ks] for i in ks])
-    return len(minors) <= len(ks) or minors[-1] <= 0
-
-
-# ---------------------------------------------------------------------------
 # forests for partial preprojective algebras
 
 

@@ -125,9 +125,6 @@ class TruncatedSeries:
     def __getitem__(self, d):
         return self.rows[0][0][d] if self.n == 1 else [[e[d] for e in row] for row in self.rows]
 
-    def truncate(self, D):
-        return TruncatedSeries._of([[_fit(e, D) for e in row] for row in self.rows], D)
-
     def __add__(self, other):
         other = self._coerce(other)
         D = min(self.D, other.D)
@@ -304,28 +301,6 @@ def hT_of(q: Quiver, p: int, D) -> TruncatedSeries:
     return hT(cls.family, cls.rank, p, D)
 
 
-def ncci_check(hV: TruncatedSeries, hL: TruncatedSeries, hA: TruncatedSeries, D=None):
-    """Whether h(A) = (1 - h(V) + h(L))^{-1} up to degree D.
-
-    Returns (ok, first_failing_degree_or_None).
-    """
-    D = min(hV.D, hL.D, hA.D) if D is None else D
-    one = TruncatedSeries.one(D, hV.n)
-    pred = (one - hV.truncate(D) + hL.truncate(D)).inverse()
-    got, want = pred.coeffs, hA.coeffs
-    for d in range(D + 1):
-        if got[d] != want[d]:
-            return False, d
-    return True, None
-
-
-def zeta(hV: TruncatedSeries, hL: TruncatedSeries, D=None) -> TruncatedSeries:
-    """prod_{m>=1} det(1 - h(V;t^m) + h(L;t^m))^{-1}."""
-    D = min(hV.D, hL.D) if D is None else D
-    one = TruncatedSeries.one(D, hV.n)
-    return _euler_product(one - hV.truncate(D) + hL.truncate(D), D)
-
-
 def _euler_product(B: TruncatedSeries, D) -> TruncatedSeries:
     """prod_{m=1..D} det(B(t^m))^{-1} for a square matrix series B.
 
@@ -360,7 +335,7 @@ def egid_check(q: Quiver, D) -> bool:
 
 
 def o_series_char_p(q: Quiver, white, p: int, D: int) -> TruncatedSeries:
-    """h(O(Pi_{Q,J})) over a field of characteristic p, per the zeta form:
+    """h(O(Pi_{Q,J})) over a field of characteristic p, per the Euler product:
     an extra factor prod_l (1 - t^(2 p^l))^{-1} appears only when J is empty."""
     out = _euler_product(cartan_t_matrix(q, white, D), D)
     if not set(white):

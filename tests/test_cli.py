@@ -318,6 +318,7 @@ def usage_exit(capsys, *argv):
     ("necklace", "--catalog", "free", "1", "--ring", "R", "--left", "[x]",
      "--right", "[x*]"),
     ("hilbert", "--catalog", "dynkin_a", "2", "--white", "99", "--degree", "4"),
+    ("hilbert", "--catalog", "dynkin_a", "2", "--degree", "4"),
     ("hh0", "--catalog", "affine_a", "3", "--white", "7", "--degree", "4"),
     ("hilbert", "--catalog", "free", "--degree", "4"),
     ("hilbert", "--catalog", "free", "x", "--degree", "4"),
@@ -354,7 +355,7 @@ def usage_exit(capsys, *argv):
     ("groebner", "--star", "-1", "--degree", "4"),
 ], ids=["hp0_d_without_branch", "hp0_composite_modulus", "necklace_ring_zmod1",
         "necklace_ring_unknown",
-        "hilbert_white_not_a_vertex", "hh0_white_not_a_vertex",
+        "hilbert_white_not_a_vertex", "hilbert_dynkin_without_white", "hh0_white_not_a_vertex",
         "catalog_missing_parameter", "catalog_non_integer_parameter",
         "file_malformed_json", "file_without_arrows", "bracket_without_right",
         "loday_without_right", "unclosed_bracket", "open_necklace_word",

@@ -8,41 +8,14 @@ from preproj.homology import lambda_graded, preprojective_element
 from preproj.necklace import (CornerPoisson, WedgePair, bracket,
                               bracket_of_wedge, bv_defect, cobracket,
                               delta_ell, delta_ell_sum, double_bracket,
-                              double_derivative, loday_bracket, omega,
-                              partial_derivative)
-from preproj.quiver import catalog
+                              loday_bracket)
+from preproj.quiver import QuiverError, catalog
 
 
 @pytest.fixture
 def pair():
     ctx = PathContext(catalog("free", 1))
     return ctx, ctx.arrow(0), ctx.arrow(1)
-
-
-def test_omega(pair):
-    ctx, x, y = pair
-    assert omega(ctx, 0, 1) == 1
-    assert omega(ctx, 1, 0) == -1
-    assert omega(ctx, 0, 0) == 0
-
-
-def test_partial_derivative(pair):
-    ctx, x, y = pair
-    assert partial_derivative(0, cyclic_project(x * y)) == y
-    assert partial_derivative(0, cyclic_project(x * x)) == x.scale(2)
-    assert partial_derivative(1, cyclic_project(x * y)) == x
-
-
-def test_double_derivative(pair):
-    ctx, x, y = pair
-    out = double_derivative(0, x * y)
-    assert len(out) == 1
-    c, left, right = out[0]
-    assert c == 1 and left == ctx.idempotent(0) and right == y
-    out = double_derivative(0, y * x)
-    assert out[0][1] == y and out[0][2] == ctx.idempotent(0)
-    out = double_derivative(0, x * x)
-    assert len(out) == 2
 
 
 def test_bracket_examples(pair):
@@ -204,8 +177,6 @@ def _alternations(a, b, c):
 
 def test_corner_poisson_requires_extended_dynkin():
     rep, comp = lambda_graded(catalog("free", 2), (), 4)
-    from preproj.quiver import QuiverError
-
     with pytest.raises(QuiverError):
         CornerPoisson(comp)
 
@@ -234,17 +205,16 @@ def test_bracket_degree(pair):
     assert br.degrees() in ([], [4])  # |u| + |v| - 2
 
 
-@pytest.mark.parametrize("op", ["omega", "bracket", "cobracket", "loday_bracket",
+@pytest.mark.parametrize("op", ["bracket", "cobracket", "loday_bracket",
                                 "double_bracket", "delta_ell"])
 def test_omega_requires_double(op):
     from preproj.freealg import free_context
-    from preproj.quiver import QuiverError
 
     ctx = free_context(["x", "y"])
     u = ctx.cyclic({CyclicClass(0, (0, 1)): 1})
     p = ctx.path((0, 1))
-    call = {"omega": lambda: omega(ctx, 0, 1), "bracket": lambda: bracket(u, u),
-            "cobracket": lambda: cobracket(u), "loday_bracket": lambda: loday_bracket(u, p),
+    call = {"bracket": lambda: bracket(u, u), "cobracket": lambda: cobracket(u),
+            "loday_bracket": lambda: loday_bracket(u, p),
             "double_bracket": lambda: double_bracket(p, p),
             "delta_ell": lambda: delta_ell(p)}[op]
     with pytest.raises(QuiverError):
@@ -264,6 +234,16 @@ def test_undoubled_context_without_pairs_gives_zero():
 
 # Reference: every (i, j) letter pair goes through omega, one operation at a
 # time, each with its own accumulator.
+
+def omega(ctx, a, b):
+    """Symplectic pairing on arrows: +1 on (a, a*) for original a."""
+    q = ctx.quiver
+    if not q.starred:
+        raise QuiverError("the pairing lives on a doubled quiver")
+    if q.star.get(a) != b:
+        return 0
+    return 1 if a < b else -1
+
 
 def _ref_acc(out, key, c):
     out[key] = out.get(key, 0) + c

@@ -1,11 +1,10 @@
-import itertools
 import json
 import random
 
 import pytest
 
 from preproj.quiver import (Quiver, QuiverError, catalog, classify, double,
-                            find_extended_dynkin_subquiver, forest_for_white)
+                            forest_for_white)
 from preproj.series import egid_check
 
 
@@ -115,107 +114,6 @@ def test_star_orientation_toward_center():
     for (a, s, t) in q.arrows:
         # every arrow moves one step toward the special vertex 0
         assert t < s or t == 0 or s > t
-
-
-def test_subquiver_two_loops():
-    q = catalog("free", 2)
-    sub = find_extended_dynkin_subquiver(q)
-    assert sub is not None
-    assert len(sub.arrows) == 1 and sub.arrows[0][1] == sub.arrows[0][2]
-    assert str(classify(sub)) == "~A0"
-
-
-def test_subquiver_cycle_plus_arrow():
-    base = catalog("affine_a", 3)
-    arrows = list(base.arrows) + [(3, 0, 1)]
-    q = Quiver(base.vertices, arrows)
-    sub = find_extended_dynkin_subquiver(q)
-    assert sub is not None
-    assert classify(sub).is_extended_dynkin()
-
-
-def test_subquiver_none_for_dynkin_and_extended():
-    assert find_extended_dynkin_subquiver(catalog("dynkin_a", 3)) is None
-    assert find_extended_dynkin_subquiver(catalog("affine_e", 6)) is None
-
-
-def _connected_multigraphs(max_v, max_e):
-    """All connected undirected multigraphs (with loops) on <= max_v labeled
-    vertices and <= max_e edges, as directed quivers with src <= dst."""
-    for nv in range(1, max_v + 1):
-        slots = [(i, j) for i in range(nv) for j in range(i, nv)]
-        for ne in range(nv - 1, max_e + 1):
-            for combo in itertools.combinations_with_replacement(slots, ne):
-                arrows = [(k, s, t) for k, (s, t) in enumerate(combo)]
-                try:
-                    q = Quiver(list(range(nv)), arrows)
-                except QuiverError:
-                    continue
-                yield q
-
-
-def test_subquiver_search_exhaustive():
-    """find_extended_dynkin_subquiver returns nothing exactly when the quiver
-    is Dynkin or extended Dynkin: all quivers with <= 5 vertices, <= 6 arrows."""
-    count = 0
-    for q in _connected_multigraphs(5, 6):
-        count += 1
-        cls = classify(q)
-        sub = find_extended_dynkin_subquiver(q)
-        if cls.kind == "other":
-            assert sub is not None, (q.vertices, q.arrows)
-            assert classify(sub).is_extended_dynkin(), (q.arrows, sub.arrows)
-            # the returned ids really embed into the parent
-            parent = {(a, s, t) for (a, s, t) in q.arrows}
-            assert all((a, s, t) in parent for (a, s, t) in sub.arrows)
-        else:
-            assert sub is None, (q.arrows, cls)
-    assert count > 10000
-
-
-def _check_subquiver(q):
-    """None exactly for (extended) Dynkin q; otherwise an extended Dynkin
-    subquiver whose vertex and arrow ids embed into q."""
-    sub = find_extended_dynkin_subquiver(q)
-    if classify(q).kind != "other":
-        assert sub is None, (q.arrows, sub.arrows)
-        return None
-    assert sub is not None, q.arrows
-    assert classify(sub).is_extended_dynkin(), (q.arrows, sub.arrows)
-    assert set(sub.vertices) <= set(q.vertices)
-    assert set(sub.arrows) <= set(q.arrows)
-    return sub
-
-
-def _random_trees_and_unicyclic(rng, count):
-    """Trees on 6..10 vertices with every degree <= 3, every other one with
-    one extra arrow closing a cycle; random orientations."""
-    for k in range(count):
-        nv = rng.randint(6, 10)
-        deg = [0] * nv
-        edges = []
-        for v in range(1, nv):
-            u = rng.choice([w for w in range(v) if deg[w] < 3])
-            edges.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-        if k % 2:
-            edges.append(tuple(rng.sample(range(nv), 2)))
-        yield Quiver(range(nv), [(a, s, t) if rng.random() < 0.5 else (a, t, s)
-                                 for a, (s, t) in enumerate(edges)])
-
-
-def test_subquiver_search_larger_quivers():
-    """~D_n (n >= 5) and ~E shapes, which need more than 5 vertices."""
-    one_more_leaf = Quiver(range(7), list(catalog("affine_d", 5).arrows) + [(5, 6, 0)])
-    fixed = [(catalog("star", 3, 2, 2), "~E6"), (catalog("star", 4, 3, 1), "~E7"),
-             (catalog("star", 6, 2, 1), "~E8"), (one_more_leaf, "~D5")]
-    for q, want in fixed:
-        assert str(classify(_check_subquiver(q))) == want
-    rng = random.Random(3)
-    found = {str(classify(sub)) for sub in map(_check_subquiver,
-                                               _random_trees_and_unicyclic(rng, 200)) if sub}
-    assert {"~D5", "~D6", "~E6"} <= found
 
 
 def test_forest_examples():

@@ -10,9 +10,8 @@ from preproj.quiver import Quiver, QuiverError, catalog, classify
 from preproj.rewrite import MonomialOrder, complete
 from preproj.series import (SeriesError, TruncatedSeries, _euler_product,
                             _one_minus_tm_pow, cartan_t_matrix, chebyshev_like_coeffs, egid_check,
-                            hT, hT_of, hilbert_prep, ncci_check,
-                            o_series_char_p, o_series_char_zero,
-                            sym_plus_series, zeta)
+                            hT, hT_of, hilbert_prep, o_series_char_p, o_series_char_zero,
+                            sym_plus_series)
 
 
 def test_free2_series():
@@ -221,8 +220,15 @@ def test_two_vertex_partial_inverse():
 
 
 def test_dynkin_refused():
-    with pytest.raises(SeriesError):
-        hilbert_prep(catalog("dynkin_a", 2), (), 4)
+    """A Dynkin quiver needs a white vertex; with one, the series is the
+    normal-word count of the completed partial relations."""
+    q, D = catalog("dynkin_a", 2), 8
+    with pytest.raises(SeriesError, match="no white vertex"):
+        hilbert_prep(q, (), D)
+    for white in ((0,), (1,), (0, 1)):
+        ctx = PathContext(q)
+        sys_ = complete(preprojective_relation(ctx, white), MonomialOrder(ctx), D)
+        assert hilbert_prep(q, white, D) == TruncatedSeries(sys_.normal_count_matrix(D), D)
 
 
 def test_sym_plus_series():
@@ -244,65 +250,6 @@ def test_hT_table():
     assert [d for d, c in enumerate(hT("E", 8, 3, 20).scalar_coeffs()) if c] == [6, 18]
     with pytest.raises(SeriesError):
         hT_of(catalog("free", 2), 2, 16)
-
-
-def _rewrite_series(q, white, D):
-    ctx = PathContext(q)
-    sys_ = complete(preprojective_relation(ctx, white), MonomialOrder(ctx), D)
-    counts = sys_.normal_count_matrix(D)
-    return TruncatedSeries(counts, D)
-
-
-def test_ncci_check_non_dynkin():
-    q = catalog("affine_a", 3)
-    hA = _rewrite_series(q, (), 10)
-    n = len(q.vertices)
-    C = q.adjacency()
-    hV = TruncatedSeries([[[0] * n for _ in range(n)], C], 10)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    zero = [[0] * n for _ in range(n)]
-    hL = TruncatedSeries([zero, zero, eye], 10)
-    ok, fail = ncci_check(hV, hL, hA)
-    assert ok and fail is None
-
-
-def test_ncci_check_dynkin_fails():
-    q = catalog("dynkin_a", 2)
-    hA = _rewrite_series(q, (), 6)
-    C = q.adjacency()
-    zero = [[0, 0], [0, 0]]
-    eye = [[1, 0], [0, 1]]
-    hV = TruncatedSeries([zero, C], 6)
-    hL = TruncatedSeries([zero, zero, eye], 6)
-    ok, fail = ncci_check(hV, hL, hA)
-    assert not ok and fail is not None and fail <= 6
-
-
-def test_ncci_free_trivial():
-    # free algebra on 4 letters, no relations: h(A) = 1/(1 - 4t)
-    hA = TruncatedSeries.scalar([4 ** d for d in range(9)], 8)
-    hV = TruncatedSeries.scalar([0, 4] + [0] * 7, 8)
-    hL = TruncatedSeries.scalar([0] * 9, 8)
-    ok, _ = ncci_check(hV, hL, hA)
-    assert ok
-
-
-def test_zeta():
-    z = zeta(TruncatedSeries.scalar([0] * 7, 6), TruncatedSeries.scalar([0] * 7, 6))
-    assert z.scalar_coeffs() == [1, 0, 0, 0, 0, 0, 0]
-    hV = TruncatedSeries.scalar([0, 4, 0, 0, 0, 0, 0], 6)
-    hL = TruncatedSeries.scalar([0, 0, 1, 0, 0, 0, 0], 6)
-    z = zeta(hV, hL)
-    want = TruncatedSeries.one(6)
-    for m in range(1, 7):
-        base = [0] * 7
-        base[0] = 1
-        if m <= 6:
-            base[m] -= 4
-        if 2 * m <= 6:
-            base[2 * m] += 1
-        want = want * TruncatedSeries.scalar(base, 6).inverse()
-    assert z == want
 
 
 def test_inverse_roundtrip():
@@ -364,7 +311,7 @@ def test_egid_exponent_laws():
 
 
 def test_char_p_o_series_matches_direct_lambda():
-    """Over F_2 the full symmetric-algebra series assembled from the zeta form
+    """Over F_2 the full symmetric-algebra series assembled from the Euler product
     matches the one built from the computed graded dimensions of Lambda."""
     q = catalog("free", 2)
     D = 6
