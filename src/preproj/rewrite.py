@@ -3,13 +3,16 @@ reduction (one loop, _reduce), the rule automaton, and Buchberger-style
 completion with unit leading coefficients.  A completion certifies its
 normal words through its bound by Bergman's Diamond Lemma, the unit case of
 the ring lemma in the paper's appendix: every overlap of weight within the
-bound reduces to zero.
+bound resolves.
 
 Completion pays per rule it installs: the overlaps of a new lead come from
-an index of the proper prefixes and suffixes of the live leads, S-elements
-are built from the two rules' terms, and during completion the automaton
-holds only the leads shorter than the words being reduced, so installing a
-longer lead keeps it.  A completed system's automaton holds every lead.
+an index of the proper prefixes and suffixes of the live leads, and its
+stale leads from the longer live leads; S-elements are built from the two
+rules' terms, and during completion the automaton holds only the leads
+shorter than the words being reduced, so installing a longer lead keeps it.
+A completed system's automaton holds every lead.  An S-pair whose overlap
+word has a live lead strictly inside it is skipped unreduced (the chain
+criterion, see complete): its smaller sub-overlaps resolve it.
 
 A RewriteSystem keeps its rules in one table, leading word -> rule in the
 order the rules were added, and every rule is led by +1: an element led by
@@ -328,19 +331,21 @@ def _check_bound(D):
 
 
 class _OverlapIndex:
-    """The live leads of a completion by their proper prefixes (heads) and
-    proper suffixes (tails), each -> {install rank: rule}, so the overlaps
-    of a lead take one lookup per split instead of a scan of every rule."""
+    """The live leads of a completion by their proper prefixes (heads),
+    proper suffixes (tails) and lengths, each -> {install rank: rule}, so the
+    overlaps of a lead take one lookup per split, and its stale leads one
+    scan of the longer leads, instead of a scan of every rule."""
 
     def __init__(self):
         self.rank = {}      # live lead -> install rank of its rule
-        self.heads, self.tails = {}, {}
+        self.heads, self.tails, self.lengths = {}, {}, {}
         self.installed = 0
 
     def add(self, rule):
         w = rule.lm_word
         i = self.rank[w] = self.installed
         self.installed += 1
+        self.lengths.setdefault(len(w), {})[i] = rule
         for k in range(1, len(w)):
             self.heads.setdefault(w[:k], {})[i] = rule
             self.tails.setdefault(w[k:], {})[i] = rule
@@ -348,9 +353,18 @@ class _OverlapIndex:
     def drop(self, rule):
         w = rule.lm_word
         i = self.rank.pop(w)
+        del self.lengths[len(w)][i]
         for k in range(1, len(w)):
             del self.heads[w[:k]][i]
             del self.tails[w[k:]][i]
+
+    def containing(self, rule):
+        """The live rules whose leads contain rule's lead as a proper subword,
+        in install order: only a longer lead can."""
+        u = rule.lm_word
+        found = {i: r for n, group in self.lengths.items() if n > len(u)
+                 for i, r in group.items() if _contains(r.lm_word, u)}
+        return [found[i] for i in sorted(found)]
 
     def overlaps(self, rule):
         """(ri, rj, split) for each proper overlap, suffix of ri's lead =
@@ -375,8 +389,34 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
 
     Every leading coefficient met along the way must be a unit, else
     NonUnitLead.  The result certifies normal forms through max_degree:
-    all overlap words of weight <= max_degree reduce to zero.  A negative
+    all overlap words of weight <= max_degree resolve.  A negative
     max_degree is a QuiverError.
+
+    S-pairs are popped by weight, each new element reduced and installed
+    before the next pop.  A pair whose rule was dropped is skipped, and so,
+    by the chain criterion, is a live pair (ri, rj) whose overlap word W has
+    a live lead h strictly inside it, at [i, j) with 0 < i and j < |W|:
+    its S-element is never built.  Why W still resolves:
+
+    - live leads never contain one another, so h sticks out of lm(ri) on
+      the right or lies after it, and out of lm(rj) on the left or lies
+      before it;
+    - so, with W = lm(ri) C = A lm(rj) = X h Y, the S-element splits as
+      ri*C - A*rj = (ri*C - X*h*Y) + (X*h*Y - A*rj), and each bracket is a
+      disjoint ambiguity, which always resolves, or an outer word times
+      the S-element of a proper sub-overlap of W;
+    - every arrow weighs at least 1, so a proper sub-overlap weighs less
+      than W; its two rules are live, so it was pushed when the later of
+      them was installed, and as the heap pops by weight with pending
+      drained first, it was popped before W and resolved or, by induction,
+      skipped;
+    - so W resolves relative to smaller words in the final system, which
+      is all that Bergman's Diamond Lemma needs.
+
+    Two leads that are both prefixes of W would contain one another, so an
+    overlap word fixes its pair, and the same-lcm criteria of Gebauer and
+    Moller (1988) have nothing left to remove: a lead strictly inside W is
+    the whole chain criterion here.
     """
     _check_bound(max_degree)
     gens = [g for g in gens if not g.is_zero()]
@@ -393,7 +433,7 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
             if not cand:
                 continue
             rule = RewriteRule(Element(ctx, cand), order)
-            stale = [r for r in sys_.rules if _contains(r.lm_word, rule.lm_word)]
+            stale = index.containing(rule)
             sys_._install(rule, stale)
             for r in stale:
                 index.drop(r)
@@ -409,9 +449,11 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
         live = sys_._by_lead.get
         if live(ri.lm_word) is not ri or live(rj.lm_word) is not rj:
             continue
+        suffix = rj.lm_word[len(ri.lm_word) - s:]
+        if sys_._find_reduction((ri.lm_word + suffix)[1:-1]) is not None:
+            continue    # a live lead strictly inside the overlap: it resolves
         # ri * suffix - prefix * rj, with the endpoint checks and the item
         # order of the Element product and difference
-        suffix = rj.lm_word[len(ri.lm_word) - s:]
         prefix = ri.lm_word[:s]
         spoly, a = {}, src(suffix[0])
         for (v, w), c in ri.element.terms.items():

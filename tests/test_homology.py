@@ -394,12 +394,14 @@ def test_commutator_rows_match_whole_word_reduction(name, D):
 
 
 # sha256 of repr([list(r.items()) for r in relation_rows(d)]) over d = 0..D
-# in turn, computed when both sides of [m, a] were reduced as whole words
+# in turn, computed when both sides of [m, a] were reduced as whole words.
+# Item order follows the rules' install order (see PINNED_RULE_DIGESTS);
+# PINNED_ROW_SET_DIGESTS below pins the rows as sets
 PINNED_ROW_DIGESTS = {
     ("free2", 8): "002f8d2ba9bf5afef4ae512ea567d578089f1a89e23ccd5a7a4237dd25e13a3c",
     ("tree_found", 14): "159e731251ada1b10d47a3dc06abb7333c3c0dca6380c93a8646019ffe24461d",
-    ("e8", 28): "7004abf42bd4e048ba6acce7c5e16850b3ff6ec342a17d79e7161df402c710c0",
-    ("affine_e8", 28): "2a1f6cf40145cef2914197093c5192246e9abb74f1df20e865a205eaf9003086",
+    ("e8", 28): "efc08f11ff4335605151f66ff4f7f7abbffd7a93c4d2383b478cb695dc94feb9",
+    ("affine_e8", 28): "e9476d12f791a8752aaa8922723bae08007f2f682b2797ace5ff46dddf101088",
 }
 
 
@@ -411,6 +413,27 @@ def test_relation_rows_are_pinned(name, D):
     for d in range(D + 1):
         h.update(repr([list(r.items()) for r in comp.relation_rows(d)]).encode())
     assert h.hexdigest() == PINNED_ROW_DIGESTS[name, D]
+
+
+# sha256 of repr(sorted(sorted(r.items()) for r in relation_rows(d))) over
+# d = 0..D in turn: the rows as sets, in any row and item order, as computed
+# from the completion that reduced every live S-pair
+PINNED_ROW_SET_DIGESTS = {
+    ("free2", 8): "f0e4bccf8a34eb6b9e2da9158ce836c096b0968e0213ab2b5271bbf2a51e8651",
+    ("tree_found", 14): "e97905229ac9f2c0472629558aab40f0edf8d69f5d493d974e343f0ad66cd168",
+    ("e8", 28): "0a4b921f37eaa21b31ba4d271977b46c6b9e30818594ad87f0914d571a305c77",
+    ("affine_e8", 28): "d50a44ddefbf5cc886023cf0feb4da8f753e1d23fb1cc34d2494f8221edeaabd",
+}
+
+
+@pytest.mark.parametrize("name, D", list(PINNED_ROW_SET_DIGESTS))
+def test_relation_row_sets_are_pinned(name, D):
+    sys_ = _table_system(name, D)
+    comp = LambdaComputation(sys_.ctx, sys_)
+    h = hashlib.sha256()
+    for d in range(D + 1):
+        h.update(repr(sorted(sorted(r.items()) for r in comp.relation_rows(d))).encode())
+    assert h.hexdigest() == PINNED_ROW_SET_DIGESTS[name, D]
 
 
 PINNED_COUNT_DIGESTS = {

@@ -130,6 +130,22 @@ def test_complete_e_type_sets():
             assert sys_.export_text().strip() == body, (tag, sign)
 
 
+@pytest.mark.parametrize("tag", ["affine_e8", "star2211"])
+def test_catalog_listings_match_shipped(tag):
+    """The shipped listings of preprojective completions, one of them wild:
+    a completion change that alters a rule alters a listing."""
+    from importlib import resources
+
+    from preproj.homology import preprojective_system
+    from preproj.rewrite import _listing_body
+
+    want = resources.files("preproj.data").joinpath(f"{tag}_groebner.txt").read_text()
+    quiver, bound = {"affine_e8": (catalog("affine_e", 8), 28),
+                     "star2211": (catalog("star", 2, 2, 1, 1), 16)}[tag]
+    sys_ = preprojective_system(quiver, (), bound)
+    assert sys_.export_text().strip() == _listing_body(want)
+
+
 def test_non_unit_lead_raises():
     ctx = free_context(["x"])
     (x,) = ctx.letters()
@@ -277,6 +293,16 @@ def _overlap_system(name):
         return star_ideal_system(exps, bound), bound
     if name == "affine_d4":
         return preprojective_system(catalog("affine_d", 4), (), 12), 12
+    if name in ("dynkin_e8", "affine_e8"):
+        return preprojective_system(catalog(name[:-1], 8), (), 28), 28
+    if name == "tree_default":
+        return preprojective_system(catalog("star", 2, 2, 1, 1), (), 16), 16
+    if name == "free_weighted":
+        ctx, gens = _weighted_free()
+        return complete(gens, MonomialOrder(ctx), 10), 10
+    if name in ("stale", "dropping"):
+        ctx, gens, bound = _stale_free(name)
+        return complete(gens, MonomialOrder(ctx), bound), bound
     # 13 = 2L - 1 with L = 7: every overlap lies within the bound, so the
     # normal words of the tree are certified in every degree
     sys_ = preprojective_system(catalog("star", 2, 2, 1, 1), (), 13, arrow_order=TREE_ORDER)
@@ -284,10 +310,14 @@ def _overlap_system(name):
     return sys_, 13
 
 
-@pytest.mark.parametrize("name", ["xyz3", "e6", "e7", "e8", "affine_d4", "tree_found"])
+@pytest.mark.parametrize("name", ["xyz3", "e6", "e7", "e8", "affine_d4", "tree_found",
+                                  "dynkin_e8", "affine_e8", "tree_default",
+                                  "free_weighted", "stale", "dropping"])
 def test_completion_resolves_every_overlap(name):
     """Bergman's Diamond Lemma for a completion: every overlap within its
-    bound reduces to zero."""
+    bound resolves, those whose S-pairs the chain criterion skipped included
+    (247 of the 459 that used to reduce to zero on E8 to 28), and those of
+    completions that drop stale rules, whose pairs are dropped with them."""
     sys_, bound = _overlap_system(name)
     assert _unresolved_overlaps(sys_, bound) == []
 
@@ -372,6 +402,21 @@ def _weighted_free():
     ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
     x, y, z = ctx.letters()
     return ctx, [y * x - x * y - z, z * x - x * z + y * y]
+
+
+def _stale_free(name):
+    """(ctx, relations on x, y, z, bound) whose completion drops stale rules:
+    "stale"; "dropping", where reducing the S-pairs of the dropped rules
+    would meet the non-unit lead 4 x^2 y z; and "stale_lengths", where one
+    install drops a lead of 2 letters and a later one of 3, and a lead of 3
+    letters came before any of 2."""
+    ctx = free_context(["x", "y", "z"])
+    x, y, z = ctx.letters()
+    if name == "stale":
+        return ctx, [z - x * x - x * z * z, x * z + z ** 3], 6
+    if name == "dropping":
+        return ctx, [x.scale(2) - y - z * y * x, z * z + x * x * z, z - z * z * y], 4
+    return ctx, [x * x * y - x - y, -x * y - x ** 3, y * x + (x ** 3).scale(2)], 4
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
@@ -535,12 +580,14 @@ def _all_pairs_overlaps(live, rule):
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
-                                  "star2211_D16", "free_weighted", "tree_found", "stale"])
+                                  "star2211_D16", "free_weighted", "tree_found", "stale",
+                                  "dropping", "stale_lengths"])
 def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
     """Replaying a completion's installs, the index gives each new rule the
-    overlaps of the loop over every live rule, in its order; after stale rules
-    are dropped (by the completion of "stale", and every other live rule at
-    the end) every live rule is checked."""
+    overlaps of the loop over every live rule, in its order, and the stale
+    rules dropped are those of the scan of every live rule; after stale rules
+    are dropped (by the completions of _stale_free, and every other live rule
+    at the end) every live rule is checked."""
     if name == "free_weighted":
         ctx, gens = _weighted_free()
         order, bound = MonomialOrder(ctx), 10
@@ -551,11 +598,13 @@ def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
         ctx = PathContext(catalog("star", 2, 2, 1, 1))
         gens, order, bound = preprojective_relation(ctx), MonomialOrder(ctx, TREE_ORDER), 13
     else:
-        ctx = free_context(["x", "y", "z"])
-        x, y, z = ctx.letters()
-        gens, order, bound = [z - x * x - x * z * z, x * z + z ** 3], MonomialOrder(ctx), 6
+        ctx, gens, bound = _stale_free(name)
+        order = MonomialOrder(ctx)
     index, live, dropped = rewrite._OverlapIndex(), [], 0
     for rule, stale in _installs(monkeypatch, gens, order, bound):
+        u = rule.lm_word
+        assert stale == [r for r in live if len(r.lm_word) > len(u) and any(
+            r.lm_word[k:k + len(u)] == u for k in range(len(r.lm_word)))], (name, rule)
         for r in stale:
             index.drop(r)
             live.remove(r)
@@ -564,7 +613,7 @@ def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
         for r in live if stale else [rule]:
             assert index.overlaps(r) == _all_pairs_overlaps(live, r), (name, r)
         dropped += len(stale)
-    assert (dropped > 0) == (name == "stale")
+    assert (dropped > 0) == (name in ("stale", "dropping", "stale_lengths"))
     for r in live[::2]:
         index.drop(r)
         live.remove(r)
@@ -572,32 +621,56 @@ def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
         assert index.overlaps(r) == _all_pairs_overlaps(live, r), (name, r)
 
 
-# sha256 of repr([(lead, list(terms.items())) for each rule]), as completed
-# by the loop over every pair of rules, before the overlap index
+# sha256 of repr([(lead, list(terms.items())) for each rule]): the rules in
+# install order, item order included, which a change in the order S-pairs
+# are settled moves; PINNED_RULE_SET_DIGESTS below pins what it may not
 PINNED_RULE_DIGESTS = {
-    "dynkin_e8_D28": "e15c9f5a9499dd7de0adb4933ecf4316c13d2b0f572766ecc30058348a0a54b4",
-    "affine_e8_D28": "5f0d767362ad0a5ef04c53a90969599034b9956d8d39b45d692967a2ff3fa64c",
-    "affine_d4_D16": "67100b4a82ef62157c1253da1691bb36f582fd1034983b04be191bff26d1444b",
+    "dynkin_e8_D28": "750b5cb0054632b0598ce81291086809621960bb8cfbb0168bc440e69f0b24e1",
+    "affine_e8_D28": "eccb09318f00e137fa75aa2b30eca31b05609bcdaf674817417d203e1fae659b",
+    "affine_d4_D16": "8fe9f59516d8a3b7f66d792f8dc7a3f27b4a6d56c06cef373609a79ce3b16e54",
     "tree_found_D13": "e97e6bf40f31a377b0d97091bec9f1ae652abf61942276f1f5d47f3573ef2fcb",
-    "tree_default_D12": "44c86ac5fefd0ce58a2bfe772336a2e537df397881939bf695d6679694e1a519",
+    "tree_default_D12": "8b2d74332dc3089461d1d17d278338e41e8fe6169de7eddee3fcc91ffd96df7b",
     "free_weighted_D10": "f8abddfc70285b430ce5f056744c934b00c825af205b3205a3929d13aa8a1963",
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED_RULE_DIGESTS))
-def test_completion_rules_are_pinned(name):
+# sha256 of repr(sorted((lead, sorted(terms.items())) for each rule)): the
+# rules in any install order and any item order, as completed by the loop
+# that reduced every live S-pair
+PINNED_RULE_SET_DIGESTS = {
+    "dynkin_e8_D28": "86353780e3dbfc3be8527e5dd3a089ffc4b6077bda285d2cfe2604032bfb45a8",
+    "affine_e8_D28": "f0e7e72d68d35055a1109b618b680db4c1d7b39dc51ddf6b379379b9e72a45d9",
+    "affine_d4_D16": "2cd20c0ee8f314b253477519f9ee5d0f7a24aea7bb12d9a0030767ece963ef06",
+    "tree_found_D13": "7078b9b9e46dbcb3201a4a9e43e3cae18f862d763502aee7e924e932d2fc5050",
+    "tree_default_D12": "4f87588220fd446a9a961ad0faeb2f0362cae0f9d8b6a649099c920a93b1613e",
+    "free_weighted_D10": "cb485dbd620e5c380f619f05bb1b33fed8cd3cc9f329a747cec71584879bb167",
+}
+
+
+def _pinned_system(name):
     from preproj.homology import preprojective_system
 
     if name == "free_weighted_D10":
         ctx, gens = _weighted_free()
-        sys_ = complete(gens, MonomialOrder(ctx), 10)
-    else:
-        q, D, arrow_order = {
-            "dynkin_e8_D28": (catalog("dynkin_e", 8), 28, None),
-            "affine_e8_D28": (catalog("affine_e", 8), 28, None),
-            "affine_d4_D16": (catalog("affine_d", 4), 16, None),
-            "tree_found_D13": (catalog("star", 2, 2, 1, 1), 13, TREE_ORDER),
-            "tree_default_D12": (catalog("star", 2, 2, 1, 1), 12, None)}[name]
-        sys_ = preprojective_system(q, (), D, arrow_order=arrow_order)
+        return complete(gens, MonomialOrder(ctx), 10)
+    q, D, arrow_order = {
+        "dynkin_e8_D28": (catalog("dynkin_e", 8), 28, None),
+        "affine_e8_D28": (catalog("affine_e", 8), 28, None),
+        "affine_d4_D16": (catalog("affine_d", 4), 16, None),
+        "tree_found_D13": (catalog("star", 2, 2, 1, 1), 13, TREE_ORDER),
+        "tree_default_D12": (catalog("star", 2, 2, 1, 1), 12, None)}[name]
+    return preprojective_system(q, (), D, arrow_order=arrow_order)
+
+
+@pytest.mark.parametrize("name", list(PINNED_RULE_DIGESTS))
+def test_completion_rules_are_pinned(name):
+    sys_ = _pinned_system(name)
     got = repr([(r.lm_word, list(r.element.terms.items())) for r in sys_.rules])
     assert hashlib.sha256(got.encode()).hexdigest() == PINNED_RULE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(PINNED_RULE_SET_DIGESTS))
+def test_completion_rule_set_is_pinned(name):
+    sys_ = _pinned_system(name)
+    got = repr(sorted((r.lm_word, sorted(r.element.terms.items())) for r in sys_.rules))
+    assert hashlib.sha256(got.encode()).hexdigest() == PINNED_RULE_SET_DIGESTS[name]
