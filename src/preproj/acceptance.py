@@ -12,6 +12,7 @@ import random
 import time
 from bisect import bisect_right
 from importlib import resources
+from operator import itemgetter
 
 from .freealg import (PathContext, cyclic_project, free_context, parse_element,
                       preprojective_relation, w_ab)
@@ -228,7 +229,7 @@ def crit_dynkin_tables():
 
 def _cyclically_normal_count(ctx, forbidden, d):
     return sum(all((k.word[i], k.word[(i + 1) % d]) not in forbidden for i in range(d))
-               for k in ctx.necklaces(d))
+               for _, k in ctx.necklaces(d, d))
 
 
 def crit_partial_preprojective(seed=DEFAULT_SEED):
@@ -299,8 +300,9 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
     free_necks = []
     for g in (1, 2):
         ctx = PathContext(catalog("free", g))
+        # degree by degree: _bounded_triples reads nondecreasing degrees
         degs, necks = zip(*[(d, ctx.cyclic({k: 1}))
-                            for d in range(1, 7) for k in ctx.necklaces(d)])
+                            for d, k in sorted(ctx.necklaces(1, 6), key=itemgetter(0))])
         free_necks += necks
         cnt, good = _antisym_jacobi((necks[i], necks[j], [necks[k] for k in ks])
                                     for i, j, ks in _bounded_triples(degs, 8))
@@ -311,7 +313,7 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
     rng = random.Random(seed + 2)
     for nm, args in [("affine_a", (3,)), ("affine_d", (4,))]:
         ctx = PathContext(catalog(nm, *args))
-        necks = [ctx.cyclic({k: 1}) for d in range(1, 6) for k in ctx.necklaces(d)]
+        necks = [ctx.cyclic({k: 1}) for _, k in sorted(ctx.necklaces(1, 5), key=itemgetter(0))]
         triples = [[necks[rng.randrange(len(necks))] for _ in range(3)] for _ in range(60)]
         _, good = _antisym_jacobi((u, v, [w]) for u, v, w in triples)
         details.append(f"{nm}{args}: random antisym+Jacobi: {good}")
@@ -360,7 +362,7 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
         r = preprojective_element(ctx)
         comp = LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx),
                                  engine="span")
-        necks = [(d, ctx.cyclic({k: 1})) for d in range(1, 5) for k in ctx.necklaces(d)]
+        necks = [(d, ctx.cyclic({k: 1})) for d, k in ctx.necklaces(1, 4)]
         for d in range(2, 5):
             for i in ctx.quiver.vertices:
                 for u in ctx.walks(d - 2, i, i):
@@ -473,7 +475,7 @@ def crit_w_lattice():
     for a in range(1, 5):
         for b in range(1, 5):
             W = w_ab(a, b, r, x, y)
-            necks = [k.word for k in ctx.necklaces(a + b)
+            necks = [k.word for _, k in ctx.necklaces(a + b, a + b)
                      if k.word.count(0) + k.word.count(2) == a]
             idx = {w: i for i, w in enumerate(necks)}
             row = {}

@@ -330,6 +330,7 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    args = None
     try:
         args = ap.parse_args(argv)
         code = args.fn(args)
@@ -337,6 +338,13 @@ def main(argv=None):
         return code
     except (UsageError, QuiverError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the tables grow with the degree bound, so a lower one is the remedy
+        bound = getattr(args, "degree", None)
+        print("error: out of memory" + ("" if bound is None else
+                                        f" at degree bound {bound}; try a lower --degree"),
+              file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): what is left unwritten

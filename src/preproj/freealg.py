@@ -75,15 +75,18 @@ class PathContext:
                 elif nw == d and (end is None or q.dst(a) == end):
                     yield word + (a,)
 
-    def necklaces(self, d, leads=None):
-        """CyclicClass of each closed walk of weight d > 0, once, in increasing
-        order of words, by the prenecklace recursion of Fredricksen, Kessler
-        and Maiorana (Ruskey, Savage, Wang 1992): a prenecklace of period p
-        extends by b >= word[-p] (period p if equal, else the new length) and
-        is a necklace, its least rotation, when p divides its length.  With
-        leads (rewrite._Automaton of leading words), only the classes where
-        every occurrence of one, read cyclically, has a cut point strictly
-        inside it (a rotation is free of them); prefixes are cut the same way.
+    def necklaces(self, lo, hi, leads=None):
+        """(degree, CyclicClass) of each closed walk of weight lo..hi (lo > 0),
+        once, from one depth-first search: within a degree in increasing order
+        of words.  By the prenecklace recursion of Fredricksen, Kessler and
+        Maiorana (Ruskey, Savage, Wang 1992): a prenecklace of period p extends
+        by b >= word[-p] (period p if equal, else the new length) and is a
+        necklace, its least rotation, when p divides its length.  A prefix is
+        kept while it can still close at some weight of the window, so the
+        degrees share their prefixes.  With leads (rewrite._Automaton of
+        leading words), only the classes where every occurrence of one, read
+        cyclically, has a cut point strictly inside it (a rotation is free of
+        them); prefixes are cut the same way.
         """
         q, wts = self.quiver, self.weights
         succ = {v: sorted(((a, wts[a], q.dst(a)) for a in q.out_arrows(v)), reverse=True)
@@ -95,34 +98,42 @@ class PathContext:
             # extended as degrees grow
             start = q.src(first)
             reach = self._reach.setdefault(first, [{start}])
-            for r in range(len(reach), d):
+            for r in range(len(reach), hi):
                 reach.append({q.src(a) for a in arrows[k:]
                               if wts[a] <= r and q.dst(a) in reach[r - wts[a]]})
+            # close[w]: the end vertices from which a prefix of weight w can
+            # still close within lo..hi, the union of reach[lo - w .. hi - w]
+            close, upto = [None] * (hi + 1), set()
+            for w in range(hi, 0, -1):
+                upto = upto | reach[hi - w]
+                close[w] = upto if w >= lo else set().union(*reach[lo - w:hi - w + 1])
             w0, v0 = wts[first], q.dst(first)
             node, hit = leads.advance(0, first) if leads is not None else (0, 0)
-            if hit or w0 > d or v0 not in reach[d - w0]:
+            if hit or w0 > hi or v0 not in close[w0]:
                 continue
-            # (word, period, weight, end vertex, automaton state, cuts lo..hi)
-            stack = [((first,), 1, w0, v0, node, 0, d)]
+            # (word, period, weight, end vertex, automaton state, cuts clo..chi);
+            # a lead met puts chi at a letter index, below hi: chi == hi says none was
+            stack = [((first,), 1, w0, v0, node, 0, hi)]
             while stack:
-                word, p, w, v, node, lo, hi = stack.pop()
+                word, p, w, v, node, clo, chi = stack.pop()
                 t = len(word)
-                if w == d:
-                    if t % p == 0 and (hi == d or _has_cut(word, node, lo, hi, leads)):
-                        yield CyclicClass(start, word)
+                if w >= lo and v == start and t % p == 0 and (
+                        chi == hi or _has_cut(word, node, clo, chi, leads)):
+                    yield w, CyclicClass(start, word)
+                if w == hi:
                     continue
                 floor = word[t - p]
                 for a, wa, b in succ[v]:
                     if a < floor:
                         break
                     nw = w + wa
-                    if nw > d or b not in reach[d - nw]:
+                    if nw > hi or b not in close[nw]:
                         continue
-                    nnode, nlo, nhi = node, lo, hi
+                    nnode, nlo, nhi = node, clo, chi
                     if leads is not None:
                         nnode, hit = leads.advance(node, a)
                         if hit:
-                            nlo, nhi = max(lo, t + 2 - hit), min(hi, t)
+                            nlo, nhi = max(clo, t + 2 - hit), min(chi, t)
                             if nlo > nhi:
                                 continue
                     stack.append((word + (a,), p if a == floor else t + 1, nw, b,

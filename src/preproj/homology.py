@@ -10,7 +10,8 @@ completed rewrite system and 'span' when given None and ideal generators.
 * 'normal' - ambient spanned by the necklaces with a normal rotation of a
   completed rewrite system (PathContext.necklaces: each once, kept when
   every occurrence of a leading word, read cyclically, has one cut point
-  strictly inside it); relations are commutators [m, a] of normal monomials
+  strictly inside it), listed for every certified degree by one search on
+  the first degree asked; relations are commutators [m, a] of normal monomials
   with single arrows (these integrally span all commutators), reduced as
   words into coordinates, skipped when m a and a m are both normal (then
   rotations of one word).  A reducible side is read off the reduction of a
@@ -20,8 +21,9 @@ completed rewrite system and 'span' when given None and ideal generators.
   LambdaComputation._commutator_rows).  Needs a completion with unit
   leading coefficients.
 
-* 'span' - ambient spanned by all necklaces (the same generator); relations
-  are cyclic projections of g*u over ideal generators g and closing paths u.
+* 'span' - ambient spanned by all necklaces (the same generator, one search
+  per degree: this engine has no degree bound); relations are cyclic
+  projections of g*u over ideal generators g and closing paths u.
   No completion needed; lambda_graded falls back to it when completion
   meets a non-unit leading coefficient, and engine='span' asks for it.
 
@@ -100,6 +102,7 @@ class LambdaComputation:
         if engine not in (None, self.engine):
             raise ValueError(f"engine {engine!r} given a {self.engine} computation's inputs")
         self._degrees = {}
+        self._filed = None      # normal engine: degree -> keys not yet in _degrees
 
     # -- ambient --------------------------------------------------------
 
@@ -112,12 +115,21 @@ class LambdaComputation:
         return st
 
     def _enumerate_keys(self, d):
+        """The ambient classes of degree d.  The span engine has no degree
+        bound and lists one degree per call; the normal engine lists every
+        certified degree in one search on its first call and files the keys
+        by degree, to be taken as the degrees are asked for."""
         if d == 0:
             return [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
         if self.engine == "span":
-            return list(self.ctx.necklaces(d))
+            return [k for _, k in self.ctx.necklaces(d, d)]
         self.system.check_degree(d)
-        return list(self.ctx.necklaces(d, self.system._automaton()))
+        if self._filed is None:
+            D = self.system.complete_to_degree
+            self._filed = {e: [] for e in range(1, D + 1)}
+            for e, k in self.ctx.necklaces(1, D, self.system._automaton()):
+                self._filed[e].append(k)
+        return self._filed.pop(d)
 
     def ambient_keys(self, d):
         return self._degree(d).keys

@@ -10,9 +10,10 @@ an index of the proper prefixes and suffixes of the live leads, and its
 stale leads from the longer live leads; S-elements are built from the two
 rules' terms, and during completion the automaton holds only the leads
 shorter than the words being reduced, so installing a longer lead keeps it.
-A completed system's automaton holds every lead.  An S-pair whose overlap
-word has a live lead strictly inside it is skipped unreduced (the chain
-criterion, see complete): its smaller sub-overlaps resolve it.
+A completed system's automaton holds every lead, and every tail word of
+its rules is normal.  An S-pair whose overlap word has a live lead strictly
+inside it is skipped unreduced (the chain criterion, see complete): its
+smaller sub-overlaps resolve it.
 
 A RewriteSystem keeps its rules in one table, leading word -> rule in the
 order the rules were added, and every rule is led by +1: an element led by
@@ -472,7 +473,20 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
         if rest:
             pending.append(rest)
     sys_._automaton()   # every lead, for the normal words and necklaces read off it
+    _reduce_tails(sys_)
     return sys_
+
+
+def _reduce_tails(sys_):
+    """Rebuild as lm + NF(tail) each rule of a completed system whose tail
+    holds a live lead.  A tail is reduced against the rules present when
+    its rule is installed, and a later rule can be led by a word of it.
+    Rebuilt in place, so the rules keep their install order."""
+    for w, r in list(sys_._by_lead.items()):
+        if any(sys_._find_reduction(u) is not None for u, _ in r.tail):
+            tail = {m: c for m, c in r.element.terms.items() if m != r.lm}
+            sys_._by_lead[w] = RewriteRule(
+                Element(sys_.ctx, {r.lm: 1, **sys_._reduce(tail)}), sys_.order)
 
 
 def _contains(big, small):

@@ -408,6 +408,25 @@ def test_negative_degree_is_a_usage_error(capsys):
     assert "degree must be >= 0" in err
 
 
+def test_out_of_memory_is_a_one_line_error():
+    """A degree bound whose series cannot be allocated ends with exit 2 and
+    one line naming the bound, not a traceback.  The child's address space
+    is capped at 2 GB, so the allocation fails at once on any host."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(preproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "preproj.cli", "hilbert", "--catalog", "free",
+                           "2", "--degree", "99999999999"],
+                          capture_output=True, env=env, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (b"error: out of memory at degree bound 99999999999;"
+                           b" try a lower --degree\n")
+
+
 def test_flags_before_the_subcommand_are_rejected(capsys):
     code, _ = usage_exit(capsys, "--degree", "2", "hh0", "--catalog", "free", "2")
     assert code == 2

@@ -270,32 +270,84 @@ def _weighted_free_system(D):
     return ctx, complete([x * z - z * x - y * y, x * y * x - y * y], MonomialOrder(ctx), D)
 
 
+def _ambient_system(name, D):
+    """(ctx, completed system) of a named test algebra; a name ending in
+    _span stands for the same algebra."""
+    if name.startswith("weighted"):
+        return _weighted_free_system(D)
+    q, white = {"free2": (catalog("free", 2), ()),
+                "affine_d4": (catalog("affine_d", 4), ()),
+                "partial": (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0),
+                                              (3, 0, 1), (4, 1, 2)]), (0,)),
+                "star2211": (catalog("star", 2, 2, 1, 1), ()),
+                "e8": (catalog("dynkin_e", 8), ())}[name.removesuffix("_span")]
+    order = forest_arrow_order(double(q), white) if white else None
+    ctx = PathContext(q)
+    return ctx, preprojective_system(q, white, D, ctx=ctx, arrow_order=order)
+
+
+def _computation(name, D):
+    ctx, sys_ = _ambient_system(name, D)
+    if name.endswith("span"):
+        return LambdaComputation(ctx, None, ideal_gens=[r.element for r in sys_.rules],
+                                 engine="span")
+    return LambdaComputation(ctx, sys_)
+
+
 @pytest.mark.parametrize("name, D", [
     ("free2", 7), ("free2_span", 7), ("affine_d4", 10), ("partial", 7),
     ("star2211", 12), ("e8", 28), ("weighted", 10), ("weighted_span", 10)])
 def test_ambient_keys_match_reference(name, D):
     """The necklace generator lists the keys of the walk enumeration, in
     the same order, for both engines and for weighted arrows."""
-    if name.startswith("weighted"):
-        ctx, sys_ = _weighted_free_system(D)
-    else:
-        q, white = {"free2": (catalog("free", 2), ()),
-                    "free2_span": (catalog("free", 2), ()),
-                    "affine_d4": (catalog("affine_d", 4), ()),
-                    "partial": (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0),
-                                                  (3, 0, 1), (4, 1, 2)]), (0,)),
-                    "star2211": (catalog("star", 2, 2, 1, 1), ()),
-                    "e8": (catalog("dynkin_e", 8), ())}[name]
-        order = forest_arrow_order(double(q), white) if white else None
-        ctx = PathContext(q)
-        sys_ = preprojective_system(q, white, D, ctx=ctx, arrow_order=order)
-    if name.endswith("span"):
-        comp = LambdaComputation(ctx, None, ideal_gens=[r.element for r in sys_.rules],
-                                 engine="span")
-    else:
-        comp = LambdaComputation(ctx, sys_)
+    comp = _computation(name, D)
     for d in range(D + 1):
         assert comp.ambient_keys(d) == _reference_keys(comp, d), d
+
+
+@pytest.mark.parametrize("name, D, leads", [
+    ("weighted", 10, True), ("free2", 7, False), ("partial", 7, True), ("e8", 28, True)])
+def test_range_search_matches_single_degrees(name, D, leads):
+    """One search over lo..hi lists, degree by degree and in order, what the
+    single-degree searches list: with the leads of a completion (weights 1,
+    2 and 3, a white vertex, E8) and without them (free 2); windows that
+    start at 1 and above it."""
+    ctx, sys_ = _ambient_system(name, D)
+    aut = sys_._automaton() if leads else None
+    windows = {(lo, hi): list(ctx.necklaces(lo, hi, aut))
+               for lo, hi in ((1, D), (3, D - 2), (D // 2, D // 2 + 1))}
+    for (lo, hi), got in windows.items():
+        assert all(lo <= d <= hi for d, _ in got)
+        for d in range(lo, hi + 1):
+            assert [pair for pair in got if pair[0] == d] == list(ctx.necklaces(d, d, aut)), \
+                (lo, hi, d)
+
+
+@pytest.mark.parametrize("name", ["e8", "partial"])
+def test_keys_asked_top_degree_first_match_reference(name):
+    """A normal computation asked for its top degree first, then for the
+    degrees below it, lists the keys of the walk enumeration."""
+    D = 28 if name == "e8" else 7
+    comp = _computation(name, D)
+    for d in [D, *range(D)]:
+        assert comp.ambient_keys(d) == _reference_keys(comp, d), d
+
+
+@pytest.mark.parametrize("engine, searches", [("normal", [(1, 8)]),
+                                              ("span", [(d, d) for d in range(1, 9)])])
+def test_one_necklace_search_per_normal_computation(monkeypatch, engine, searches):
+    """The normal engine lists every certified degree in one search; the
+    span engine, which has no degree bound, searches once per degree."""
+    calls = []
+    necklaces = PathContext.necklaces
+
+    def counting(self, lo, hi, leads=None):
+        calls.append((lo, hi))
+        return necklaces(self, lo, hi, leads)
+
+    monkeypatch.setattr(PathContext, "necklaces", counting)
+    lambda_graded(catalog("free", 2), (), 8, engine=engine)
+    assert calls == searches
 
 
 # an arrow order of star 2 2 1 1 under which its completion is finite
@@ -649,7 +701,7 @@ def test_frobenius_is_word_repetition(name, args):
         c = r_power_cyclic(ctx, p, 1)
         assert frobenius_cyc(c, p) == _frobenius_by_power(c, p), p
     rng = random.Random(11)
-    closed = [k for d in (1, 2, 3) for k in ctx.necklaces(d)]
+    closed = [k for _, k in sorted(ctx.necklaces(1, 3), key=lambda dk: dk[0])]
     closed += [CyclicClass(v, ()) for v in ctx.quiver.vertices]
     for _ in range(30):
         c = ctx.cyclic({k: rng.randint(-4, 4) for k in rng.sample(closed, 3)})

@@ -344,8 +344,9 @@ def test_operations_match_all_pairs_reference(name, args):
     verts = list(ctx.quiver.vertices)
     monos = [(v, ()) for v in verts] + [(ctx.quiver.src(w[0]), w)
                                         for d in range(1, 7) for w in ctx.walks(d)]
-    classes = [CyclicClass(v, ()) for v in verts] + [k for d in range(1, 7)
-                                                    for k in ctx.necklaces(d)]
+    # degree by degree, the pool the samples below are drawn from
+    classes = [CyclicClass(v, ()) for v in verts] + [
+        k for _, k in sorted(ctx.necklaces(1, 6), key=lambda dk: dk[0])]
     coeffs = [1, -1, 2, -3, 5, 7]
 
     def sample(pool, make):

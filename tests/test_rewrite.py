@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -674,3 +675,47 @@ def test_completion_rule_set_is_pinned(name):
     sys_ = _pinned_system(name)
     got = repr(sorted((r.lm_word, sorted(r.element.terms.items())) for r in sys_.rules))
     assert hashlib.sha256(got.encode()).hexdigest() == PINNED_RULE_SET_DIGESTS[name]
+
+
+def _random_unit_led_system(rng):
+    """Two or three relations on x, y (and z), each a word of two or three
+    letters led by +1 plus up to three shorter words: not homogeneous."""
+    ctx = free_context(["x", "y", "z"][:rng.choice((2, 3))])
+    n = len(ctx.quiver.arrows)
+    gens = []
+    for _ in range(rng.choice((2, 3))):
+        lead = tuple(rng.randrange(n) for _ in range(rng.choice((2, 3))))
+        terms = {(0, lead): 1}
+        for _ in range(rng.randint(1, 3)):
+            w = tuple(rng.randrange(n) for _ in range(rng.randrange(1, len(lead))))
+            terms[(0, w)] = terms.get((0, w), 0) + rng.choice((-2, -1, 1, 2))
+        gens.append(ctx.element(terms))
+    return ctx, gens
+
+
+def test_completion_reduces_every_tail(monkeypatch):
+    """Seeded systems that are not homogeneous, completed to 7: no tail word
+    holds a lead, the leads are those of the completion without the final
+    tail pass, and so are the normal forms of every word of up to 5 letters.
+    At least five of the systems need the pass."""
+    rng = random.Random(1)
+    rebuilt = 0
+    for _ in range(200):
+        ctx, gens = _random_unit_led_system(rng)
+        try:
+            after = complete(gens, MonomialOrder(ctx), 7)
+        except NonUnitLead:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(rewrite, "_reduce_tails", lambda sys_: None)
+            before = complete(gens, MonomialOrder(ctx), 7)
+        rebuilt += any(before._find_reduction(u) is not None
+                       for r in before.rules for u, _ in r.tail)
+        assert all(after._find_reduction(u) is None for r in after.rules for u, _ in r.tail)
+        assert [r.lm_word for r in after.rules] == [r.lm_word for r in before.rules]
+        letters = range(len(ctx.quiver.arrows))
+        for k in range(1, 6):
+            for w in itertools.product(letters, repeat=k):
+                x = ctx.element({(0, w): 1})
+                assert after.reduce(x) == before.reduce(x), (gens, w)
+    assert rebuilt >= 5
