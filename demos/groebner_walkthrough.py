@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Noncommutative Groebner machinery over Z, end to end.
 #
-# The engine completes two-sided ideals in path algebras under weighted
-# graded-lex orders, insisting on +-1 leading coefficients so that normal
-# forms are honest over the integers.
+# The engine completes two-sided ideals in path algebras under graded-lex
+# orders (degree = word length), insisting on +-1 leading coefficients so
+# that normal forms are honest over the integers.
 
 from preproj import MonomialOrder, catalog, complete
 from preproj.freealg import PathContext, free_context, preprojective_relation

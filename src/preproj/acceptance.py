@@ -390,8 +390,7 @@ def crit_necklace_properties(seed=DEFAULT_SEED):
                 # the cobracket of the class dies in the wedge of the
                 # positively graded parts
                 w = cobracket(irm)
-                if any(ctx.weight(k1.word) > 0 and ctx.weight(k2.word) > 0
-                       for (k1, k2) in w.terms):
+                if any(k1.word and k2.word for (k1, k2) in w.terms):
                     kernel = False
     details += [f"ideal descent: {descent}", f"kernel classes: {kernel}"]
     return ok and descent and kernel, "; ".join(details)
@@ -464,19 +463,32 @@ def crit_hp0():
     return ok2 and ok0, f"F_2 dims {got2}; Q dims {got0} (6 classes)"
 
 
+def _w_necklaces(ctx):
+    """{(a, b): necklace words over x, y, r (letters 0, 1, 2) with
+    #x + #r = a and #y + #r = b} for a, b <= 4: the ambient of W_{a,b},
+    where r stands for a letter of bidegree (1, 1)."""
+    out = {}
+    for _, k in ctx.necklaces(1, 8):
+        w = k.word
+        ab = (w.count(0) + w.count(2), w.count(1) + w.count(2))
+        if max(ab) <= 4:
+            out.setdefault(ab, []).append(w)
+    return out
+
+
 def crit_w_lattice():
     """Saturation of the span of W_{a,b} at each bidegree (a,b) <= (4,4),
-    after removing the pure powers of the auxiliary degree-2 letter."""
-    ctx = free_context(["x", "y", "r"], weights=[1, 1, 2])
+    after removing the pure powers of the auxiliary letter r."""
+    ctx = free_context(["x", "y", "r"])
     x, y, r = ctx.letters()
     expected_gap = {(2, 2): (2,), (3, 3): (3,), (4, 4): (2,)}
     details = []
     ok = True
+    listings = _w_necklaces(ctx)
     for a in range(1, 5):
         for b in range(1, 5):
             W = w_ab(a, b, r, x, y)
-            necks = [k.word for _, k in ctx.necklaces(a + b, a + b)
-                     if k.word.count(0) + k.word.count(2) == a]
+            necks = listings[a, b]
             idx = {w: i for i, w in enumerate(necks)}
             row = {}
             for key, c in W.terms.items():

@@ -1,7 +1,7 @@
 """Exact arithmetic in path algebras of doubled quivers over Z.
 
-A PathContext fixes the ambient doubled quiver and the per-arrow weights used
-for grading.  Elements are sparse maps monomial -> integer coefficient;
+A PathContext fixes the ambient doubled quiver; a word's degree is its
+length.  Elements are sparse maps monomial -> integer coefficient;
 cyclic elements are sparse maps necklace -> integer coefficient.  Monomials
 are (source_vertex, arrows_tuple); an empty tuple is the idempotent at its
 vertex.  Necklaces are keyed by the lexicographically minimal rotation of the
@@ -32,29 +32,19 @@ def _integer(c):
 
 
 class PathContext:
-    """Ambient doubled quiver + grading weights."""
+    """Ambient doubled quiver, graded by word length."""
 
-    def __init__(self, quiver: Quiver, weights=None, auto_double=True):
+    def __init__(self, quiver: Quiver, auto_double=True):
         if auto_double and not quiver.starred:
             quiver = double(quiver)
         self.quiver = quiver
-        self.weights = dict(weights) if weights else {a: 1 for (a, _, _) in quiver.arrows}
-        for (a, _, _) in quiver.arrows:
-            if self.weights.get(a, 0) < 1:
-                raise QuiverError("weights must be positive")
         self._reach = {}    # first letter -> reach table, see necklaces
-
-    def weight(self, word):
-        w = 0
-        for a in word:
-            w += self.weights[a]
-        return w
 
     def letters(self):
         return [self.arrow(a) for (a, _, _) in self.quiver.arrows]
 
     def walks(self, d, start=None, end=None):
-        """Composable words of weight d from start to end; None is any vertex.
+        """Composable words of length d from start to end; None is any vertex.
 
         Depth first from one explicit stack seeded with every start vertex,
         so callers that build rows from the walks see a fixed order.  Normal
@@ -67,67 +57,67 @@ class PathContext:
             return
         stack = [((), v, 0) for v in (q.vertices if start is None else (start,))]
         while stack:
-            word, cur, wt = stack.pop()
+            word, cur, n = stack.pop()
+            n += 1
             for a in q.out_arrows(cur):
-                nw = wt + self.weights[a]
-                if nw < d:
-                    stack.append((word + (a,), q.dst(a), nw))
-                elif nw == d and (end is None or q.dst(a) == end):
+                if n < d:
+                    stack.append((word + (a,), q.dst(a), n))
+                elif n == d and (end is None or q.dst(a) == end):
                     yield word + (a,)
 
     def necklaces(self, lo, hi, leads=None):
-        """(degree, CyclicClass) of each closed walk of weight lo..hi (lo > 0),
+        """(degree, CyclicClass) of each closed walk of length lo..hi (lo > 0),
         once, from one depth-first search: within a degree in increasing order
         of words.  By the prenecklace recursion of Fredricksen, Kessler and
         Maiorana (Ruskey, Savage, Wang 1992): a prenecklace of period p extends
         by b >= word[-p] (period p if equal, else the new length) and is a
         necklace, its least rotation, when p divides its length.  A prefix is
-        kept while it can still close at some weight of the window, so the
+        kept while it can still close at some length of the window, so the
         degrees share their prefixes.  With leads (rewrite._Automaton of
         leading words), only the classes where every occurrence of one, read
         cyclically, has a cut point strictly inside it (a rotation is free of
         them); prefixes are cut the same way.
         """
-        q, wts = self.quiver, self.weights
-        succ = {v: sorted(((a, wts[a], q.dst(a)) for a in q.out_arrows(v)), reverse=True)
+        if hi < 1:
+            return
+        q = self.quiver
+        succ = {v: sorted(((a, q.dst(a)) for a in q.out_arrows(v)), reverse=True)
                 for v in q.vertices}
         arrows = sorted(a for (a, _, _) in q.arrows)
         for k, first in enumerate(arrows):
-            # reach[r]: vertices with a walk of weight r to start on letters
+            # reach[r]: vertices with a walk of length r to start on letters
             # >= first; it depends on the quiver alone, so it is kept and
             # extended as degrees grow
             start = q.src(first)
             reach = self._reach.setdefault(first, [{start}])
             for r in range(len(reach), hi):
-                reach.append({q.src(a) for a in arrows[k:]
-                              if wts[a] <= r and q.dst(a) in reach[r - wts[a]]})
-            # close[w]: the end vertices from which a prefix of weight w can
-            # still close within lo..hi, the union of reach[lo - w .. hi - w]
+                reach.append({q.src(a) for a in arrows[k:] if q.dst(a) in reach[r - 1]})
+            # close[t]: the end vertices from which a prefix of length t can
+            # still close within lo..hi, the union of reach[lo - t .. hi - t]
             close, upto = [None] * (hi + 1), set()
-            for w in range(hi, 0, -1):
-                upto = upto | reach[hi - w]
-                close[w] = upto if w >= lo else set().union(*reach[lo - w:hi - w + 1])
-            w0, v0 = wts[first], q.dst(first)
+            for t in range(hi, 0, -1):
+                upto = upto | reach[hi - t]
+                close[t] = upto if t >= lo else set().union(*reach[lo - t:hi - t + 1])
+            v0 = q.dst(first)
             node, hit = leads.advance(0, first) if leads is not None else (0, 0)
-            if hit or w0 > hi or v0 not in close[w0]:
+            if hit or v0 not in close[1]:
                 continue
-            # (word, period, weight, end vertex, automaton state, cuts clo..chi);
-            # a lead met puts chi at a letter index, below hi: chi == hi says none was
-            stack = [((first,), 1, w0, v0, node, 0, hi)]
+            # (word, period, end vertex, automaton state, cuts clo..chi); a
+            # lead met puts chi at a letter index, below hi: chi == hi says none was
+            stack = [((first,), 1, v0, node, 0, hi)]
             while stack:
-                word, p, w, v, node, clo, chi = stack.pop()
+                word, p, v, node, clo, chi = stack.pop()
                 t = len(word)
-                if w >= lo and v == start and t % p == 0 and (
+                if t >= lo and v == start and t % p == 0 and (
                         chi == hi or _has_cut(word, node, clo, chi, leads)):
-                    yield w, CyclicClass(start, word)
-                if w == hi:
+                    yield t, CyclicClass(start, word)
+                if t == hi:
                     continue
-                floor = word[t - p]
-                for a, wa, b in succ[v]:
+                floor, reachable = word[t - p], close[t + 1]
+                for a, b in succ[v]:
                     if a < floor:
                         break
-                    nw = w + wa
-                    if nw > hi or b not in close[nw]:
+                    if b not in reachable:
                         continue
                     nnode, nlo, nhi = node, clo, chi
                     if leads is not None:
@@ -136,7 +126,7 @@ class PathContext:
                             nlo, nhi = max(clo, t + 2 - hit), min(chi, t)
                             if nlo > nhi:
                                 continue
-                    stack.append((word + (a,), p if a == floor else t + 1, nw, b,
+                    stack.append((word + (a,), p if a == floor else t + 1, b,
                                   nnode, nlo, nhi))
 
     # -- monomial helpers ------------------------------------------------
@@ -175,14 +165,11 @@ class PathContext:
         return CycElement(self, {k: c for k, c in terms.items() if _integer(c)})
 
 
-def free_context(names, weights=None) -> PathContext:
+def free_context(names) -> PathContext:
     """Free algebra on the named letters: one vertex, loops, no doubling."""
     q = Quiver([0], [(i, 0, 0) for i in range(len(names))],
                names={i: nm for i, nm in enumerate(names)})
-    w = None
-    if weights is not None:
-        w = {i: weights[i] for i in range(len(names))}
-    return PathContext(q, weights=w, auto_double=False)
+    return PathContext(q, auto_double=False)
 
 
 def canonical_rotation(word):
@@ -230,9 +217,6 @@ class CyclicClass:
             raise QuiverError("only closed paths have a cyclic class")
         w = canonical_rotation(word)
         return CyclicClass(ctx.quiver.src(w[0]), w)
-
-    def degree(self, ctx):
-        return ctx.weight(self.word)
 
 
 class _Combination:
@@ -301,7 +285,7 @@ class Element(_Combination):
     __slots__ = ()
 
     def _degree(self, mono):
-        return self.ctx.weight(mono[1])
+        return len(mono[1])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -344,7 +328,7 @@ class CycElement(_Combination):
     __slots__ = ()
 
     def _degree(self, key):
-        return key.degree(self.ctx)
+        return len(key.word)
 
     def divide_exact(self, k):
         """Divide every coefficient by k; raises unless exactly divisible."""
@@ -513,11 +497,10 @@ def render_cyclic(x: CycElement) -> str:
 
 def _render_sorted(x, view, bracket):
     """The terms of x, each key read as (vertex, word) by view, in order of
-    weight, then word, then vertex."""
-    ctx = x.ctx
+    length, then word, then vertex."""
     items = sorted(((*view(k), c) for k, c in x.terms.items()),
-                   key=lambda it: (ctx.weight(it[1]), it[1], it[0]))
-    return _render_terms(ctx, items, bracket)
+                   key=lambda it: (len(it[1]), it[1], it[0]))
+    return _render_terms(x.ctx, items, bracket)
 
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(\[[^\]]*\]|[^\s+-]+(?:\s+[^\s+-]+)*)")

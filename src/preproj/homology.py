@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .freealg import (CycElement, CyclicClass, Element, PathContext, canonical_rotation,
                       cyclic_project, preprojective_relation)
-from .intlinalg import LatticeSolver, TorsionSummary, quotient_structure
+from .intlinalg import LatticeSolver, TorsionSummary, _is_prime, quotient_structure
 from .quiver import Quiver, QuiverError, forest_for_white
 from .rewrite import MonomialOrder, NonUnitLead, RewriteSystem, _check_bound, complete
 
@@ -118,7 +118,10 @@ class LambdaComputation:
         """The ambient classes of degree d.  The span engine has no degree
         bound and lists one degree per call; the normal engine lists every
         certified degree in one search on its first call and files the keys
-        by degree, to be taken as the degrees are asked for."""
+        by degree, to be taken as the degrees are asked for.  A negative
+        degree has no classes."""
+        if d < 0:
+            return []
         if d == 0:
             return [CyclicClass(v, ()) for v in self.ctx.quiver.vertices]
         if self.engine == "span":
@@ -164,6 +167,8 @@ class LambdaComputation:
         guard that trips widens T by one letter, up to the whole word.  The
         windows repeat across rows and are reduced once per call.
         """
+        if d <= 1:
+            return      # m is an idempotent: m a = a m
         ctx, sys_ = self.ctx, self.system
         src = ctx.quiver.src
         ends, starts = {}, {}   # a -> {u: u a leading}, a -> {v: a v leading}
@@ -195,10 +200,10 @@ class LambdaComputation:
         monos = functools.cache(sys_.normal_monomials)
         for (a, s, t) in ctx.quiver.arrows:
             us, vs = ends.get(a, ()), starts.get(a, ())
-            if ctx.weights[a] >= d or not (us or vs):
+            if not (us or vs):
                 continue    # every m a and a m is normal: [m, a] = 0
             ulens, vlens = {len(u) for u in us}, {len(v) for v in vs}
-            for _, w in monos(t, s, d - ctx.weights[a]):
+            for _, w in monos(t, s, d - 1):
                 left = right = False
                 n = len(w)
                 for k in ulens:
@@ -498,17 +503,6 @@ def hp0_poisson(pres: PoissonPresentation, modulus: int, D: int):
         t = quotient_structure(len(basis), rows)
         dims[d] = t.free_rank + sum(1 for f in t.invariant_factors if modulus and f % modulus == 0)
     return dims
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def _jacobian(relation: dict) -> dict:

@@ -291,6 +291,17 @@ def _centred(v, c):
     return v - c if 2 * v > c else v
 
 
+def _is_prime(n):
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
 def _divisibility_chain(values):
     """Invariant factors of a diagonal matrix with the given positive
     diagonal: sort, replace each adjacent pair (a, b) with a not dividing b

@@ -96,7 +96,7 @@ def bracket(u: CycElement, v: CycElement) -> CycElement:
 class WedgePair(_Combination):
     """Formal sum of wedges of cyclic classes, a ^ b = -(b ^ a), a ^ a = 0.
 
-    Keys are ordered by (degree, word, vertex); storing always puts the
+    Keys are ordered by (length, word, vertex); storing always puts the
     smaller class first, flipping the sign as needed.
     """
 
@@ -108,14 +108,14 @@ class WedgePair(_Combination):
             self.add(k1, k2, c)
 
     @staticmethod
-    def _rank(ctx, k):
-        return (ctx.weight(k.word), k.word, k.vertex)
+    def _rank(k):
+        return (len(k.word), k.word, k.vertex)
 
     def _degree(self, key):
-        return self.ctx.weight(key[0].word) + self.ctx.weight(key[1].word)
+        return len(key[0].word) + len(key[1].word)
 
     def add(self, k1, k2, c):
-        r1, r2 = self._rank(self.ctx, k1), self._rank(self.ctx, k2)
+        r1, r2 = self._rank(k1), self._rank(k2)
         if r1 != r2:
             _add(self.terms, (k1, k2) if r1 < r2 else (k2, k1), c if r1 < r2 else -c)
 
@@ -123,8 +123,8 @@ class WedgePair(_Combination):
         def cyc(k):
             return render_cyclic(CycElement(self.ctx, {k: 1}))
 
-        items = sorted(self.terms.items(), key=lambda it: (self._rank(self.ctx, it[0][0]),
-                                                           self._rank(self.ctx, it[0][1])))
+        items = sorted(self.terms.items(),
+                       key=lambda it: (self._rank(it[0][0]), self._rank(it[0][1])))
         return _signed_sum([(f"{cyc(k1)}^{cyc(k2)}", c) for (k1, k2), c in items])
 
 

@@ -1,9 +1,9 @@
-"""Noncommutative rewriting in path algebras: weighted graded-lex orders,
-reduction (one loop, _reduce), the rule automaton, and Buchberger-style
-completion with unit leading coefficients.  A completion certifies its
-normal words through its bound by Bergman's Diamond Lemma, the unit case of
-the ring lemma in the paper's appendix: every overlap of weight within the
-bound resolves.
+"""Noncommutative rewriting in path algebras: graded-lex orders (a word's
+degree is its length), reduction (one loop, _reduce), the rule automaton,
+and Buchberger-style completion with unit leading coefficients.  A
+completion certifies its normal words through its bound by Bergman's
+Diamond Lemma, the unit case of the ring lemma in the paper's appendix:
+every overlap of length within the bound resolves.
 
 Completion pays per rule it installs: the overlaps of a new lead come from
 an index of the proper prefixes and suffixes of the live leads, and its
@@ -42,7 +42,7 @@ class NonUnitLead(Exception):
 
 
 class MonomialOrder:
-    """Weighted graded lex: compare (weight, length, letter positions, source).
+    """Graded lex: compare (length, letter positions, source).
 
     arrow_order lists arrow ids from smallest to largest; arrows absent from
     the list rank above listed ones, by id.  Multiplicative and DCC.
@@ -66,7 +66,7 @@ class MonomialOrder:
 
     def key(self, mono):
         v, word = mono
-        return (self.ctx.weight(word), len(word), tuple(map(self.position.__getitem__, word)), v)
+        return (len(word), tuple(map(self.position.__getitem__, word)), v)
 
     def leading(self, x: Element):
         if x.is_zero():
@@ -115,8 +115,7 @@ class RewriteSystem:
         self.rules = self._by_lead.values()
         self._aut = None
         self._bound = 0         # _aut holds the leads shorter than this
-        self._paths = {}        # source -> {weight: layer}, see normal_monomials
-        self._reach = max(ctx.weights.values(), default=1)  # layer w reads w - _reach to w - 1
+        self._paths = {}        # source -> (length, layer), see normal_monomials
 
     def check_degree(self, d):
         """QuiverError above complete_to_degree, the last degree whose normal
@@ -207,67 +206,60 @@ class RewriteSystem:
         return self._aut
 
     def normal_monomials(self, i, j, d):
-        """All weight-d normal paths i -> j, sorted by the monomial order.
+        """All length-d normal paths i -> j, sorted by the monomial order.
 
         Read from one table per source i: layer w maps (end vertex, automaton
-        state) to the normal words of weight w from i, and is built once from
-        the layers w - w_a, one automaton step per (word group, arrow a), so
-        every target and later degree reads it instead of walking again.  The
-        table keeps the last max(weights) layers, the ones a later weight can
-        still extend; a degree below them rebuilds it from weight 0.
+        state) to the normal words of length w from i, and is built once from
+        layer w - 1, one automaton step per (word group, arrow), so every
+        target and later degree reads it instead of walking again.  The table
+        keeps its last layer, the one a later length extends; a degree below
+        it rebuilds the table from length 0.
         """
         self.check_degree(d)
         if d < 0:
             return []
-        layers = self._paths.get(i)
-        if layers is None or d < min(layers):
-            layers = self._paths[i] = {0: {(i, 0): [()]}}
-        for w in range(max(layers) + 1, d + 1):
-            self._add_layer(layers, w)
-        words = [u for (v, _), group in layers[d].items() if v == j for u in group]
-        # at one weight and one source the order compares length, then letters
+        w, layer = self._paths.get(i, (d + 1, None))
+        if w > d:
+            w, layer = 0, {(i, 0): [()]}
+        for w in range(w + 1, d + 1):
+            nxt = {}
+            for key, a, group in self._steps(layer):
+                tail = (a,)
+                nxt.setdefault(key, []).extend([u + tail for u in group])
+            layer = nxt
+        self._paths[i] = d, layer
+        # at one length and one source the order compares letters
+        words = [u for (v, _), group in layer.items() if v == j for u in group]
         words.sort(key=self.order.letter_key)
-        words.sort(key=len)
         return [(i, u) for u in words]
 
-    def _steps(self, layers, w):
-        """((end vertex, automaton state), a, group) for each group of the
-        layers w - w_a and arrow a that extends it to a normal path."""
-        q, wts = self.ctx.quiver, self.ctx.weights
+    def _steps(self, layer):
+        """((end vertex, automaton state), a, group) for each group of layer
+        and arrow a that extends it to a normal path."""
+        q = self.ctx.quiver
         aut = self._automaton()
         table, hits = aut.table, aut.hit
-        for prev in range(max(w - self._reach, 0), w):
-            for (v, node), group in layers[prev].items():
-                row = table[node]
-                for a in q.out_arrows(v):
-                    if prev + wts[a] == w:
-                        nxt = row.get(a, 0)
-                        if not hits[nxt]:
-                            yield (q.dst(a), nxt), a, group
-
-    def _add_layer(self, layers, w):
-        """Layer w of a normal path table; the layer that no later weight
-        extends is dropped."""
-        layer = {}
-        for key, a, group in self._steps(layers, w):
-            tail = (a,)
-            layer.setdefault(key, []).extend([u + tail for u in group])
-        layers[w] = layer
-        layers.pop(w - self._reach, None)
+        for (v, node), group in layer.items():
+            row = table[node]
+            for a in q.out_arrows(v):
+                nxt = row.get(a, 0)
+                if not hits[nxt]:
+                    yield (q.dst(a), nxt), a, group
 
     def normal_count_matrix(self, dmax):
-        """counts[d][si][ti] = number of weight-d normal paths, vertex-indexed:
+        """counts[d][si][ti] = number of length-d normal paths, vertex-indexed:
         the layers of normal_monomials with a count for each word group."""
         self.check_degree(dmax)
         verts = list(self.ctx.quiver.vertices)
         vidx = {v: k for k, v in enumerate(verts)}
         counts = [[[0] * len(verts) for _ in verts] for _ in range(dmax + 1)]
         for si, s in enumerate(verts):
-            layers = {}
+            layer = {(s, 0): 1}
             for w in range(dmax + 1):
-                layer = layers[w] = {} if w else {(s, 0): 1}
-                for key, _, c in self._steps(layers, w):
-                    layer[key] = layer.get(key, 0) + c
+                if w:
+                    prev, layer = layer, {}
+                    for key, _, c in self._steps(prev):
+                        layer[key] = layer.get(key, 0) + c
                 for (v, _), c in layer.items():
                     counts[w][si][vidx[v]] += c
         return counts
@@ -390,10 +382,10 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
 
     Every leading coefficient met along the way must be a unit, else
     NonUnitLead.  The result certifies normal forms through max_degree:
-    all overlap words of weight <= max_degree resolve.  A negative
+    all overlap words of length <= max_degree resolve.  A negative
     max_degree is a QuiverError.
 
-    S-pairs are popped by weight, each new element reduced and installed
+    S-pairs are popped by length, each new element reduced and installed
     before the next pop.  A pair whose rule was dropped is skipped, and so,
     by the chain criterion, is a live pair (ri, rj) whose overlap word W has
     a live lead h strictly inside it, at [i, j) with 0 < i and j < |W|:
@@ -406,11 +398,10 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
       ri*C - A*rj = (ri*C - X*h*Y) + (X*h*Y - A*rj), and each bracket is a
       disjoint ambiguity, which always resolves, or an outer word times
       the S-element of a proper sub-overlap of W;
-    - every arrow weighs at least 1, so a proper sub-overlap weighs less
-      than W; its two rules are live, so it was pushed when the later of
-      them was installed, and as the heap pops by weight with pending
-      drained first, it was popped before W and resolved or, by induction,
-      skipped;
+    - a proper sub-overlap is shorter than W; its two rules are live, so
+      it was pushed when the later of them was installed, and as the heap
+      pops by length with pending drained first, it was popped before W
+      and resolved or, by induction, skipped;
     - so W resolves relative to smaller words in the final system, which
       is all that Bergman's Diamond Lemma needs.
 
@@ -422,10 +413,10 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     _check_bound(max_degree)
     gens = [g for g in gens if not g.is_zero()]
     ctx = order.ctx
-    src, dst, weight = ctx.quiver.src, ctx.quiver.dst, ctx.weight
+    src, dst = ctx.quiver.src, ctx.quiver.dst
     sys_ = RewriteSystem(ctx, order, max_degree)
     pending = deque(g.terms for g in sorted(gens, key=lambda g: order.key(order.leading(g)[0])))
-    pairs = []  # heap of (weight, counter, rule_i, rule_j, split)
+    pairs = []  # heap of (overlap length, counter, rule_i, rule_j, split)
     counter = 0
     index = _OverlapIndex()
     while pending or pairs:
@@ -441,9 +432,9 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
             index.add(rule)
             pending.extend(r.element.terms for r in stale)
             for ri, rj, s in index.overlaps(rule):
-                wt = weight(ri.lm_word) + weight(rj.lm_word[len(ri.lm_word) - s:])
-                if wt <= max_degree:
-                    heapq.heappush(pairs, (wt, counter, ri, rj, s))
+                n = s + len(rj.lm_word)
+                if n <= max_degree:
+                    heapq.heappush(pairs, (n, counter, ri, rj, s))
                     counter += 1
             continue
         _, _, ri, rj, s = heapq.heappop(pairs)

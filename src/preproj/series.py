@@ -11,6 +11,7 @@ constant term to be the identity up to sign.
 
 from __future__ import annotations
 
+from .intlinalg import _is_prime
 from .quiver import Quiver, QuiverError, classify
 
 
@@ -335,19 +336,19 @@ def egid_check(q: Quiver, D) -> bool:
 
 
 def o_series_char_p(q: Quiver, white, p: int, D: int) -> TruncatedSeries:
-    """h(O(Pi_{Q,J})) over a field of characteristic p, per the Euler product:
-    an extra factor prod_l (1 - t^(2 p^l))^{-1} appears only when J is empty."""
+    """h(O(Pi_{Q,J})) over a field of characteristic p, a prime or 0, per the
+    Euler product: an extra factor prod_l (1 - t^(2 p^l))^{-1} appears only
+    when J is empty, over l >= 0 for a prime p and l = 0 alone for p = 0."""
+    if p != 0 and not _is_prime(p):
+        raise SeriesError(f"characteristic must be prime or 0, got {p}")
     out = _euler_product(cartan_t_matrix(q, white, D), D)
     if not set(white):
         e = 2
         while e <= D:
             out = out * _one_minus_tm_pow(e, -1, D)
-            e *= p
+            e = e * p or D + 1      # p = 0: no l >= 1
     return out
 
 
 def o_series_char_zero(q: Quiver, white, D: int) -> TruncatedSeries:
-    out = _euler_product(cartan_t_matrix(q, white, D), D)
-    if not set(white):
-        out = out * _one_minus_tm_pow(2, -1, D)
-    return out
+    return o_series_char_p(q, white, 0, D)

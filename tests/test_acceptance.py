@@ -3,11 +3,13 @@
 Each criterion prints one pass/fail line; all of them run by default.
 """
 
+import itertools
+
 import pytest
 
 from preproj import acceptance
-from preproj.acceptance import CRITERIA, _bounded_triples, _table_match
-from preproj.freealg import PathContext
+from preproj.acceptance import CRITERIA, _bounded_triples, _table_match, _w_necklaces
+from preproj.freealg import PathContext, canonical_rotation, free_context
 from preproj.homology import LambdaComputation
 from preproj.quiver import QuiverClass, catalog
 from preproj.rewrite import NonUnitLead
@@ -115,3 +117,19 @@ def test_poisson_presentations_check_what_hp0_reads(monkeypatch, mutate, mismatc
     ok, details = acceptance.crit_poisson_presentations()
     assert not ok
     assert details.count(mismatch) == 5, details
+
+
+def test_w_lattice_listings_are_the_least_rotations():
+    """Each (a, b) <= (4, 4) ambient of the W_{a,b} criterion lists, once
+    each, the least rotations of the words over x, y, r with #x + #r = a
+    and #y + #r = b."""
+    want = {}
+    for n in range(1, 9):
+        for w in itertools.product(range(3), repeat=n):
+            ab = (w.count(0) + w.count(2), w.count(1) + w.count(2))
+            if max(ab) <= 4:
+                want.setdefault(ab, set()).add(canonical_rotation(w))
+    got = _w_necklaces(free_context(["x", "y", "r"]))
+    assert all(len(words) == len(set(words)) for words in got.values())
+    assert {ab: set(words) for ab, words in got.items()} == want
+    assert all((a, b) in got for a in range(1, 5) for b in range(1, 5))

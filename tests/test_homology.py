@@ -7,7 +7,7 @@ import pytest
 from preproj import intlinalg
 from preproj.acceptance import crit_poisson_presentations
 from preproj.freealg import (CycElement, CyclicClass, PathContext, cyclic_project,
-                             free_context, preprojective_relation, render_cyclic)
+                             preprojective_relation, render_cyclic)
 from preproj.homology import (GradedTorsionReport, LambdaComputation,
                               PoissonPresentation, _bracket_gen_mono, _row,
                               _monomials_of_degree, _poly_reduce, forest_arrow_order,
@@ -108,11 +108,9 @@ def _all_commutator_rows(comp, d):
     ctx, sys_ = comp.ctx, comp.system
     idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
-    for (a, s, t) in ctx.quiver.arrows:
-        if ctx.weights[a] >= d:
-            continue
+    for (a, s, t) in ctx.quiver.arrows if d > 1 else ():    # else m is an idempotent
         ae = ctx.arrow(a)
-        for mono in sys_.normal_monomials(t, s, d - ctx.weights[a]):
+        for mono in sys_.normal_monomials(t, s, d - 1):
             m = ctx.element({mono: 1})
             cyc = cyclic_project(sys_.reduce(m * ae) - sys_.reduce(ae * m))
             row = {idx[k]: c for k, c in cyc.terms.items()}
@@ -231,23 +229,23 @@ def test_coords_match_per_key_reduction(name, args, D, engine):
 
 
 def _normal_walks(sys_, d, start):
-    """{end: walks} of the walks of weight d from start that contain no
+    """{end: walks} of the walks of length d from start that contain no
     leading word of sys_: ctx.walks(d, start) filtered by _find_reduction.
     Walks grow one arrow at a time and one is dropped, with its extensions,
     once _find_reduction finds a leading word in it, since its extensions
     contain that word too; the bare filter would list every walk first, some
     10^8 closed ones at degree 28 on E8."""
     ctx, q = sys_.ctx, sys_.ctx.quiver
-    out, grown = {}, [((), start, 0)]
+    out, grown = {}, [((), start)]
     while grown:
-        word, v, wt = grown.pop()
-        if wt == d:
+        word, v = grown.pop()
+        if len(word) == d:
             out.setdefault(v, []).append(word)
             continue
         for a in q.out_arrows(v):
             longer = word + (a,)
-            if wt + ctx.weights[a] <= d and sys_._find_reduction(longer) is None:
-                grown.append((longer, q.dst(a), wt + ctx.weights[a]))
+            if sys_._find_reduction(longer) is None:
+                grown.append((longer, q.dst(a)))
     return out
 
 
@@ -264,17 +262,9 @@ def _reference_keys(comp, d):
     return sorted(found, key=lambda k: (k.word, k.vertex))
 
 
-def _weighted_free_system(D):
-    ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
-    x, y, z = ctx.letters()
-    return ctx, complete([x * z - z * x - y * y, x * y * x - y * y], MonomialOrder(ctx), D)
-
-
 def _ambient_system(name, D):
     """(ctx, completed system) of a named test algebra; a name ending in
     _span stands for the same algebra."""
-    if name.startswith("weighted"):
-        return _weighted_free_system(D)
     q, white = {"free2": (catalog("free", 2), ()),
                 "affine_d4": (catalog("affine_d", 4), ()),
                 "partial": (Quiver(range(3), [(0, 0, 1), (1, 1, 2), (2, 2, 0),
@@ -296,21 +286,21 @@ def _computation(name, D):
 
 @pytest.mark.parametrize("name, D", [
     ("free2", 7), ("free2_span", 7), ("affine_d4", 10), ("partial", 7),
-    ("star2211", 12), ("e8", 28), ("weighted", 10), ("weighted_span", 10)])
+    ("star2211", 12), ("e8", 28)])
 def test_ambient_keys_match_reference(name, D):
     """The necklace generator lists the keys of the walk enumeration, in
-    the same order, for both engines and for weighted arrows."""
+    the same order, for both engines."""
     comp = _computation(name, D)
     for d in range(D + 1):
         assert comp.ambient_keys(d) == _reference_keys(comp, d), d
 
 
 @pytest.mark.parametrize("name, D, leads", [
-    ("weighted", 10, True), ("free2", 7, False), ("partial", 7, True), ("e8", 28, True)])
+    ("free2", 7, False), ("partial", 7, True), ("e8", 28, True)])
 def test_range_search_matches_single_degrees(name, D, leads):
     """One search over lo..hi lists, degree by degree and in order, what the
-    single-degree searches list: with the leads of a completion (weights 1,
-    2 and 3, a white vertex, E8) and without them (free 2); windows that
+    single-degree searches list: with the leads of a completion (a white
+    vertex, E8) and without them (free 2); windows that
     start at 1 and above it."""
     ctx, sys_ = _ambient_system(name, D)
     aut = sys_._automaton() if leads else None
@@ -350,13 +340,25 @@ def test_one_necklace_search_per_normal_computation(monkeypatch, engine, searche
     assert calls == searches
 
 
+@pytest.mark.parametrize("engine", ["normal", "span"])
+def test_negative_degree_is_the_zero_module(engine):
+    """Both engines give a negative degree no keys, no relations and the
+    zero module, before and after the degrees the normal engine lists."""
+    _, comp = lambda_graded(catalog("affine_a", 3), (), 4, engine=engine)
+    for d in (-1, -2):
+        assert comp.ambient_keys(d) == [] and comp.relation_rows(d) == []
+        assert str(comp.summary(d)) == "0"
+    name = "free2" if engine == "normal" else "free2_span"
+    fresh = _computation(name, 4)
+    assert fresh.ambient_keys(-1) == []
+    assert fresh.ambient_keys(4) == _computation(name, 4).ambient_keys(4)
+
+
 # an arrow order of star 2 2 1 1 under which its completion is finite
 TREE_ORDER = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
 
 
 def _table_system(name, D):
-    if name == "weighted":
-        return _weighted_free_system(D)[1]
     if name == "zero_ideal":
         return complete([], MonomialOrder(PathContext(catalog("affine_a", 3))), D)
     if name == "tree_found":
@@ -374,9 +376,9 @@ def _table_system(name, D):
 
 @pytest.mark.parametrize("name, D", [
     ("e8", 28), ("affine_e8", 28), ("affine_d4", 16), ("partial", 8),
-    ("weighted", 12), ("zero_ideal", 8)])
+    ("zero_ideal", 8)])
 def test_normal_path_table_matches_walk_filter(name, D):
-    """normal_monomials(i, j, d) is the walks i -> j of weight d with no
+    """normal_monomials(i, j, d) is the walks i -> j of length d with no
     leading word, sorted by the monomial order, whatever order the degrees
     are asked in, also once relation_rows at the bound has released the
     tables; up to degree 8 the reference is checked against ctx.walks itself."""
@@ -419,10 +421,8 @@ def _whole_word_rows(comp, d):
     ctx, sys_ = comp.ctx, comp.system
     col = {k.word or k.vertex: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
-    for (a, s, t) in ctx.quiver.arrows:
-        if ctx.weights[a] >= d:
-            continue
-        for _, w in sys_.normal_monomials(t, s, d - ctx.weights[a]):
+    for (a, s, t) in ctx.quiver.arrows if d > 1 else ():    # else m is an idempotent
+        for _, w in sys_.normal_monomials(t, s, d - 1):
             x = (sys_.reduce(ctx.element({(t, w + (a,)): 1}))
                  - sys_.reduce(ctx.element({(s, (a,) + w): 1})))
             row = _row(col, x.terms.items())
@@ -432,7 +432,7 @@ def _whole_word_rows(comp, d):
 
 
 @pytest.mark.parametrize("name, D", [
-    ("free2", 8), ("partial", 8), ("weighted", 12), ("affine_e8", 28),
+    ("free2", 8), ("partial", 8), ("affine_e8", 28),
     ("tree_found", 14), ("tree_default", 12)])
 def test_commutator_rows_match_whole_word_reduction(name, D):
     """Rows read off window reductions are those of reducing each side of

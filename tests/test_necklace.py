@@ -197,6 +197,14 @@ def test_corner_poisson_a2_brackets():
     assert cp.poisson(X, X).is_zero()
 
 
+def test_corner_poisson_of_idempotents_is_zero():
+    """{e_i0, e_i0} lies in degree -2, where Lambda is zero."""
+    _, comp = lambda_graded(catalog("affine_a", 3), (), 4)
+    cp = CornerPoisson(comp)
+    e0 = comp.ctx.idempotent(cp.i0)
+    assert cp.poisson(e0, e0).is_zero()
+
+
 def test_bracket_degree(pair):
     ctx, x, y = pair
     u = cyclic_project(x * y * x * y)
@@ -280,7 +288,7 @@ def _ref_cobracket(u):
                     k1 = CyclicClass.of(ctx, (ctx.quiver.dst(word[j]),
                                               word[j + 1:] + word[:i]))
                     k2 = CyclicClass.of(ctx, (ctx.quiver.dst(word[i]), word[i + 1:j]))
-                    r1, r2 = ((ctx.weight(k.word), k.word, k.vertex) for k in (k1, k2))
+                    r1, r2 = ((len(k.word), k.word, k.vertex) for k in (k1, k2))
                     if r1 != r2:
                         _ref_acc(out, (k1, k2) if r1 < r2 else (k2, k1),
                                  om * c if r1 < r2 else -om * c)
@@ -344,9 +352,9 @@ def test_operations_match_all_pairs_reference(name, args):
     verts = list(ctx.quiver.vertices)
     monos = [(v, ()) for v in verts] + [(ctx.quiver.src(w[0]), w)
                                         for d in range(1, 7) for w in ctx.walks(d)]
-    # degree by degree, the pool the samples below are drawn from
-    classes = [CyclicClass(v, ()) for v in verts] + [
-        k for _, k in sorted(ctx.necklaces(1, 6), key=lambda dk: dk[0])]
+    # the pool the samples below are drawn from, in an order of its own
+    classes = sorted([CyclicClass(v, ()) for v in verts] + [k for _, k in ctx.necklaces(1, 6)],
+                     key=lambda k: (len(k.word), k.word, k.vertex))
     coeffs = [1, -1, 2, -3, 5, 7]
 
     def sample(pool, make):

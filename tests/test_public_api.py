@@ -13,7 +13,6 @@ UNCALLED_EXPORTS = {"frobenius_cyc", "ghost"}
 UNCALLED_HELPERS = {
     "frobenius_cyc",     # the p-th power map of the abstract (ROADMAP item 7)
     "ghost",             # the ghost map of its Witt interpretation (ROADMAP item 7)
-    "o_series_char_p",   # read by perfbench/workloads.py
     "substitute_power",  # the per-factor reference of the Euler product tests
 }
 

@@ -13,7 +13,7 @@ from preproj.rewrite import MonomialOrder, NonUnitLead, RewriteRule, complete
 
 @pytest.fixture
 def xy_rprime():
-    """Free letters rp < x < y, all weight one."""
+    """Free letters rp < x < y."""
     ctx = free_context(["rp", "x", "y"])
     rp, x, y = ctx.letters()
     return ctx, rp, x, y
@@ -158,7 +158,7 @@ def test_non_unit_lead_raises():
 
 
 def test_rule_led_by_minus_one_is_negated():
-    ctx = free_context(["x", "y"], weights=[1, 2])
+    ctx = free_context(["x", "y"])
     x, y = ctx.letters()
     rule = RewriteRule(y - x * x, MonomialOrder(ctx))
     assert rule.element == x * x - y
@@ -217,16 +217,12 @@ def test_normal_monomials_star_e6_basis_counts():
         assert got == basis_count(w), (w, got, basis_count(w))
 
 
-@pytest.mark.parametrize("name", ["affine_a3", "free_weighted", "zero_ideal"])
-def test_normal_count_matrix_matches_enumeration(name, lookup_systems):
-    """Layer 0, the last layer and weights above one included."""
-    if name == "free_weighted":
-        sys_ = lookup_systems[name]
-    else:
-        ctx = PathContext(catalog("affine_a", 3))
-        gens = preprojective_relation(ctx) if name == "affine_a3" else []
-        sys_ = complete(gens, MonomialOrder(ctx), 6)
-    ctx = sys_.ctx
+@pytest.mark.parametrize("name", ["affine_a3", "zero_ideal"])
+def test_normal_count_matrix_matches_enumeration(name):
+    """Layer 0 and the last layer included."""
+    ctx = PathContext(catalog("affine_a", 3))
+    gens = preprojective_relation(ctx) if name == "affine_a3" else []
+    sys_ = complete(gens, MonomialOrder(ctx), 6)
     counts = sys_.normal_count_matrix(6)
     verts = list(ctx.quiver.vertices)
     for d in range(7):
@@ -263,13 +259,13 @@ def _overlaps(u, v):
 
 
 def _unresolved_overlaps(sys_, bound):
-    """(glued word, remainder) for each proper overlap of two leads, of weight
+    """(glued word, remainder) for each proper overlap of two leads, of length
     <= bound, whose two one-step rewrites do not reduce to a common form."""
     ctx, rules, out = sys_.ctx, list(sys_.rules), []
     for ri in rules:
         for rj in rules:
             for s, glued in _overlaps(ri.lm_word, rj.lm_word):
-                if ctx.weight(glued) > bound:
+                if len(glued) > bound:
                     continue
                 left = ri.element * ctx.path(rj.lm_word[len(ri.lm_word) - s:])
                 right = ctx.path(ri.lm_word[:s]) * rj.element
@@ -298,9 +294,6 @@ def _overlap_system(name):
         return preprojective_system(catalog(name[:-1], 8), (), 28), 28
     if name == "tree_default":
         return preprojective_system(catalog("star", 2, 2, 1, 1), (), 16), 16
-    if name == "free_weighted":
-        ctx, gens = _weighted_free()
-        return complete(gens, MonomialOrder(ctx), 10), 10
     if name in ("stale", "dropping"):
         ctx, gens, bound = _stale_free(name)
         return complete(gens, MonomialOrder(ctx), bound), bound
@@ -313,7 +306,7 @@ def _overlap_system(name):
 
 @pytest.mark.parametrize("name", ["xyz3", "e6", "e7", "e8", "affine_d4", "tree_found",
                                   "dynkin_e8", "affine_e8", "tree_default",
-                                  "free_weighted", "stale", "dropping"])
+                                  "stale", "dropping"])
 def test_completion_resolves_every_overlap(name):
     """Bergman's Diamond Lemma for a completion: every overlap within its
     bound resolves, those whose S-pairs the chain criterion skipped included
@@ -324,9 +317,9 @@ def test_completion_resolves_every_overlap(name):
 
 
 def test_unresolved_overlap_is_reported():
-    """x x -> y completed to 2 never meets its overlap x x x, of weight 3,
+    """x x -> y completed to 2 never meets its overlap x x x, of length 3,
     whose two rewrites leave +-(x y - y x)."""
-    ctx = free_context(["x", "y", "z"], weights=[1, 2, 2])
+    ctx = free_context(["x", "y", "z"])
     x, y, z = ctx.letters()
     sys_ = complete([x * x - y], MonomialOrder(ctx), 2)
     assert _unresolved_overlaps(sys_, 2) == []
@@ -386,23 +379,14 @@ def _scan_reduction(rules, word):
 
 @pytest.fixture(scope="module")
 def lookup_systems():
-    """Completed systems at the identity_sweep degrees of E6, E7 and E8, the
-    wild tree star 2 2 1 1, and a weighted free algebra."""
+    """Completed systems at the identity_sweep degrees of E6, E7 and E8, and
+    the wild tree star 2 2 1 1."""
     from preproj.homology import preprojective_system
 
     out = {f"{name}{p}_D{D}": preprojective_system(catalog(name, p), (), D)
            for name, p, D in [("dynkin_e", 6, 12), ("dynkin_e", 7, 16), ("dynkin_e", 8, 28)]}
     out["star2211_D16"] = preprojective_system(catalog("star", 2, 2, 1, 1), (), 16)
-    ctx, gens = _weighted_free()
-    out["free_weighted"] = complete(gens, MonomialOrder(ctx), 10)
     return out
-
-
-def _weighted_free():
-    """x, y, z of weights 1, 2, 3 and two relations of weights 3 and 4."""
-    ctx = free_context(["x", "y", "z"], weights=[1, 2, 3])
-    x, y, z = ctx.letters()
-    return ctx, [y * x - x * y - z, z * x - x * z + y * y]
 
 
 def _stale_free(name):
@@ -421,7 +405,7 @@ def _stale_free(name):
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
-                                  "star2211_D16", "free_weighted"])
+                                  "star2211_D16"])
 def test_find_reduction_matches_scan(name, lookup_systems):
     """Seeded words (composable walks, and random pieces glued round leading
     words): the automaton finds the same position and rule as the scan."""
@@ -454,7 +438,7 @@ def test_find_reduction_matches_scan(name, lookup_systems):
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
-                                  "star2211_D16", "free_weighted"])
+                                  "star2211_D16"])
 def test_automaton_table_matches_fail_walk(name, lookup_systems):
     """advance through the full table equals the fail walk on every state and
     every letter, one letter outside the alphabet included."""
@@ -476,7 +460,7 @@ def _holds_every_lead(sys_):
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
-                                  "star2211_D16", "free_weighted"])
+                                  "star2211_D16"])
 def test_completed_automaton_holds_every_lead(name, lookup_systems):
     assert _holds_every_lead(lookup_systems[name])
 
@@ -581,7 +565,7 @@ def _all_pairs_overlaps(live, rule):
 
 
 @pytest.mark.parametrize("name", ["dynkin_e6_D12", "dynkin_e7_D16", "dynkin_e8_D28",
-                                  "star2211_D16", "free_weighted", "tree_found", "stale",
+                                  "star2211_D16", "tree_found", "stale",
                                   "dropping", "stale_lengths"])
 def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
     """Replaying a completion's installs, the index gives each new rule the
@@ -589,10 +573,7 @@ def test_overlap_index_matches_all_pairs(name, lookup_systems, monkeypatch):
     rules dropped are those of the scan of every live rule; after stale rules
     are dropped (by the completions of _stale_free, and every other live rule
     at the end) every live rule is checked."""
-    if name == "free_weighted":
-        ctx, gens = _weighted_free()
-        order, bound = MonomialOrder(ctx), 10
-    elif name in lookup_systems:
+    if name in lookup_systems:
         sys_ = lookup_systems[name]
         gens, order, bound = preprojective_relation(sys_.ctx), sys_.order, sys_.complete_to_degree
     elif name == "tree_found":
@@ -631,7 +612,6 @@ PINNED_RULE_DIGESTS = {
     "affine_d4_D16": "8fe9f59516d8a3b7f66d792f8dc7a3f27b4a6d56c06cef373609a79ce3b16e54",
     "tree_found_D13": "e97e6bf40f31a377b0d97091bec9f1ae652abf61942276f1f5d47f3573ef2fcb",
     "tree_default_D12": "8b2d74332dc3089461d1d17d278338e41e8fe6169de7eddee3fcc91ffd96df7b",
-    "free_weighted_D10": "f8abddfc70285b430ce5f056744c934b00c825af205b3205a3929d13aa8a1963",
 }
 
 
@@ -644,16 +624,12 @@ PINNED_RULE_SET_DIGESTS = {
     "affine_d4_D16": "2cd20c0ee8f314b253477519f9ee5d0f7a24aea7bb12d9a0030767ece963ef06",
     "tree_found_D13": "7078b9b9e46dbcb3201a4a9e43e3cae18f862d763502aee7e924e932d2fc5050",
     "tree_default_D12": "4f87588220fd446a9a961ad0faeb2f0362cae0f9d8b6a649099c920a93b1613e",
-    "free_weighted_D10": "cb485dbd620e5c380f619f05bb1b33fed8cd3cc9f329a747cec71584879bb167",
 }
 
 
 def _pinned_system(name):
     from preproj.homology import preprojective_system
 
-    if name == "free_weighted_D10":
-        ctx, gens = _weighted_free()
-        return complete(gens, MonomialOrder(ctx), 10)
     q, D, arrow_order = {
         "dynkin_e8_D28": (catalog("dynkin_e", 8), 28, None),
         "affine_e8_D28": (catalog("affine_e", 8), 28, None),

@@ -338,3 +338,19 @@ def test_char_zero_o_series():
         if r:
             direct = direct * _one_minus_tm_pow(m, -r, D)
     assert direct == o_series_char_zero(q, (), D)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, -2])
+def test_o_series_char_p_needs_a_prime_or_zero(p):
+    with pytest.raises(SeriesError, match="prime or 0"):
+        o_series_char_p(catalog("free", 2), (), p, 6)
+
+
+@pytest.mark.parametrize("white, D", [((), 0), ((), 1), ((), 12), ((0,), 12)])
+def test_char_zero_is_the_extra_factor_at_degree_two(white, D):
+    """Characteristic 0 keeps the l = 0 factor (1 - t^2)^-1 of the Euler
+    product alone, and no factor once a vertex is white."""
+    q = catalog("affine_d", 4)
+    euler = _euler_product(cartan_t_matrix(q, white, D), D)
+    want = euler if white else euler * _one_minus_tm_pow(2, -1, D)
+    assert o_series_char_zero(q, white, D) == want
