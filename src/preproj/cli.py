@@ -95,6 +95,8 @@ def cmd_hh0(args):
     generators = {}
     if args.show_generators:
         for d, (p, ell) in r_powers(D).items():
+            if not rep.summaries[d].invariant_factors:
+                continue    # torsion-free: the order is 0 or 1, never printed
             cyc = r_power_cyclic(comp.ctx, p, ell)
             o = comp.order_of(comp.to_class(cyc, d))
             if o not in (0, 1):
@@ -340,17 +342,19 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # the tables grow with the degree bound, so a lower one is the remedy
-        bound = getattr(args, "degree", None)
-        print("error: out of memory" + ("" if bound is None else
-                                        f" at degree bound {bound}; try a lower --degree"),
-              file=sys.stderr)
-        return 2
+        pass    # the traceback's frames hold the tables: report once they are freed
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): what is left unwritten
         # goes to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    # out of memory: the tables grow with the degree bound, so a lower one is
+    # the remedy
+    bound = getattr(args, "degree", None)
+    print("error: out of memory" + ("" if bound is None else
+                                    f" at degree bound {bound}; try a lower --degree"),
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -49,9 +49,6 @@ class HomologyClass:
     degree: int
     coords: dict            # ambient-key index -> integer coordinate
 
-    def is_zero(self):
-        return not self.coords
-
 
 @dataclass
 class GradedTorsionReport:
@@ -275,15 +272,13 @@ class LambdaComputation:
 
 
 def _row(col, terms):
-    """Sparse row {coordinate: value} of closed monomials ((v, word), c); a word
-    is rotated only when col misses it as given, and an empty word is its v."""
+    """Sparse row {coordinate: value} of closed monomials ((v, word), c), each
+    looked up by its canonical rotation; an empty word is its v."""
     row = {}
     for (v, word), c in terms:
-        j = col.get(word or v)
+        j = col.get(canonical_rotation(word) or v)
         if j is None:
-            j = col.get(canonical_rotation(word))
-            if j is None:
-                raise QuiverError(f"necklace of {word or v} missing from the ambient")
+            raise QuiverError(f"necklace of {word or v} missing from the ambient")
         c += row.get(j, 0)
         if c:
             row[j] = c
@@ -368,8 +363,13 @@ def r_power_class(comp: LambdaComputation, p: int, ell: int) -> HomologyClass:
 def r_powers(D):
     """{2 p^l: (p, l)} for p prime and l >= 1 with 2 p^l <= D, by degree: the
     degrees through D where the classes r^(p^l) live."""
-    return dict(sorted((2 * p ** ell, (p, ell)) for p in range(2, D // 2 + 1)
-                       if _is_prime(p) for ell in range(1, D) if 2 * p ** ell <= D))
+    found = []
+    for p in filter(_is_prime, range(2, D // 2 + 1)):
+        ell = 1
+        while 2 * p ** ell <= D:
+            found.append((2 * p ** ell, (p, ell)))
+            ell += 1
+    return dict(sorted(found))
 
 
 def frobenius_cyc(c: CycElement, p: int) -> CycElement:

@@ -8,19 +8,19 @@ every overlap of length within the bound resolves.
 Completion pays per rule it installs: the overlaps of a new lead come from
 an index of the proper prefixes and suffixes of the live leads, and its
 stale leads from the longer live leads; S-elements are built from the two
-rules' terms, and during completion the automaton holds only the leads
-shorter than the words being reduced, so installing a longer lead keeps it.
-A completed system's automaton holds every lead, and every tail word of
-its rules is normal.  An S-pair whose overlap word has a live lead strictly
-inside it is skipped unreduced (the chain criterion, see complete): its
-smaller sub-overlaps resolve it.
+rules' terms and reduced once, where they are installed; and during
+completion the automaton holds only the leads shorter than the words being
+reduced, so installing a longer lead keeps it.  A completed system's
+automaton holds every lead, and every tail word of its rules is normal.  An
+S-pair whose overlap word has a live lead strictly inside it is skipped
+unreduced (the chain criterion, see complete): its smaller sub-overlaps
+resolve it.
 
-A RewriteSystem keeps its rules in one table, leading word -> rule in the
-order the rules were added, and every rule is led by +1: an element led by
--1 is negated when its rule is built.  Completion over Z insists on +-1
-leading coefficients; when an S-element reduces to something with a
-non-unit lead we raise NonUnitLead and callers fall back to degreewise
-integer linear algebra.
+A RewriteSystem keeps its rules in one table, leading word -> rule, and
+every rule is led by +1: an element led by -1 is negated when its rule is
+built.  Completion over Z insists on +-1 leading coefficients; when an
+S-element reduces to something with a non-unit lead we raise NonUnitLead
+and callers fall back to degreewise integer linear algebra.
 """
 
 from __future__ import annotations
@@ -325,56 +325,45 @@ def _check_bound(D):
 
 class _OverlapIndex:
     """The live leads of a completion by their proper prefixes (heads),
-    proper suffixes (tails) and lengths, each -> {install rank: rule}, so the
+    proper suffixes (tails) and lengths, each -> {lead: rule}, so the
     overlaps of a lead take one lookup per split, and its stale leads one
     scan of the longer leads, instead of a scan of every rule."""
 
     def __init__(self):
-        self.rank = {}      # live lead -> install rank of its rule
         self.heads, self.tails, self.lengths = {}, {}, {}
-        self.installed = 0
 
     def add(self, rule):
         w = rule.lm_word
-        i = self.rank[w] = self.installed
-        self.installed += 1
-        self.lengths.setdefault(len(w), {})[i] = rule
+        self.lengths.setdefault(len(w), {})[w] = rule
         for k in range(1, len(w)):
-            self.heads.setdefault(w[:k], {})[i] = rule
-            self.tails.setdefault(w[k:], {})[i] = rule
+            self.heads.setdefault(w[:k], {})[w] = rule
+            self.tails.setdefault(w[k:], {})[w] = rule
 
     def drop(self, rule):
         w = rule.lm_word
-        i = self.rank.pop(w)
-        del self.lengths[len(w)][i]
+        del self.lengths[len(w)][w]
         for k in range(1, len(w)):
-            del self.heads[w[:k]][i]
-            del self.tails[w[k:]][i]
+            del self.heads[w[:k]][w]
+            del self.tails[w[k:]][w]
 
     def containing(self, rule):
-        """The live rules whose leads contain rule's lead as a proper subword,
-        in install order: only a longer lead can."""
+        """The live rules whose leads contain rule's lead as a proper subword:
+        only a longer lead can."""
         u = rule.lm_word
-        found = {i: r for n, group in self.lengths.items() if n > len(u)
-                 for i, r in group.items() if _contains(r.lm_word, u)}
-        return [found[i] for i in sorted(found)]
+        return [r for n, group in self.lengths.items() if n > len(u)
+                for r in group.values() if _contains(r.lm_word, u)]
 
     def overlaps(self, rule):
         """(ri, rj, split) for each proper overlap, suffix of ri's lead =
-        prefix of rj's, between rule's lead and a live one, its own included;
-        in the order of a loop over the live rules in install order that
-        takes (rule, other) before (other, rule), shorter overlaps first."""
+        prefix of rj's, between rule's lead and a live one, its own included."""
         u = rule.lm_word
         n = len(u)
-        found = []  # (rank of the other rule, which comes first, overlap length, ri, rj)
+        found = []
         for k in range(1, n):
-            for i, other in self.heads.get(u[n - k:], {}).items():
-                found.append((i, 0, k, rule, other))
-            for i, other in self.tails.get(u[:k], {}).items():
-                if other is not rule:
-                    found.append((i, 1, k, other, rule))
-        found.sort(key=lambda f: f[:3])
-        return [(ri, rj, len(ri.lm_word) - k) for _, _, k, ri, rj in found]
+            found += [(rule, other, n - k) for other in self.heads.get(u[n - k:], {}).values()]
+            found += [(other, rule, len(other.lm_word) - k)
+                      for other in self.tails.get(u[:k], {}).values() if other is not rule]
+        return found
 
 
 def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
@@ -385,11 +374,13 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     all overlap words of length <= max_degree resolve.  A negative
     max_degree is a QuiverError.
 
-    S-pairs are popped by length, each new element reduced and installed
-    before the next pop.  A pair whose rule was dropped is skipped, and so,
-    by the chain criterion, is a live pair (ri, rj) whose overlap word W has
-    a live lead h strictly inside it, at [i, j) with 0 < i and j < |W|:
-    its S-element is never built.  Why W still resolves:
+    S-pairs are popped by overlap length, in any order within a length,
+    and only when no element is pending.  A pair's S-element joins the
+    pending elements; each is reduced once, and installed unless it
+    reduces to zero.  A pair whose rule was dropped is skipped, and so, by
+    the chain criterion, is a live pair (ri, rj) whose overlap word W has a
+    live lead h strictly inside it, at [i, j) with 0 < i and j < |W|: its
+    S-element is never built.  Why W still resolves:
 
     - live leads never contain one another, so h sticks out of lm(ri) on
       the right or lies after it, and out of lm(rj) on the left or lies
@@ -460,9 +451,7 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
                     spoly[key] = c
                 else:
                     spoly.pop(key, None)
-        rest = sys_._reduce(spoly)
-        if rest:
-            pending.append(rest)
+        pending.append(spoly)
     sys_._automaton()   # every lead, for the normal words and necklaces read off it
     _reduce_tails(sys_)
     return sys_

@@ -427,6 +427,26 @@ def test_out_of_memory_is_a_one_line_error():
                            b" try a lower --degree\n")
 
 
+def test_slow_out_of_memory_is_a_one_line_error():
+    """Memory that runs out while the tables of degree 10 fill it, not in one
+    huge allocation, also ends with exit 2 and the one line: the message is
+    printed once the traceback that holds the tables is freed.  The child's
+    address space is capped at 200 MB, which its Smith normal form of degree
+    10 runs into; degree 9 peaks near 70 MB of RSS, degree 10 near 215 MB."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    src = str(Path(preproj.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "preproj.cli", "hh0", "--catalog", "free",
+                           "2", "--degree", "10"],
+                          capture_output=True, env=env, preexec_fn=cap, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: out of memory at degree bound 10; try a lower --degree\n"
+
+
 def test_flags_before_the_subcommand_are_rejected(capsys):
     code, _ = usage_exit(capsys, "--degree", "2", "hh0", "--catalog", "free", "2")
     assert code == 2
@@ -467,6 +487,21 @@ def test_hh0_generators_every_prime_power(capsys):
     assert orders == ["r^(2^1) of order 2", "r^(3^1) of order 3",
                       "r^(2^2) of order 2", "r^(5^1) of order 5",
                       "r^(2^3) of order 2"]
+
+
+def test_hh0_generators_skip_torsion_free_degrees(capsys, monkeypatch):
+    """A3 has no torsion through 40, so no r^(p^l) is expanded, and the table
+    is the one printed without the flag."""
+    import preproj.cli
+
+    calls = []
+    expand = preproj.cli.r_power_cyclic
+    monkeypatch.setattr(preproj.cli, "r_power_cyclic",
+                        lambda *a: calls.append(a) or expand(*a))
+    argv = ("hh0", "--catalog", "dynkin_a", "3", "--degree", "40")
+    code, out, _ = run(capsys, *argv, "--show-generators")
+    assert (code, calls) == (0, [])
+    assert out == run(capsys, *argv)[1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -451,9 +451,9 @@ def test_commutator_rows_match_whole_word_reduction(name, D):
 # PINNED_ROW_SET_DIGESTS below pins the rows as sets
 PINNED_ROW_DIGESTS = {
     ("free2", 8): "002f8d2ba9bf5afef4ae512ea567d578089f1a89e23ccd5a7a4237dd25e13a3c",
-    ("tree_found", 14): "159e731251ada1b10d47a3dc06abb7333c3c0dca6380c93a8646019ffe24461d",
-    ("e8", 28): "efc08f11ff4335605151f66ff4f7f7abbffd7a93c4d2383b478cb695dc94feb9",
-    ("affine_e8", 28): "e9476d12f791a8752aaa8922723bae08007f2f682b2797ace5ff46dddf101088",
+    ("tree_found", 14): "949048184baa999030360a32bf86c8f45f925fea0c22d8a97bf5df446fbf0f39",
+    ("e8", 28): "bfe3ad4c607f892e1fa99bc342e621c0379892d4920edcc87d471e77b2cd8c1a",
+    ("affine_e8", 28): "68ee74937a7f0432f0673cd04cf9b483e0a36b6b4c0d8ebe836f2cc69ecd99ee",
 }
 
 
@@ -730,6 +730,21 @@ def test_frobenius_additivity():
             fb = frobenius_cyc(cyclic_project(b), p)
             diff = fab - fa - fb
             assert all(v % p == 0 for v in diff.terms.values()), (p, wa, wb)
+
+
+def test_r_powers_match_brute_force():
+    """{2 p^l: (p, l)} through D for every D <= 200, against the even degrees
+    whose half is a prime power."""
+    def prime_power(n):
+        p = next(k for k in range(2, n + 1) if n % k == 0)
+        ell = 0
+        while n % p == 0:
+            n, ell = n // p, ell + 1
+        return (p, ell) if n == 1 else None
+
+    for D in range(201):
+        want = {d: prime_power(d // 2) for d in range(4, D + 1, 2) if prime_power(d // 2)}
+        assert r_powers(D) == want, D
 
 
 def test_frobenius_relates_r_powers():
