@@ -141,9 +141,16 @@ class LambdaComputation:
         if st.rows is None:
             rows = {}       # a row met twice is kept once, where it was first met
             build = self._commutator_rows if self.engine == "normal" else self._span_rows
-            for row in build(d, st.col):
-                if row:
-                    rows[frozenset(row.items())] = row
+            built = build(d, st.col)
+            try:
+                for row in built:
+                    if row:
+                        rows[frozenset(row.items())] = row
+            except MemoryError:
+                # free the rows, then close the generator: unwinding allocates,
+                # and Python 3.11 drops the error when it cannot
+                rows = built = None
+                raise
             st.rows = list(rows.values())
             if self.engine == "normal" and d == self.system.complete_to_degree:
                 self.system._paths.clear()      # no higher degree can ask for them
