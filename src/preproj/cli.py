@@ -2,7 +2,8 @@
 reports, Groebner listings, necklace brackets, Poisson homology dimensions,
 and the acceptance-suite runner.
 
-Exit codes: 0 success, 1 verification/diff failure, 2 usage error.
+Exit codes: 0 success, 1 verification/diff failure, 2 usage error or out of
+memory.
 """
 
 from __future__ import annotations
@@ -333,6 +334,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = None
+    # a generator dropped while memory is exhausted can fail to close, which
+    # Python reports as "Exception ignored in: ..."; the out-of-memory line
+    # below is the one report of it
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda u: None if issubclass(u.exc_type, MemoryError) else hook(u)
     try:
         args = ap.parse_args(argv)
         code = args.fn(args)
@@ -348,6 +354,8 @@ def main(argv=None):
         # goes to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        sys.unraisablehook = hook
     # out of memory: the tables grow with the degree bound, so a lower one is
     # the remedy
     bound = getattr(args, "degree", None)

@@ -195,15 +195,7 @@ def _has_cut(word, node, lo, hi, leads):
         node, hit = leads.advance(node, word[(j - 1) % n])
         if j < hit <= n:
             wraps.append((n + j - hit, j))     # from n + j - hit to cut j
-    # plain loops: closing a generator that all() left early allocates, and
-    # when memory runs out that fails with a stray "Exception ignored" line
-    for c in range(lo, hi + 1):
-        for s, e in wraps:
-            if e <= c <= s:     # c is not inside this occurrence
-                break
-        else:
-            return True
-    return False
+    return any(all(c > s or c < e for s, e in wraps) for c in range(lo, hi + 1))
 
 
 @dataclass(frozen=True)

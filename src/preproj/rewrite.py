@@ -375,7 +375,9 @@ def complete(gens, order: MonomialOrder, max_degree: int) -> RewriteSystem:
     max_degree is a QuiverError.
 
     S-pairs are popped by overlap length, in any order within a length,
-    and only when no element is pending.  A pair's S-element joins the
+    and only when no element is pending; that order does not change the
+    completed rules, but in a system that is not homogeneous it can decide
+    whether a non-unit lead is met.  A pair's S-element joins the
     pending elements; each is reduced once, and installed unless it
     reduces to zero.  A pair whose rule was dropped is skipped, and so, by
     the chain criterion, is a live pair (ri, rj) whose overlap word W has a

@@ -427,6 +427,32 @@ def test_out_of_memory_is_a_one_line_error():
                            b" try a lower --degree\n")
 
 
+def test_unraisable_memory_errors_are_silent_while_a_command_runs(capsys, monkeypatch):
+    """A MemoryError that Python cannot raise, as from a generator that fails
+    to close when memory is full, is not reported while a command runs: the
+    out-of-memory line is its report.  Anything else goes to the hook that was
+    in place, and main puts that hook back when the command ends."""
+    import types
+
+    import preproj.cli
+
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", seen.append)
+
+    def command(args):
+        for exc in (MemoryError(), ValueError()):
+            sys.unraisablehook(types.SimpleNamespace(exc_type=type(exc), exc_value=exc))
+        return 0
+
+    monkeypatch.setattr(preproj.cli, "cmd_hilbert", command)
+    assert run(capsys, "hilbert", "--catalog", "free", "2", "--degree", "2") == (0, "", "")
+    assert [u.exc_type for u in seen] == [ValueError]
+    assert sys.unraisablehook == seen.append
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="where a full address space stops the run, and what the interpreter "
+                           "prints as it unwinds, is checked on Python 3.11 only")
 @pytest.mark.parametrize("mb", [140, 200])
 def test_slow_out_of_memory_is_a_one_line_error(mb):
     """Memory that runs out while the tables of degree 10 fill it, not in one

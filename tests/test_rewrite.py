@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -540,22 +540,42 @@ def test_s_elements_keep_only_composable_terms(side):
     assert [list(r.element.terms.items()) for r in sys_.rules] == [want, [((2, (3, 3, 3)), 1)]]
 
 
-def test_completion_reduces_each_s_element_once(monkeypatch):
-    """Completing E8 to 28, no _reduce call receives a dict that an earlier
-    call returned: an S-element is reduced once, where it is installed."""
+@pytest.mark.parametrize("name", ["dynkin_e8_D28", "stale"])
+def test_completion_reduces_each_s_element_once(name, monkeypatch):
+    """Every S-element the pair branch of complete queues is no dict that
+    _reduce returned before, and exactly one _reduce call receives it: it is
+    reduced once, where it is installed.  The terms of stale rules, which are
+    queued to be reduced again, are not S-elements and are not checked; E8
+    drops no rule, the "stale" system drops some."""
     from preproj.homology import preprojective_system
 
-    returned = []   # kept alive, so that no two results share an id
+    queued, received, returned = [], [], []     # kept alive, so that ids stay distinct
+
+    class Pending(deque):
+        def append(self, item):
+            if isinstance(item, dict):          # the automaton queues ints
+                assert all(item is not r for r in returned)
+                queued.append(item)
+            super().append(item)
+
     reduce = rewrite.RewriteSystem._reduce
 
     def logged(self, terms, *args):
-        assert all(terms is not r for r in returned)
+        received.append(terms)
         returned.append(reduce(self, terms, *args))
         return returned[-1]
 
+    monkeypatch.setattr(rewrite, "deque", Pending)
     monkeypatch.setattr(rewrite.RewriteSystem, "_reduce", logged)
-    preprojective_system(catalog("dynkin_e", 8), (), 28)
-    assert len(returned) > 100
+    if name == "stale":
+        ctx, gens, bound = _stale_free(name)
+        dropped = [r for r, stale in _installs(monkeypatch, gens, MonomialOrder(ctx), bound)
+                   for r in stale]
+        assert dropped
+    else:
+        preprojective_system(catalog("dynkin_e", 8), (), 28)
+    assert len(queued) >= 10
+    assert all(sum(t is s for t in received) == 1 for s in queued)
 
 
 def _installs(monkeypatch, gens, order, bound):
