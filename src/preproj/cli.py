@@ -288,7 +288,7 @@ def build_parser():
     p = sub.add_parser("hh0", help="graded torsion report for Lambda")
     _add_quiver_args(p)
     _add_degree(p, " (cost grows fast for wild quivers: free 2 takes about "
-                   "2 s at D = 9 and 9 s at D = 10)")
+                   "2 s at D = 9 and 8 s at D = 10)")
     _add_format(p)
     p.add_argument("--show-generators", action="store_true")
     p.set_defaults(fn=cmd_hh0)

@@ -29,6 +29,9 @@ completed rewrite system and 'span' when given None and ideal generators.
 
 Both engines read a closed word through one map per degree, least rotation
 (vertex at degree 0) -> coordinate, in _row; relation rows and coords share it.
+Both keep each relation row once up to sign, as first met: a row and its
+negative span the same lattice, and on `free 2` a quarter of the commutator
+rows negate an earlier one.
 """
 
 from __future__ import annotations
@@ -139,13 +142,19 @@ class LambdaComputation:
     def relation_rows(self, d):
         st = self._degree(d)
         if st.rows is None:
-            rows = {}       # a row met twice is kept once, where it was first met
+            # a row and its negative span the same lattice: each class up to
+            # sign is kept once, as it was first met, keyed by its items with
+            # the sign that makes the entry of least column positive
+            rows = {}
             build = self._commutator_rows if self.engine == "normal" else self._span_rows
             built = build(d, st.col)
             try:
                 for row in built:
                     if row:
-                        rows[frozenset(row.items())] = row
+                        key = row.items()
+                        if row[min(row)] < 0:
+                            key = ((j, -c) for j, c in key)
+                        rows.setdefault(frozenset(key), row)
             except MemoryError:
                 # free the rows, then close the generator: unwinding allocates,
                 # and Python 3.11 drops the error when it cannot

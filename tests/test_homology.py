@@ -102,9 +102,17 @@ def test_one_elimination_per_degree(monkeypatch, engine):
     assert eliminated == [len(comp.ambient_keys(d)) for d in range(9)]
 
 
+def _up_to_sign(row):
+    """row's items with the sign that makes its entry of least column
+    positive: the same key for a row and its negative."""
+    s = -1 if row[min(row)] < 0 else 1
+    return frozenset((j, s * c) for j, c in row.items())
+
+
 def _all_commutator_rows(comp, d):
     """Every [m, a] of the normal engine, built and projected, zero rows
-    dropped and duplicates kept once, in the order they are met."""
+    dropped and each row kept once up to sign, the first one met, in the
+    order they are met."""
     ctx, sys_ = comp.ctx, comp.system
     idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
@@ -115,7 +123,7 @@ def _all_commutator_rows(comp, d):
             cyc = cyclic_project(sys_.reduce(m * ae) - sys_.reduce(ae * m))
             row = {idx[k]: c for k, c in cyc.terms.items()}
             if row:
-                rows.setdefault(frozenset(row.items()), row)
+                rows.setdefault(_up_to_sign(row), row)
     return list(rows.values())
 
 
@@ -140,7 +148,8 @@ def test_zero_commutator_filter_keeps_row_set(q, white, D):
 
 def _projected_span_rows(comp, d):
     """The span engine's rows as products g u projected by cyclic_project,
-    zero rows dropped and duplicates kept once, in the order they are met."""
+    zero rows dropped and each row kept once up to sign, the first one met,
+    in the order they are met."""
     ctx = comp.ctx
     idx = {k: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
@@ -154,7 +163,7 @@ def _projected_span_rows(comp, d):
             x = g * ctx.path(u) if u else g
             row = {idx[k]: c for k, c in cyclic_project(x).terms.items()}
             if row:
-                rows.setdefault(frozenset(row.items()), row)
+                rows.setdefault(_up_to_sign(row), row)
     return list(rows.values())
 
 
@@ -363,15 +372,20 @@ def _table_system(name, D):
         return complete([], MonomialOrder(PathContext(catalog("affine_a", 3))), D)
     if name == "tree_found":
         return preprojective_system(catalog("star", 2, 2, 1, 1), (), D, arrow_order=TREE_ORDER)
-    q, white = {"e8": (catalog("dynkin_e", 8), ()),
-                "affine_e8": (catalog("affine_e", 8), ()),
-                "affine_d4": (catalog("affine_d", 4), ()),
-                "free2": (catalog("free", 2), ()),
-                "tree_default": (catalog("star", 2, 2, 1, 1), ()),
-                "partial": (Quiver(range(4), [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 3)]),
-                            (1, 3))}[name]
+    q, white = _table_quiver(name)
     order = forest_arrow_order(double(q), white) if white else None
     return preprojective_system(q, white, D, arrow_order=order)
+
+
+def _table_quiver(name):
+    return {"e8": (catalog("dynkin_e", 8), ()),
+            "affine_e8": (catalog("affine_e", 8), ()),
+            "affine_d4": (catalog("affine_d", 4), ()),
+            "free2": (catalog("free", 2), ()),
+            "tree_default": (catalog("star", 2, 2, 1, 1), ()),
+            "tree_found": (catalog("star", 2, 2, 1, 1), ()),
+            "partial": (Quiver(range(4), [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 3)]),
+                        (1, 3))}[name]
 
 
 @pytest.mark.parametrize("name, D", [
@@ -416,8 +430,8 @@ def test_normal_path_table_matches_walk_filter(name, D):
 
 def _whole_word_rows(comp, d):
     """The normal engine's rows as reduce(m a) - reduce(a m) through _row,
-    each side reduced as a whole word, zero rows dropped and a repeated row
-    kept where it was first met, as relation_rows keeps it."""
+    each side reduced as a whole word, zero rows dropped and each row kept
+    once up to sign, the first one met, as relation_rows keeps it."""
     ctx, sys_ = comp.ctx, comp.system
     col = {k.word or k.vertex: i for i, k in enumerate(comp.ambient_keys(d))}
     rows = {}
@@ -427,7 +441,7 @@ def _whole_word_rows(comp, d):
                  - sys_.reduce(ctx.element({(s, (a,) + w): 1})))
             row = _row(col, x.terms.items())
             if row:
-                rows[frozenset(row.items())] = row
+                rows.setdefault(_up_to_sign(row), row)
     return [list(r.items()) for r in rows.values()]
 
 
@@ -446,14 +460,15 @@ def test_commutator_rows_match_whole_word_reduction(name, D):
 
 
 # sha256 of repr([list(r.items()) for r in relation_rows(d)]) over d = 0..D
-# in turn, computed when both sides of [m, a] were reduced as whole words.
+# in turn, computed from the rows of _commutator_rows as met, zero rows
+# dropped and the first row of each class up to sign kept as it was met.
 # Item order follows the rules' install order (see PINNED_RULE_DIGESTS);
 # PINNED_ROW_SET_DIGESTS below pins the rows as sets
 PINNED_ROW_DIGESTS = {
-    ("free2", 8): "002f8d2ba9bf5afef4ae512ea567d578089f1a89e23ccd5a7a4237dd25e13a3c",
-    ("tree_found", 14): "949048184baa999030360a32bf86c8f45f925fea0c22d8a97bf5df446fbf0f39",
-    ("e8", 28): "bfe3ad4c607f892e1fa99bc342e621c0379892d4920edcc87d471e77b2cd8c1a",
-    ("affine_e8", 28): "68ee74937a7f0432f0673cd04cf9b483e0a36b6b4c0d8ebe836f2cc69ecd99ee",
+    ("free2", 8): "801a43136468232b085aaa9f502f94ed74b4bc9563ce6421ad248162a30f553f",
+    ("tree_found", 14): "4f739119229b8afb08f8fc5b784c208d6bd8c4b406b2a5cf09ab03df9c7fbcd8",
+    ("e8", 28): "b3a3f1257631668615fddbe8eb4699e0336fc528728144bcffa394f412f98615",
+    ("affine_e8", 28): "bd39e000b0b64d93d4e987924c50160db3b4072ee5c006d1d53bbe8d2aedd5f3",
 }
 
 
@@ -468,13 +483,13 @@ def test_relation_rows_are_pinned(name, D):
 
 
 # sha256 of repr(sorted(sorted(r.items()) for r in relation_rows(d))) over
-# d = 0..D in turn: the rows as sets, in any row and item order, as computed
-# from the completion that reduced every live S-pair
+# d = 0..D in turn: the rows as sets, in any row and item order, one row of
+# each class up to sign, with the sign of the first one met
 PINNED_ROW_SET_DIGESTS = {
-    ("free2", 8): "f0e4bccf8a34eb6b9e2da9158ce836c096b0968e0213ab2b5271bbf2a51e8651",
-    ("tree_found", 14): "e97905229ac9f2c0472629558aab40f0edf8d69f5d493d974e343f0ad66cd168",
-    ("e8", 28): "0a4b921f37eaa21b31ba4d271977b46c6b9e30818594ad87f0914d571a305c77",
-    ("affine_e8", 28): "d50a44ddefbf5cc886023cf0feb4da8f753e1d23fb1cc34d2494f8221edeaabd",
+    ("free2", 8): "9b504f156a6354a27949d82adacc244f8f46b8cf4b146007e416e4bed5551fbd",
+    ("tree_found", 14): "fc79354182594b4c36e2cba709455ffd17f42081ee9204efdf6b82dd7cc59dcd",
+    ("e8", 28): "d3a11f878943105e8cf8e9f9734c9be37868f67a5b3211f8bf53879755da4925",
+    ("affine_e8", 28): "cd7dcdd55badd0691d4a43ea404257ed06e7bd00abf9c5d570fc633f73aa8b0c",
 }
 
 
@@ -486,6 +501,69 @@ def test_relation_row_sets_are_pinned(name, D):
     for d in range(D + 1):
         h.update(repr(sorted(sorted(r.items()) for r in comp.relation_rows(d))).encode())
     assert h.hexdigest() == PINNED_ROW_SET_DIGESTS[name, D]
+
+
+# (engine, system, D) for the rows kept once up to sign; the span engine
+# lists every necklace, so ~E8 stops at degree 14 there (16 alone has
+# 33,038 rows), and it reads no arrow order
+SIGN_CASES = [(engine, name, D) for engine, cases in (
+    ("normal", [("free2", 8), ("affine_e8", 28), ("tree_found", 14), ("partial", 8)]),
+    ("span", [("free2", 8), ("affine_e8", 14), ("tree_found", 14), ("partial", 8)]))
+    for name, D in cases]
+
+
+def _sign_case(engine, name, D):
+    if engine == "normal":
+        sys_ = _table_system(name, D)
+        return LambdaComputation(sys_.ctx, sys_)
+    q, white = _table_quiver(name)
+    ctx = PathContext(q)
+    return LambdaComputation(ctx, None, ideal_gens=preprojective_relation(ctx, white))
+
+
+def _rows_as_met(comp, d):
+    """The nonzero rows of comp's builder at degree d, repeats and sign
+    twins included, in the order they are met."""
+    build = comp._commutator_rows if comp.engine == "normal" else comp._span_rows
+    return [row for row in build(d, comp._degree(d).col) if row]
+
+
+@pytest.mark.parametrize("engine, name, D", SIGN_CASES)
+def test_no_two_rows_are_equal_up_to_sign(engine, name, D):
+    """relation_rows keeps no zero row, and no row whose negative, or
+    itself, it already keeps."""
+    comp = _sign_case(engine, name, D)
+    for d in range(D + 1):
+        rows = comp.relation_rows(d)
+        assert all(rows), d
+        signless = {min(tuple(sorted(r.items())), tuple(sorted((j, -c) for j, c in r.items())))
+                    for r in rows}
+        assert len(signless) == len(rows), d
+
+
+@pytest.mark.parametrize("engine, name, D", SIGN_CASES)
+def test_kept_rows_span_the_rows_as_met(engine, name, D):
+    """The rows as met and relation_rows give the same lattice: equal
+    summaries, equal orders of seeded vectors, and every row as met of
+    order 1 against the kept rows."""
+    comp = _sign_case(engine, name, D)
+    rng = random.Random(109)
+    for d in range(D + 1):
+        met = _rows_as_met(comp, d)
+        n = len(comp.ambient_keys(d))
+        whole, kept = LatticeSolver(n, met), comp.solver(d)
+        assert whole.summary == kept.summary, d
+        assert all(kept.order_of(row) == 1 for row in met), d
+        for _ in range(20 if n else 0):
+            vec = {}
+            for _ in range(rng.randint(0, 2) if met else 0):
+                c = rng.randint(-3, 3)
+                for j, x in rng.choice(met).items():
+                    vec[j] = vec.get(j, 0) + c * x
+            for _ in range(rng.randint(1, 3)):
+                j = rng.randrange(n)
+                vec[j] = vec.get(j, 0) + rng.randint(-3, 3)
+            assert kept.order_of(vec) == whole.order_of(vec), (d, vec)
 
 
 PINNED_COUNT_DIGESTS = {

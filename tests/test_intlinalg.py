@@ -598,6 +598,18 @@ PINNED_SNF_DIGESTS = {
 }
 
 
+def _commutator_matrix(comp, d):
+    """The normal engine's commutator rows at degree d, zero rows dropped
+    and an exact repeat kept at its first position with the last one's
+    items, and the ambient rank: the matrices the pins below were computed
+    from, apart from the rule relation_rows keeps rows by."""
+    rows = {}
+    for row in comp._commutator_rows(d, comp._degree(d).col):
+        if row:
+            rows[frozenset(row.items())] = row
+    return list(rows.values()), len(comp.ambient_keys(d))
+
+
 @pytest.fixture(scope="module")
 def pinned_matrices(free2_lattices):
     """The seeded random matrices, the F_2 lattice of `free 2` at degree 7,
@@ -614,19 +626,18 @@ def pinned_matrices(free2_lattices):
     out = {kind: _random_matrices(kind) for kind in ("dense", "sparse")}
     out["f2_d7"] = free2_lattices["f2_d7"]
     for d in (7, 8):
-        out[f"normal_d{d}"] = [(normal.relation_rows(d), len(normal.ambient_keys(d)))]
+        out[f"normal_d{d}"] = [_commutator_matrix(normal, d)]
     q = catalog("star", 2, 2, 1, 1)
     ctx = PathContext(q)
     order = [8, 4, 7, 10, 1, 5, 9, 2, 6, 11, 3, 0]
     tree = LambdaComputation(ctx, preprojective_system(q, (), 14, ctx=ctx, arrow_order=order),
                              engine="normal")
-    out["star_2211_d14"] = [(tree.relation_rows(d), len(tree.ambient_keys(d)))
-                            for d in range(15)]
+    out["star_2211_d14"] = [_commutator_matrix(tree, d) for d in range(15)]
     for case, name, p in (("e8_d28", "dynkin_e", 8), ("affine_e8_d28", "affine_e", 8)):
         q = catalog(name, p)
         ctx = PathContext(q)
         comp = LambdaComputation(ctx, preprojective_system(q, (), 28, ctx=ctx), engine="normal")
-        out[case] = [(comp.relation_rows(d), len(comp.ambient_keys(d))) for d in range(29)]
+        out[case] = [_commutator_matrix(comp, d) for d in range(29)]
     return out
 
 
